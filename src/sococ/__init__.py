@@ -7,20 +7,19 @@ structure, `workload.generate_stream` produces the request stream,
 together behind named experiment presets and the `sococ` CLI.
 """
 
-from .engine import CoreServerState, EngineConfig, Fleet, init_servers, run
+from .engine import EngineConfig, Fleet, init_servers, run
 from .errors import ConfigurationError, InternalConsistencyError
 from .harness import ExperimentPreset, load_config, preset, run_experiment, sweep
 from .market import (
     AuctionOutcome,
     Bid,
     Coalition,
+    Market,
     MarketConfig,
     assemble_coalition,
     elect_leader,
-    eligible,
     invite_leader_candidates,
     price_bid,
-    run_auction,
 )
 from .metrics import MetricsConfig, MetricsSink, RunReport, coalition_histogram, emit, subset_stddev
 from .topology import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -58,30 +58,6 @@ class EngineConfig:
             raise ConfigurationError("seed must be a non-negative integer")
 
 
-@dataclass
-class CoreServerState:
-    """Snapshot view of a single core server (the arrays are the truth)."""
-
-    id: int
-    mode: Mode
-    capacity: float
-    committed: float
-    unit_cost: float
-    coalition_count: int
-    live_allocations: dict[int, float]
-
-    @property
-    def free(self) -> float:
-        return self.capacity - self.committed
-
-
-@dataclass(frozen=True)
-class SimulationEvent:
-    time: float
-    kind: int  # EV_COMPLETION or EV_ARRIVAL
-    request_id: int
-
-
 class Fleet:
     """Mutable state of all core servers, stored column-wise."""
 
@@ -102,25 +78,6 @@ class Fleet:
         self.recruited_from_sleep = np.zeros(self.n, dtype=bool)
         # request id -> (member ids, allocations); one entry per live request
         self.live: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def free(self, ids: np.ndarray | int) -> np.ndarray | float:
-        return self.capacity - self.committed[ids]
-
-    def server(self, i: int) -> CoreServerState:
-        allocations = {}
-        for rid, (ids, allocs) in self.live.items():
-            hit = np.nonzero(ids == i)[0]
-            if hit.size:
-                allocations[rid] = float(allocs[hit[0]])
-        return CoreServerState(
-            id=i,
-            mode=Mode(int(self.modes[i])),
-            capacity=self.capacity,
-            committed=float(self.committed[i]),
-            unit_cost=float(self.unit_cost[i]),
-            coalition_count=int(self.coalition_count[i]),
-            live_allocations=allocations,
-        )
 
     def commit(self, request: ServiceRequest, coalition: "market.Coalition") -> None:
         """Apply a winning coalition's allocations atomically."""
@@ -205,13 +162,9 @@ class RunStats:
     completed: int = 0                 # total completions, including the drain
     completed_at_stream_end: int = 0
     in_flight_at_stream_end: int = 0
-    unsatisfied_ids: list[int] = field(default_factory=list)
+    unsatisfied: int = 0
     final_time: float = 0.0
     event_digest: str = ""
-
-    @property
-    def unsatisfied(self) -> int:
-        return len(self.unsatisfied_ids)
 
 
 def run(
@@ -261,7 +214,7 @@ def run(
             )
             stats.successes += 1
         else:
-            stats.unsatisfied_ids.append(request.id)
+            stats.unsatisfied += 1
         sink.record_outcome(outcome, request.mode)
         stats.n_requests += 1
         on_event(request.arrival_time, EV_ARRIVAL, request.id)

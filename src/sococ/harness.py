@@ -239,6 +239,8 @@ def derive_seeds(seed: int) -> tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 def _require(d: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{path}: expected an object, got {d!r}")
     unknown = set(d) - set(required) - set(optional)
     if unknown:
         raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
@@ -247,9 +249,37 @@ def _require(d: dict, path: str, required: tuple[str, ...], optional: tuple[str,
         raise ConfigurationError(f"{path}: missing keys {missing}")
 
 
-def _pair(value, path: str) -> tuple[float, float]:
+def _get(d: dict, path: str, key: str, convert, default=None):
+    """convert(d[key]), or convert(default) when the key is absent; a value
+    that does not convert is an error at path.key."""
+    value = d.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}.{key}: invalid value {value!r}: {exc}") from None
+
+
+def _build(cls, path: str, *args, **fields):
+    """cls(*args, **fields), with a validation failure reported at `path`."""
+    try:
+        return cls(*args, **fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _pair(value) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigurationError(f"{path}: expected [lo, hi]")
+        raise ValueError("expected [lo, hi]")
     return float(value[0]), float(value[1])
 
 
@@ -259,13 +289,15 @@ def _dist(d: dict, path: str) -> DistributionSpec:
     kind = d["kind"]
     if kind == "exponential":
         _require(d, path, ("kind", "mean"))
-        return DistributionSpec("exponential", float(d["mean"]))
+        return _build(DistributionSpec, path, kind, _get(d, path, "mean", float))
     if kind == "pareto":
         _require(d, path, ("kind", "alpha", "scale"))
-        return DistributionSpec("pareto", float(d["alpha"]), float(d["scale"]))
+        return _build(DistributionSpec, path, kind, _get(d, path, "alpha", float),
+                      _get(d, path, "scale", float))
     if kind == "uniform":
         _require(d, path, ("kind", "low", "high"))
-        return DistributionSpec("uniform", float(d["low"]), float(d["high"]))
+        return _build(DistributionSpec, path, kind, _get(d, path, "low", float),
+                      _get(d, path, "high", float))
     raise ConfigurationError(f"{path}.kind: unknown distribution {kind!r}")
 
 
@@ -287,72 +319,61 @@ def load_config(path: str | Path) -> ExperimentPreset:
     _require(t, "topology",
              ("n_core", "n_periphery", "primary_contacts_per_core", "periphery_per_core"),
              ("n_aux",))
-    try:
-        topo = TopologyConfig(
-            n_core=int(t["n_core"]),
-            n_periphery=int(t["n_periphery"]),
-            n_aux=int(t.get("n_aux", 0)),
-            primary_contacts_per_core=int(t["primary_contacts_per_core"]),
-            periphery_per_core=int(t["periphery_per_core"]),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"topology: {exc}") from None
+    topo = _build(
+        TopologyConfig, "topology",
+        n_core=_get(t, "topology", "n_core", int),
+        n_periphery=_get(t, "topology", "n_periphery", int),
+        n_aux=_get(t, "topology", "n_aux", int, 0),
+        primary_contacts_per_core=_get(t, "topology", "primary_contacts_per_core", int),
+        periphery_per_core=_get(t, "topology", "periphery_per_core", int),
+    )
 
     w = raw["workload"]
     _require(w, "workload",
              ("interarrival", "service", "workload_scu", "mode_probs", "n_requests"))
-    try:
-        workload = WorkloadConfig(
-            interarrival=_dist(w["interarrival"], "workload.interarrival"),
-            service=_dist(w["service"], "workload.service"),
-            workload_range=_pair(w["workload_scu"], "workload.workload_scu"),
-            mode_probabilities=tuple(float(p) for p in w["mode_probs"]),
-            n_requests=int(w["n_requests"]),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"workload: {exc}") from None
+    workload = _build(
+        WorkloadConfig, "workload",
+        interarrival=_dist(w["interarrival"], "workload.interarrival"),
+        service=_dist(w["service"], "workload.service"),
+        workload_range=_get(w, "workload", "workload_scu", _pair),
+        mode_probabilities=_get(w, "workload", "mode_probs", _floats),
+        n_requests=_get(w, "workload", "n_requests", int),
+    )
 
     m = raw["market"]
     _require(m, "market", ("initiation",),
              ("leader_candidate_fraction", "use_secondary", "invited_fraction_c1",
               "cost_range"))
-    try:
-        market = MarketConfig(
-            initiation=m["initiation"],
-            leader_candidate_fraction=float(m.get("leader_candidate_fraction", 0.001)),
-            use_secondary_contacts=bool(m.get("use_secondary", False)),
-            invited_fraction_c1=float(m.get("invited_fraction_c1", 0.001)),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"market: {exc}") from None
+    market = _build(
+        MarketConfig, "market",
+        initiation=m["initiation"],
+        leader_candidate_fraction=_get(m, "market", "leader_candidate_fraction", float, 0.001),
+        use_secondary_contacts=_get(m, "market", "use_secondary", _bool, False),
+        invited_fraction_c1=_get(m, "market", "invited_fraction_c1", float, 0.001),
+    )
 
     e = raw["engine"]
     _require(e, "engine", (),
              ("capacity_scu", "initial_state_mix", "initial_load_range"))
-    try:
-        eng = EngineConfig(
-            capacity_scu=float(e.get("capacity_scu", 10.0)),
-            initial_state_mix=tuple(float(f) for f in e.get(
-                "initial_state_mix", (0.2, 0.4, 0.15, 0.25))),
-            initial_load_range=_pair(e.get("initial_load_range", (0.3, 0.8)),
-                                     "engine.initial_load_range"),
-            # cost_range rides in the market section but parameterizes
-            # fleet initialization
-            cost_range=_pair(m.get("cost_range", (1.0, 10.0)), "market.cost_range"),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"engine: {exc}") from None
+    eng = _build(
+        EngineConfig, "engine",
+        capacity_scu=_get(e, "engine", "capacity_scu", float, 10.0),
+        initial_state_mix=_get(e, "engine", "initial_state_mix", _floats,
+                               (0.2, 0.4, 0.15, 0.25)),
+        initial_load_range=_get(e, "engine", "initial_load_range", _pair, (0.3, 0.8)),
+        # cost_range rides in the market section but parameterizes
+        # fleet initialization
+        cost_range=_get(m, "market", "cost_range", _pair, (1.0, 10.0)),
+    )
 
     mc = raw.get("metrics", {})
     _require(mc, "metrics", (), ("bin_size", "n_subsets", "coalition_buckets"))
-    try:
-        metrics = MetricsConfig(
-            bin_size=int(mc.get("bin_size", 1_000_000)),
-            n_subsets=int(mc.get("n_subsets", 1_000)),
-            coalition_buckets=int(mc.get("coalition_buckets", 20)),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"metrics: {exc}") from None
+    metrics = _build(
+        MetricsConfig, "metrics",
+        bin_size=_get(mc, "metrics", "bin_size", int, 1_000_000),
+        n_subsets=_get(mc, "metrics", "n_subsets", int, 1_000),
+        coalition_buckets=_get(mc, "metrics", "coalition_buckets", int, 20),
+    )
 
     return ExperimentPreset(
         name=str(raw.get("name", path.stem)),
@@ -399,6 +420,8 @@ def run_experiment(
     echoed into summary.json.
     """
     p = preset(preset_or_name) if isinstance(preset_or_name, str) else preset_or_name
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     if is_huge(p) and not allow_huge:
         raise ConfigurationError(
             f"preset {p.name!r} is full published scale "

@@ -5,8 +5,9 @@ periphery server invites a small random subset of the cores it knows to
 stand as leader; the cheapest eligible candidate wins the election and
 greedily assembles a coalition over its primary (and optionally secondary)
 contacts. Under C1 (periphery-initiated) the periphery draws a pool from its
-own known cores and fills one coalition from that pool only. Bids are plain
-costs and the lowest bid always wins.
+own known cores and fills one coalition from that pool only. Either way an
+auction yields at most one bid, priced at its coalition's cost, and the
+engine commits it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .workload import Mode, ServiceRequest
 
 # Smallest allocation a server is recruited for, in SCU.
 MIN_ALLOCATION = 0.01
-ALLOC_TOL = 1e-9
 _TRIM_EPS = 1e-9
 _SECONDARY_CACHE_CAP = 512
 
@@ -58,10 +58,6 @@ class Coalition:
         return [(int(i), float(a)) for i, a in zip(self.member_ids, self.allocations)]
 
     @property
-    def total_allocated(self) -> float:
-        return float(self.allocations.sum())
-
-    @property
     def size(self) -> int:
         return len(self.member_ids)
 
@@ -77,36 +73,17 @@ class AuctionOutcome:
     request_id: int
     bid: Bid | None  # None means the request went unsatisfied
     candidates_contacted: int
-    bids_received: int
-
-    @property
-    def won(self) -> bool:
-        return self.bid is not None
-
-
-def eligible(server, request: ServiceRequest) -> bool:
-    """A server can join a coalition when it runs the request's mode or is
-    asleep, and has at least the minimum allocation quantum free."""
-    mode_ok = server.mode == request.mode or server.mode == Mode.SLEEP
-    return mode_ok and server.free >= MIN_ALLOCATION
 
 
 def _eligible_ids(fleet, ids: np.ndarray, mode: Mode) -> np.ndarray:
-    """Vectorized eligibility filter over server ids (order-preserving)."""
+    """The servers among `ids` that can join a coalition for `mode`, in order:
+    those running `mode` or asleep, with at least MIN_ALLOCATION free."""
     if ids.size == 0:
         return ids
     modes = fleet.modes[ids]
     mask = (modes == int(mode)) | (modes == Mode.SLEEP)
     mask &= (fleet.capacity - fleet.committed[ids]) >= MIN_ALLOCATION
     return ids[mask]
-
-
-def _eligible_one(fleet, server_id: int, mode: Mode) -> bool:
-    """Scalar fast path of the same eligibility rule."""
-    smode = fleet.modes[server_id]
-    if smode != int(mode) and smode != Mode.SLEEP:
-        return False
-    return fleet.capacity - fleet.committed[server_id] >= MIN_ALLOCATION
 
 
 class ContactOrder:
@@ -135,9 +112,6 @@ class ContactOrder:
     def sort_ids(self, ids: np.ndarray) -> np.ndarray:
         return ids[np.argsort(self.rank[ids])]
 
-    def primary(self, core: int) -> np.ndarray:
-        return self.primary_sorted[core]
-
     def secondary(self, core: int) -> np.ndarray:
         """All cores sharing a periphery server with `core`, cost-ordered."""
         cached = self._secondary.get(core)
@@ -158,7 +132,6 @@ class ContactOrder:
 def invite_leader_candidates(
     periphery: int,
     topology: ContactTopology,
-    request: ServiceRequest,
     config: MarketConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -200,24 +173,21 @@ def _fill_from_pool(
 def assemble_coalition(
     leader: int,
     request: ServiceRequest,
-    topology: ContactTopology,
     fleet,
+    order: ContactOrder,
     use_secondary: bool,
-    order: ContactOrder | None = None,
 ) -> Coalition | None:
     """Greedy coalition assembly around an elected leader.
 
-    The leader contributes its full free capacity first; its primary contacts
+    Precondition, not checked here: the leader is eligible for the request,
+    as `elect_leader`'s result is for the fleet state it was elected on. The
+    leader contributes its full free capacity first; its primary contacts
     are scanned in ascending (unit cost, id) order, each eligible one joining
     at full free capacity, until the workload is covered. When the primary
     list is exhausted and use_secondary is set, the scan continues over the
     leader's secondary contacts in the same order. Returns None when the
     reachable capacity cannot cover the workload.
     """
-    if not _eligible_one(fleet, leader, request.mode):
-        return None
-    if order is None:
-        order = ContactOrder(topology, fleet)
     need = request.workload
     leader_free = float(fleet.capacity - fleet.committed[leader])
     if leader_free + _TRIM_EPS >= need:
@@ -227,7 +197,7 @@ def assemble_coalition(
     member_allocs = [np.array([leader_free])]
     remaining = need - leader_free
 
-    pool = _eligible_ids(fleet, order.primary(leader), request.mode)
+    pool = _eligible_ids(fleet, order.primary_sorted[leader], request.mode)
     pool = pool[pool != leader]
     free = fleet.capacity - fleet.committed[pool]
     filled = _fill_from_pool(pool, free, remaining)
@@ -264,81 +234,6 @@ def price_bid(coalition: Coalition, fleet) -> Bid:
     return Bid(coalition=coalition, price=price)
 
 
-def select_winner(bids: list[Bid]) -> Bid | None:
-    """Lowest price wins; ties go to the lowest leader id."""
-    if not bids:
-        return None
-    return min(bids, key=lambda b: (b.price, b.coalition.leader))
-
-
-def _run_auction_c1(
-    request: ServiceRequest,
-    topology: ContactTopology,
-    fleet,
-    config: MarketConfig,
-    rng: np.random.Generator,
-    order: ContactOrder,
-) -> AuctionOutcome:
-    pcs = topology.periphery_known_cores[request.entry_periphery]
-    if pcs.size == 0:
-        return AuctionOutcome(request.id, None, 0, 0)
-    k = math.ceil(config.invited_fraction_c1 * pcs.size)
-    invited = rng.choice(pcs, size=k, replace=False)
-    pool = order.sort_ids(_eligible_ids(fleet, invited, request.mode))
-    free = fleet.capacity - fleet.committed[pool]
-    filled = _fill_from_pool(pool, free, request.workload)
-    if filled is None:
-        return AuctionOutcome(request.id, None, k, 0)
-    ids, allocs = filled
-    coalition = Coalition(int(ids[0]), ids, allocs, request.id)
-    bid = price_bid(coalition, fleet)
-    return AuctionOutcome(request.id, select_winner([bid]), k, 1)
-
-
-def _run_auction_c2(
-    request: ServiceRequest,
-    topology: ContactTopology,
-    fleet,
-    config: MarketConfig,
-    rng: np.random.Generator,
-    order: ContactOrder,
-) -> AuctionOutcome:
-    candidates = invite_leader_candidates(
-        request.entry_periphery, topology, request, config, rng
-    )
-    k = candidates.size
-    leader = elect_leader(candidates, fleet, request)
-    if leader is None:
-        return AuctionOutcome(request.id, None, k, 0)
-    coalition = assemble_coalition(
-        leader, request, topology, fleet, config.use_secondary_contacts, order
-    )
-    if coalition is None:
-        return AuctionOutcome(request.id, None, k, 0)
-    bid = price_bid(coalition, fleet)
-    return AuctionOutcome(request.id, select_winner([bid]), k, 1)
-
-
-def run_auction(
-    request: ServiceRequest,
-    topology: ContactTopology,
-    fleet,
-    config: MarketConfig,
-    rng: np.random.Generator,
-    order: ContactOrder | None = None,
-) -> AuctionOutcome:
-    """Run one auction against the current fleet state.
-
-    Winning allocations are NOT applied here; the engine commits them so the
-    commit stays atomic with completion scheduling.
-    """
-    if order is None:
-        order = ContactOrder(topology, fleet)
-    if config.initiation == "C2":
-        return _run_auction_c2(request, topology, fleet, config, rng, order)
-    return _run_auction_c1(request, topology, fleet, config, rng, order)
-
-
 class Market:
     """Per-run auction coordinator holding the cost-order cache and rng."""
 
@@ -356,6 +251,41 @@ class Market:
         self.order = ContactOrder(topology, fleet)
 
     def run_auction(self, request: ServiceRequest) -> AuctionOutcome:
-        return run_auction(
-            request, self.topology, self.fleet, self.config, self.rng, self.order
+        """Run one auction against the current fleet state.
+
+        Winning allocations are NOT applied here; the engine commits them so
+        the commit stays atomic with completion scheduling.
+        """
+        if self.config.initiation == "C2":
+            return self._run_c2(request)
+        return self._run_c1(request)
+
+    def _run_c1(self, request: ServiceRequest) -> AuctionOutcome:
+        pcs = self.topology.periphery_known_cores[request.entry_periphery]
+        if pcs.size == 0:
+            return AuctionOutcome(request.id, None, 0)
+        k = math.ceil(self.config.invited_fraction_c1 * pcs.size)
+        invited = self.rng.choice(pcs, size=k, replace=False)
+        pool = self.order.sort_ids(_eligible_ids(self.fleet, invited, request.mode))
+        free = self.fleet.capacity - self.fleet.committed[pool]
+        filled = _fill_from_pool(pool, free, request.workload)
+        if filled is None:
+            return AuctionOutcome(request.id, None, k)
+        ids, allocs = filled
+        coalition = Coalition(int(ids[0]), ids, allocs, request.id)
+        return AuctionOutcome(request.id, price_bid(coalition, self.fleet), k)
+
+    def _run_c2(self, request: ServiceRequest) -> AuctionOutcome:
+        candidates = invite_leader_candidates(
+            request.entry_periphery, self.topology, self.config, self.rng
         )
+        k = candidates.size
+        leader = elect_leader(candidates, self.fleet, request)
+        if leader is None:
+            return AuctionOutcome(request.id, None, k)
+        coalition = assemble_coalition(
+            leader, request, self.fleet, self.order, self.config.use_secondary_contacts
+        )
+        if coalition is None:
+            return AuctionOutcome(request.id, None, k)
+        return AuctionOutcome(request.id, price_bid(coalition, self.fleet), k)

@@ -140,13 +140,6 @@ class MetricsSink:
         if len(buf) == self.bin_size:
             self._close_bin(mode, partial=False)
 
-    def current_rate(self, mode: Mode) -> float | None:
-        """Success rate of the open (partial) bin, if any outcomes exist."""
-        buf = self._buffers[mode]
-        if not buf:
-            return None
-        return sum(buf) / len(buf)
-
     def _close_bin(self, mode: Mode, partial: bool) -> None:
         buf = self._buffers[mode]
         n = len(buf)

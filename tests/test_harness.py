@@ -153,6 +153,19 @@ def test_config_rejects_bad_values_with_section(tmp_path):
         load_config(write_config(tmp_path, break_mix))
     assert "engine" in str(err.value)
 
+    # wrong JSON types are errors at their field path, never coerced
+    for section, key, value in (
+        ("topology", "n_core", "many"),
+        ("market", "use_secondary", "false"),
+        ("workload", "mode_probs", 0.5),
+        ("engine", "initial_load_range", ["low", 0.8]),
+        ("workload", "n_requests", None),
+    ):
+        path = write_config(tmp_path, lambda raw: raw[section].update({key: value}))
+        with pytest.raises(ConfigurationError) as err:
+            load_config(path)
+        assert f"{section}.{key}" in str(err.value)
+
 
 def test_config_rejects_missing_section(tmp_path):
     def drop(raw):
@@ -160,6 +173,11 @@ def test_config_rejects_missing_section(tmp_path):
 
     with pytest.raises(ConfigurationError) as err:
         load_config(write_config(tmp_path, drop))
+    assert "market" in str(err.value)
+
+    # a section that is not an object is as good as missing
+    with pytest.raises(ConfigurationError) as err:
+        load_config(write_config(tmp_path, lambda raw: raw.update(market=5)))
     assert "market" in str(err.value)
 
 
@@ -204,9 +222,17 @@ def test_metrics_overrides_apply(tmp_path):
 
 
 def test_secondary_contacts_never_reduce_success_on_matched_seeds():
-    # exp2-desk against the same workload served with primary contacts only
-    wide = preset("exp2-desk")
-    wide = replace(wide, workload=replace(wide.workload, n_requests=20_000))
+    # exp2-desk against the same workload served with primary contacts only.
+    # With 100 primary contacts per core no leader ever exhausts its primary
+    # list, so both arms would score 100%; with 10, leaders fall back to
+    # secondary contacts several hundred times per 5,000 requests, and only
+    # that fallback keeps the success rate at 100%.
+    base = preset("exp2-desk")
+    wide = replace(
+        base,
+        topology=replace(base.topology, primary_contacts_per_core=10),
+        workload=replace(base.workload, n_requests=5_000),
+    )
     primary_only = replace(
         wide, name="exp2-desk-primary",
         market=replace(wide.market, use_secondary_contacts=False),
@@ -214,7 +240,7 @@ def test_secondary_contacts_never_reduce_success_on_matched_seeds():
     for seed in (1, 2):
         with_secondary = run_experiment(wide, seed)
         without = run_experiment(primary_only, seed)
-        assert with_secondary.overall_success_rate() >= without.overall_success_rate()
+        assert with_secondary.overall_success_rate() > without.overall_success_rate()
 
 
 # -- CLI --------------------------------------------------------------------------
@@ -246,6 +272,13 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, lambda raw: raw["market"].update(bogus=1))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["run", "--preset", "exp5", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError):
+        run_experiment("exp5", -1)
 
 
 def test_cli_organize_emits_stats(tmp_path):

@@ -5,18 +5,16 @@ import pytest
 
 from sococ.engine import Fleet
 from sococ.market import (
-    Bid,
+    MIN_ALLOCATION,
     Coalition,
     ContactOrder,
+    Market,
     MarketConfig,
     _eligible_ids,
     assemble_coalition,
     elect_leader,
-    eligible,
     invite_leader_candidates,
     price_bid,
-    run_auction,
-    select_winner,
 )
 from sococ.topology import ContactTopology, TopologyConfig, organize
 from sococ.workload import Mode, ServiceRequest
@@ -57,22 +55,49 @@ def star_topology(n_core, contacts_of_zero):
     )
 
 
+def assemble(leader, request, topo, fleet, use_secondary=False):
+    return assemble_coalition(
+        leader, request, fleet, ContactOrder(topo, fleet), use_secondary
+    )
+
+
+def auction(request, topo, fleet, config, rng):
+    return Market(topo, fleet, config, rng).run_auction(request)
+
+
 # -- eligibility ---------------------------------------------------------------
+
+def eligible_by_rule(fleet, i, mode):
+    """The eligibility rule, stated plainly: a server can join a coalition
+    when it runs the request's mode or is asleep, and has at least the
+    minimum allocation quantum free."""
+    server_mode = Mode(int(fleet.modes[i]))
+    free = fleet.capacity - float(fleet.committed[i])
+    return server_mode in (mode, Mode.SLEEP) and free >= MIN_ALLOCATION
+
+
+def eligible_ids(fleet, mode):
+    """_eligible_ids over the whole fleet, checked against the plain rule."""
+    got = _eligible_ids(fleet, np.arange(fleet.n), mode).tolist()
+    assert got == [i for i in range(fleet.n) if eligible_by_rule(fleet, i, mode)]
+    return got
+
 
 def test_sleeping_server_is_eligible_for_any_mode():
     fleet = make_fleet([Mode.SLEEP])
-    assert eligible(fleet.server(0), make_request(Mode.M2))
-    assert eligible(fleet.server(0), make_request(Mode.M3))
+    assert eligible_ids(fleet, Mode.M2) == [0]
+    assert eligible_ids(fleet, Mode.M3) == [0]
 
 
 def test_full_server_is_not_eligible():
-    fleet = make_fleet([Mode.M1], committed=[10.0])
-    assert not eligible(fleet.server(0), make_request(Mode.M1))
+    fleet = make_fleet([Mode.M1, Mode.M1], committed=[10.0, 9.5])
+    assert eligible_ids(fleet, Mode.M1) == [1]
 
 
 def test_mode_mismatch_is_not_eligible():
     fleet = make_fleet([Mode.M2])
-    assert not eligible(fleet.server(0), make_request(Mode.M3))
+    assert eligible_ids(fleet, Mode.M3) == []
+    assert eligible_ids(fleet, Mode.M2) == [0]
 
 
 def test_vectorized_eligibility_matches_scalar():
@@ -80,12 +105,12 @@ def test_vectorized_eligibility_matches_scalar():
     modes = rng.integers(0, 4, size=200)
     committed = rng.uniform(0, 10, size=200)
     fleet = make_fleet(modes, committed=committed)
+    ids = rng.permutation(200)
     for mode in (Mode.M1, Mode.M2, Mode.M3):
-        request = make_request(mode)
-        ids = np.arange(200)
-        fast = set(_eligible_ids(fleet, ids, mode).tolist())
-        slow = {i for i in range(200) if eligible(fleet.server(i), request)}
-        assert fast == slow
+        fast = _eligible_ids(fleet, ids, mode).tolist()
+        slow = [int(i) for i in ids if eligible_by_rule(fleet, i, mode)]
+        assert fast == slow  # same set, input order kept
+        assert 0 < len(fast) < 200
 
 
 # -- leader invitation ---------------------------------------------------------
@@ -94,7 +119,7 @@ def test_invite_count_is_ceiling_of_fraction():
     topo = star_topology(2000, [1])
     config = MarketConfig("C2", leader_candidate_fraction=0.001)
     rng = np.random.default_rng(0)
-    got = invite_leader_candidates(0, topo, make_request(), config, rng)
+    got = invite_leader_candidates(0, topo, config, rng)
     assert len(got) == 2  # ceil(0.001 * 2000)
     assert set(got.tolist()) <= set(range(2000))
     # at the published scale a periphery knows ~83,593 cores and the same
@@ -106,26 +131,22 @@ def test_invite_count_is_ceiling_of_fraction():
 def test_invite_single_known_core():
     topo = star_topology(1, [])
     config = MarketConfig("C2", leader_candidate_fraction=0.001)
-    got = invite_leader_candidates(0, topo, make_request(), config,
-                                   np.random.default_rng(0))
+    got = invite_leader_candidates(0, topo, config, np.random.default_rng(0))
     assert got.tolist() == [0]
 
 
 def test_invite_is_reproducible_per_seed():
     topo = star_topology(2000, [1])
     config = MarketConfig("C2", leader_candidate_fraction=0.001)
-    a = invite_leader_candidates(0, topo, make_request(), config,
-                                 np.random.default_rng(5))
-    b = invite_leader_candidates(0, topo, make_request(), config,
-                                 np.random.default_rng(5))
+    a = invite_leader_candidates(0, topo, config, np.random.default_rng(5))
+    b = invite_leader_candidates(0, topo, config, np.random.default_rng(5))
     assert a.tolist() == b.tolist()
 
 
 def test_invite_empty_pcs_yields_no_candidates():
     topo = star_topology(4, [1])
     topo.periphery_known_cores[0] = np.zeros(0, dtype=np.int32)
-    got = invite_leader_candidates(0, topo, make_request(),
-                                   MarketConfig("C2"), np.random.default_rng(0))
+    got = invite_leader_candidates(0, topo, MarketConfig("C2"), np.random.default_rng(0))
     assert len(got) == 0
 
 
@@ -151,7 +172,7 @@ def test_elect_none_when_no_candidate_eligible():
 def test_singleton_coalition_when_leader_covers_workload():
     topo = star_topology(4, [1, 2, 3])
     fleet = make_fleet([Mode.M1] * 4, committed=[5.0, 0, 0, 0])
-    coalition = assemble_coalition(0, make_request(workload=4.0), topo, fleet, False)
+    coalition = assemble(0, make_request(workload=4.0), topo, fleet)
     assert coalition.members == [(0, 4.0)]
     assert coalition.leader == 0
 
@@ -160,22 +181,22 @@ def test_greedy_fill_eight_members_of_five_scu():
     topo = star_topology(8, [1, 2, 3, 4, 5, 6, 7])
     fleet = make_fleet([Mode.M1] * 8, costs=list(range(1, 9)),
                        committed=[5.0] * 8)
-    coalition = assemble_coalition(0, make_request(workload=40.0), topo, fleet, False)
+    coalition = assemble(0, make_request(workload=40.0), topo, fleet)
     assert coalition.size == 8
     assert coalition.members == [(i, 5.0) for i in range(8)]
-    assert coalition.total_allocated == pytest.approx(40.0, abs=1e-9)
+    assert coalition.allocations.sum() == pytest.approx(40.0, abs=1e-9)
 
 
 def test_assembly_fails_when_reachable_capacity_is_short():
     topo = star_topology(6, [1, 2, 3, 4, 5])
     fleet = make_fleet([Mode.M1] * 6, committed=[5.0] * 6)  # 30 SCU reachable
-    assert assemble_coalition(0, make_request(workload=40.0), topo, fleet, False) is None
+    assert assemble(0, make_request(workload=40.0), topo, fleet) is None
 
 
 def test_last_member_allocation_is_trimmed():
     topo = star_topology(3, [1, 2])
     fleet = make_fleet([Mode.M1] * 3, costs=[1.0, 2.0, 3.0], committed=[7.0, 4.0, 4.0])
-    coalition = assemble_coalition(0, make_request(workload=7.5), topo, fleet, False)
+    coalition = assemble(0, make_request(workload=7.5), topo, fleet)
     # leader free 3.0, contact 1 free 6.0 trimmed to 4.5
     assert coalition.members == [(0, 3.0), (1, 4.5)]
 
@@ -183,7 +204,7 @@ def test_last_member_allocation_is_trimmed():
 def test_contacts_join_in_cost_then_id_order():
     topo = star_topology(4, [3, 1, 2])
     fleet = make_fleet([Mode.M1] * 4, costs=[1.0, 5.0, 2.0, 2.0], committed=[8.0, 0, 0, 0])
-    coalition = assemble_coalition(0, make_request(workload=23.0), topo, fleet, False)
+    coalition = assemble(0, make_request(workload=23.0), topo, fleet)
     # order by (cost, id): 2 then 3 then 1
     assert [m for m, _ in coalition.members] == [0, 2, 3, 1]
     assert coalition.members[-1] == (1, 1.0)
@@ -194,8 +215,8 @@ def test_secondary_contacts_extend_the_primary_pool():
     fleet = make_fleet([Mode.M1] * 4, costs=[1.0, 2.0, 3.0, 4.0],
                        committed=[7.0, 8.0, 8.0, 8.0])
     request = make_request(workload=8.0)
-    assert assemble_coalition(0, request, topo, fleet, False) is None
-    coalition = assemble_coalition(0, request, topo, fleet, True)
+    assert assemble(0, request, topo, fleet) is None
+    coalition = assemble(0, request, topo, fleet, True)
     assert coalition.members == [(0, 3.0), (1, 2.0), (2, 2.0), (3, 1.0)]
 
 
@@ -214,17 +235,17 @@ def test_every_allocation_fits_free_capacity():
         leader = elect_leader(np.arange(50), fleet, request)
         if leader is None:
             continue
-        coalition = assemble_coalition(leader, request, topo, fleet, True)
+        coalition = assemble(leader, request, topo, fleet, True)
         if coalition is None:
             continue
-        assert coalition.total_allocated == pytest.approx(request.workload, abs=1e-9)
+        assert coalition.allocations.sum() == pytest.approx(request.workload, abs=1e-9)
         assert len({m for m, _ in coalition.members}) == coalition.size
         for member, alloc in coalition.members:
             assert alloc > 0
             assert alloc <= free_before[member] + 1e-9
 
 
-# -- pricing and winner selection ------------------------------------------------
+# -- pricing --------------------------------------------------------------------
 
 def test_price_is_allocation_weighted_cost():
     fleet = make_fleet([Mode.M1], costs=[2.0])
@@ -256,27 +277,16 @@ def test_unknown_member_id_is_an_internal_error():
         price_bid(Coalition(5, np.array([5]), np.array([1.0]), 0), fleet)
 
 
-def test_lowest_bid_wins_and_ties_break_by_leader_id():
-    def bid(price, leader):
-        return Bid(Coalition(leader, np.array([leader]), np.array([1.0]), 0), price)
-
-    assert select_winner([bid(5.0, 1), bid(3.2, 2), bid(7.1, 3)]).price == 3.2
-    assert select_winner([bid(2.0, 9), bid(2.0, 4)]).coalition.leader == 4
-    assert select_winner([]) is None
-
-
-# -- run_auction -------------------------------------------------------------------
+# -- Market.run_auction ---------------------------------------------------------
 
 def test_unsatisfied_when_no_server_is_eligible():
     topo = star_topology(10, [1, 2])
     fleet = make_fleet([Mode.M2] * 10)
     config = MarketConfig("C2", leader_candidate_fraction=1.0)
-    outcome = run_auction(make_request(Mode.M1), topo, fleet, config,
-                          np.random.default_rng(0))
-    assert not outcome.won
+    outcome = auction(make_request(Mode.M1), topo, fleet, config,
+                      np.random.default_rng(0))
     assert outcome.bid is None
     assert outcome.candidates_contacted == 10
-    assert outcome.bids_received == 0
 
 
 def test_greedy_result_is_cheapest_covering_prefix():
@@ -289,8 +299,8 @@ def test_greedy_result_is_cheapest_covering_prefix():
         topo = star_topology(20, [1])
         config = MarketConfig("C1", invited_fraction_c1=1.0)
         workload = 12.0
-        outcome = run_auction(make_request(workload=workload), topo, fleet,
-                              config, np.random.default_rng(trial))
+        outcome = auction(make_request(workload=workload), topo, fleet,
+                          config, np.random.default_rng(trial))
         order = sorted(range(20), key=lambda i: (costs[i], i))
         free = [10.0 - committed[i] for i in order]
         pool = [i for i, f in zip(order, free) if f >= 0.01]
@@ -310,7 +320,7 @@ def test_greedy_result_is_cheapest_covering_prefix():
             if break_after:
                 # longer prefixes only add more expensive members
                 pass
-        assert outcome.won
+        assert outcome.bid is not None
         assert outcome.bid.price == pytest.approx(best_price, rel=1e-12)
         got = [(m, pytest.approx(a, abs=1e-9)) for m, a in best_members]
         assert outcome.bid.coalition.members == got
@@ -326,13 +336,13 @@ def test_winner_is_invariant_under_cost_scaling():
     committed = rng.uniform(2, 9, size=60)
     config = MarketConfig("C2", leader_candidate_fraction=0.2, use_secondary_contacts=True)
     request = make_request(Mode.M1, workload=25.0, entry=1)
-    baseline = run_auction(request, topo, make_fleet(modes, costs, committed),
-                           config, np.random.default_rng(21))
-    assert baseline.won
+    baseline = auction(request, topo, make_fleet(modes, costs, committed),
+                       config, np.random.default_rng(21))
+    assert baseline.bid is not None
     for k in (0.25, 3.7, 1000.0):
-        scaled = run_auction(request, topo, make_fleet(modes, costs * k, committed),
-                             config, np.random.default_rng(21))
-        assert scaled.won
+        scaled = auction(request, topo, make_fleet(modes, costs * k, committed),
+                         config, np.random.default_rng(21))
+        assert scaled.bid is not None
         assert scaled.bid.coalition.members == baseline.bid.coalition.members
         assert scaled.bid.price == pytest.approx(baseline.bid.price * k, rel=1e-9)
 
@@ -352,8 +362,8 @@ def test_secondary_reach_is_superset_of_primary_reach():
         leader = elect_leader(np.arange(40), fleet, request)
         if leader is None:
             continue
-        primary_only = assemble_coalition(leader, request, topo, fleet, False)
-        with_secondary = assemble_coalition(leader, request, topo, fleet, True)
+        primary_only = assemble(leader, request, topo, fleet)
+        with_secondary = assemble(leader, request, topo, fleet, True)
         if primary_only is not None:
             assert with_secondary is not None
 
@@ -371,10 +381,10 @@ def test_auction_is_deterministic_per_state_and_seed():
     results = []
     for _ in range(2):
         fleet = make_fleet(modes, costs, committed)
-        outcome = run_auction(request, topo, fleet, config, np.random.default_rng(77))
+        outcome = auction(request, topo, fleet, config, np.random.default_rng(77))
         results.append(outcome)
-    assert results[0].won == results[1].won
-    if results[0].won:
+    assert (results[0].bid is None) == (results[1].bid is None)
+    if results[0].bid is not None:
         assert results[0].bid.coalition.members == results[1].bid.coalition.members
         assert results[0].bid.price == results[1].bid.price
 
@@ -386,13 +396,13 @@ def test_c1_never_traverses_contact_lists():
     topo.periphery_known_cores[0] = np.array([0], dtype=np.int32)
     fleet = make_fleet([Mode.M1] * 3, committed=[9.0, 0.0, 0.0])
     request = make_request(workload=5.0)
-    c1 = run_auction(request, topo, fleet, MarketConfig("C1", invited_fraction_c1=1.0),
-                     np.random.default_rng(0))
-    assert not c1.won
-    c2 = run_auction(request, topo, fleet,
-                     MarketConfig("C2", leader_candidate_fraction=1.0),
-                     np.random.default_rng(0))
-    assert c2.won
+    c1 = auction(request, topo, fleet, MarketConfig("C1", invited_fraction_c1=1.0),
+                 np.random.default_rng(0))
+    assert c1.bid is None
+    c2 = auction(request, topo, fleet,
+                 MarketConfig("C2", leader_candidate_fraction=1.0),
+                 np.random.default_rng(0))
+    assert c2.bid is not None
     assert c2.bid.coalition.size == 2
 
 
@@ -401,9 +411,9 @@ def test_c1_leader_is_cheapest_member():
     fleet = make_fleet([Mode.M1] * 6, costs=[9.0, 4.0, 2.0, 7.0, 5.0, 3.0],
                        committed=[8.0] * 6)
     config = MarketConfig("C1", invited_fraction_c1=1.0)
-    outcome = run_auction(make_request(workload=5.0), topo, fleet, config,
-                          np.random.default_rng(1))
-    assert outcome.won
+    outcome = auction(make_request(workload=5.0), topo, fleet, config,
+                      np.random.default_rng(1))
+    assert outcome.bid is not None
     assert outcome.bid.coalition.leader == 2
     assert [m for m, _ in outcome.bid.coalition.members] == [2, 5, 1]
 

@@ -24,11 +24,11 @@ from sococ.workload import Mode
 
 def won(rid=0):
     coalition = Coalition(0, np.array([0]), np.array([1.0]), rid)
-    return AuctionOutcome(rid, Bid(coalition, 1.0), 1, 1)
+    return AuctionOutcome(rid, Bid(coalition, 1.0), 1)
 
 
 def lost(rid=0):
-    return AuctionOutcome(rid, None, 1, 0)
+    return AuctionOutcome(rid, None, 1)
 
 
 def make_fleet(n=4):
@@ -46,18 +46,12 @@ def empty_stats():
 
 # -- sink / bins ----------------------------------------------------------------
 
-def test_partial_bin_rate_visible_before_rollover():
-    sink = MetricsSink(bin_size=10, n_subsets=2)
-    for i in range(3):
-        sink.record_outcome(won(i), Mode.M1)
-    assert sink.current_rate(Mode.M1) == 1.0
-    assert sink.bins == []
-
-
 def test_bin_closes_at_size_with_correct_rate():
     sink = MetricsSink(bin_size=4, n_subsets=2)
-    for i, outcome in enumerate([won(0), won(1), lost(2), won(3)]):
+    for outcome in [won(0), won(1), lost(2)]:
         sink.record_outcome(outcome, Mode.M2)
+    assert sink.bins == []  # no bin before the rollover
+    sink.record_outcome(won(3), Mode.M2)
     assert len(sink.bins) == 1
     b = sink.bins[0]
     assert (b.mode, b.bin_index, b.n_requests, b.n_failed) == ("M2", 0, 4, 1)
@@ -187,7 +181,7 @@ def test_report_round_trips_through_files(tmp_path):
     fleet.coalition_count[:] = [0, 3, 1, 1, 7, 2]
     stats = RunStats(n_requests=23, successes=19, completed=19,
                      completed_at_stream_end=17, in_flight_at_stream_end=2,
-                     unsatisfied_ids=[3, 9, 11, 20])
+                     unsatisfied=4)
     report = build_report(sink, fleet, stats, config_echo={"k": [1, 2]}, seed=3)
     paths = emit(report, tmp_path)
 
