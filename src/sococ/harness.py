@@ -273,6 +273,12 @@ def _bool(value) -> bool:
     return value
 
 
+def _int(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("expected an integer")
+    return value
+
+
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
@@ -321,11 +327,11 @@ def load_config(path: str | Path) -> ExperimentPreset:
              ("n_aux",))
     topo = _build(
         TopologyConfig, "topology",
-        n_core=_get(t, "topology", "n_core", int),
-        n_periphery=_get(t, "topology", "n_periphery", int),
-        n_aux=_get(t, "topology", "n_aux", int, 0),
-        primary_contacts_per_core=_get(t, "topology", "primary_contacts_per_core", int),
-        periphery_per_core=_get(t, "topology", "periphery_per_core", int),
+        n_core=_get(t, "topology", "n_core", _int),
+        n_periphery=_get(t, "topology", "n_periphery", _int),
+        n_aux=_get(t, "topology", "n_aux", _int, 0),
+        primary_contacts_per_core=_get(t, "topology", "primary_contacts_per_core", _int),
+        periphery_per_core=_get(t, "topology", "periphery_per_core", _int),
     )
 
     w = raw["workload"]
@@ -337,7 +343,7 @@ def load_config(path: str | Path) -> ExperimentPreset:
         service=_dist(w["service"], "workload.service"),
         workload_range=_get(w, "workload", "workload_scu", _pair),
         mode_probabilities=_get(w, "workload", "mode_probs", _floats),
-        n_requests=_get(w, "workload", "n_requests", int),
+        n_requests=_get(w, "workload", "n_requests", _int),
     )
 
     m = raw["market"]
@@ -370,9 +376,9 @@ def load_config(path: str | Path) -> ExperimentPreset:
     _require(mc, "metrics", (), ("bin_size", "n_subsets", "coalition_buckets"))
     metrics = _build(
         MetricsConfig, "metrics",
-        bin_size=_get(mc, "metrics", "bin_size", int, 1_000_000),
-        n_subsets=_get(mc, "metrics", "n_subsets", int, 1_000),
-        coalition_buckets=_get(mc, "metrics", "coalition_buckets", int, 20),
+        bin_size=_get(mc, "metrics", "bin_size", _int, 1_000_000),
+        n_subsets=_get(mc, "metrics", "n_subsets", _int, 1_000),
+        coalition_buckets=_get(mc, "metrics", "coalition_buckets", _int, 20),
     )
 
     return ExperimentPreset(

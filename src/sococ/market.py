@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .topology import ContactTopology
+from .topology import ContactTopology, row_chunks
 from .workload import Mode, ServiceRequest
 
 # Smallest allocation a server is recruited for, in SCU.
@@ -90,27 +90,29 @@ class ContactOrder:
     """Cost-ordered views of the contact lists for one (topology, fleet).
 
     Unit costs are static, so the (unit cost, id) total order is computed
-    once as a rank permutation; every candidate set is then sorted by rank.
-    Secondary-contact lists are built lazily and kept in a bounded cache.
+    once: `by_rank` lists the ids in that order and `rank` is its inverse
+    permutation. A set of ids is cost-ordered by sorting its ranks and
+    mapping them back through `by_rank`. Secondary-contact lists are built
+    lazily and kept in a bounded cache.
     """
 
     def __init__(self, topology: ContactTopology, fleet):
         self.topology = topology
         self.fleet = fleet
         n = topology.n_core
-        order = np.lexsort((np.arange(n), fleet.unit_cost))
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[order] = np.arange(n)
+        self.by_rank = np.lexsort((np.arange(n), fleet.unit_cost)).astype(np.int32)
+        self.rank = np.empty(n, dtype=np.int32)
+        self.rank[self.by_rank] = np.arange(n, dtype=np.int32)
         contacts = topology.core_primary_contacts
-        if contacts.size:
-            idx = np.argsort(self.rank[contacts], axis=1)
-            self.primary_sorted = np.take_along_axis(contacts, idx, axis=1)
-        else:
-            self.primary_sorted = contacts
+        self.primary_sorted = np.empty_like(contacts)
+        for rows in row_chunks(n, contacts.shape[1]):
+            ranks = self.rank[contacts[rows]]
+            ranks.sort(axis=1)
+            self.primary_sorted[rows] = self.by_rank[ranks]
         self._secondary: OrderedDict[int, np.ndarray] = OrderedDict()
 
     def sort_ids(self, ids: np.ndarray) -> np.ndarray:
-        return ids[np.argsort(self.rank[ids])]
+        return self.by_rank[np.sort(self.rank[ids])]
 
     def secondary(self, core: int) -> np.ndarray:
         """All cores sharing a periphery server with `core`, cost-ordered."""
@@ -119,10 +121,9 @@ class ContactOrder:
             self._secondary.move_to_end(core)
             return cached
         pcs = self.topology.periphery_known_cores
-        lists = [pcs[p] for p in self.topology.core_known_periphery[core]]
-        ids = np.unique(np.concatenate(lists)) if lists else np.zeros(0, np.int32)
+        ids = np.concatenate([pcs[p] for p in self.topology.core_known_periphery[core]])
+        ids = self.by_rank[np.unique(self.rank[ids])]
         ids = ids[ids != core]
-        ids = self.sort_ids(ids)
         if len(self._secondary) >= _SECONDARY_CACHE_CAP:
             self._secondary.popitem(last=False)
         self._secondary[core] = ids

@@ -19,7 +19,22 @@ from .errors import ConfigurationError
 # Chunked Fisher-Yates is used when the sampling population fits a per-row
 # scratch matrix; larger populations go through rejection sampling.
 _FY_POP_LIMIT = 4096
-_FY_CHUNK_CELLS = 4_000_000
+# The Fisher-Yates swap targets are drawn in row blocks of this many
+# population cells, one step at a time. The block size fixes the order of the
+# draws, so changing it changes every topology drawn from a population of at
+# most _FY_POP_LIMIT.
+_FY_DRAW_CELLS = 4_000_000
+# Bound on the cells of any per-chunk temporary built over N-row matrices.
+# It has no effect on any output.
+CHUNK_CELLS = 1 << 18
+
+
+def row_chunks(n_rows: int, row_cells: int, cells: int | None = None):
+    """Consecutive slices of range(n_rows), each covering at most `cells`
+    (default CHUNK_CELLS) cells of rows `row_cells` wide (at least one row)."""
+    step = max(1, (CHUNK_CELLS if cells is None else cells) // max(row_cells, 1))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
 
 
 @dataclass(frozen=True)
@@ -110,20 +125,28 @@ def _sample_rows_fisher_yates(
     rng: np.random.Generator, n_rows: int, k: int, pop: int
 ) -> np.ndarray:
     """k-of-pop uniform draws without replacement, one row at a time,
-    via a partial Fisher-Yates shuffle vectorized across row chunks."""
+    via a partial Fisher-Yates shuffle vectorized across row chunks.
+
+    The swap targets of every row are drawn first, into `out`; the shuffle
+    then replaces them with the drawn values, one CHUNK_CELLS block of rows
+    at a time on a reused scratch matrix."""
     out = np.empty((n_rows, k), dtype=np.int32)
-    chunk = max(1, _FY_CHUNK_CELLS // pop)
-    ridx_full = np.arange(chunk)
-    for lo in range(0, n_rows, chunk):
-        c = min(chunk, n_rows - lo)
-        base = np.tile(np.arange(pop, dtype=np.int32), (c, 1))
-        ridx = ridx_full[:c]
+    for rows in row_chunks(n_rows, pop, _FY_DRAW_CELLS):
         for s in range(k):
-            j = rng.integers(s, pop, size=c)
-            picked = base[ridx, j].copy()
-            base[ridx, j] = base[:, s]
+            out[rows, s] = rng.integers(s, pop, size=rows.stop - rows.start)
+    scratch = np.empty((min(n_rows, max(1, CHUNK_CELLS // pop)), pop), dtype=np.int32)
+    ridx = np.arange(len(scratch))
+    for rows in row_chunks(n_rows, pop):
+        c = rows.stop - rows.start
+        base, r = scratch[:c], ridx[:c]
+        base[:] = np.arange(pop, dtype=np.int32)
+        targets = out[rows]
+        for s in range(k):
+            j = targets[:, s]
+            picked = base[r, j]
+            base[r, j] = base[:, s]
             base[:, s] = picked
-        out[lo : lo + c] = base[:, :k]
+        targets[:] = base[:, :k]
     return out
 
 
@@ -133,18 +156,21 @@ def _sample_rows_rejection(
     """Same contract as the Fisher-Yates sampler, for large populations.
 
     Rows are drawn with replacement and redrawn whole while they contain a
-    duplicate; accepted rows are uniform over distinct k-tuples.
+    duplicate; accepted rows are uniform over distinct k-tuples. Duplicates
+    are found by sorting copies of the pending rows one chunk at a time.
     """
-    out = rng.integers(0, pop, size=(n_rows, k), dtype=np.int64)
+    out = rng.integers(0, pop, size=(n_rows, k), dtype=np.int32)
     pending = np.arange(n_rows)
     while pending.size:
-        rows = out[pending]
-        srt = np.sort(rows, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        bad = np.empty(pending.size, dtype=bool)
+        for rows in row_chunks(pending.size, k):
+            srt = out[pending[rows]]
+            srt.sort(axis=1)
+            bad[rows] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
         pending = pending[bad]
         if pending.size:
-            out[pending] = rng.integers(0, pop, size=(pending.size, k), dtype=np.int64)
-    return out.astype(np.int32)
+            out[pending] = rng.integers(0, pop, size=(pending.size, k), dtype=np.int32)
+    return out
 
 
 def _sample_rows(rng: np.random.Generator, n_rows: int, k: int, pop: int) -> np.ndarray:
@@ -182,9 +208,9 @@ def organize(config: TopologyConfig, rng: np.random.Generator | None = None) -> 
     # owner can never appear in its own list.
     contacts = _sample_rows(rng, n, n_contacts, config.n_core - 1) if config.n_core > 1 \
         else np.empty((n, 0), dtype=np.int32)
-    if contacts.size:
-        owners = np.arange(n, dtype=np.int32)[:, None]
-        contacts = contacts + (contacts >= owners)
+    for rows in row_chunks(n, n_contacts):
+        block = contacts[rows]
+        block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
 
     periphery_known = _invert_selection(known_periphery, config.n_periphery)
     return ContactTopology(

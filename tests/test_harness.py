@@ -160,6 +160,10 @@ def test_config_rejects_bad_values_with_section(tmp_path):
         ("workload", "mode_probs", 0.5),
         ("engine", "initial_load_range", ["low", 0.8]),
         ("workload", "n_requests", None),
+        ("topology", "n_core", 500.7),
+        ("topology", "n_core", "500"),
+        ("workload", "n_requests", True),
+        ("metrics", "bin_size", 100.0),
     ):
         path = write_config(tmp_path, lambda raw: raw[section].update({key: value}))
         with pytest.raises(ConfigurationError) as err:

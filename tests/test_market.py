@@ -1,8 +1,11 @@
 """Auction mechanics: eligibility, election, greedy assembly, pricing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sococ import topology
 from sococ.engine import Fleet
 from sococ.market import (
     MIN_ALLOCATION,
@@ -423,3 +426,57 @@ def test_contact_order_ranks_by_cost_then_id():
     topo = star_topology(5, [1, 2, 3, 4])
     order = ContactOrder(topo, fleet)
     assert order.sort_ids(np.arange(5)).tolist() == [3, 1, 4, 0, 2]
+
+    # an organized topology with many tied costs, against plain Python
+    topo = organize(TopologyConfig(n_core=60, n_periphery=8,
+                                   primary_contacts_per_core=7,
+                                   periphery_per_core=2, seed=4))
+    costs = np.random.default_rng(4).integers(1, 4, size=60).astype(float)
+    order = ContactOrder(topo, make_fleet([Mode.M1] * 60, costs=costs))
+
+    def by_cost(ids):
+        return sorted(ids, key=lambda i: (costs[i], i))
+
+    for c in range(60):
+        assert order.primary_sorted[c].tolist() == by_cost(
+            topo.core_primary_contacts[c].tolist())
+        reach = {int(i) for p in topo.core_known_periphery[c]
+                 for i in topo.periphery_known_cores[p]}
+        assert order.secondary(c).tolist() == by_cost(reach - {c})
+
+
+def test_contact_order_is_unchanged_across_chunk_boundaries(monkeypatch):
+    # rows of 9 contacts, 4 rows to a chunk: 300 rows span 75 chunks
+    monkeypatch.setattr(topology, "CHUNK_CELLS", 4 * 9)
+    topo = organize(TopologyConfig(n_core=300, n_periphery=5,
+                                   primary_contacts_per_core=9,
+                                   periphery_per_core=2, seed=8))
+    costs = np.random.default_rng(8).integers(1, 20, size=300).astype(float)
+    order = ContactOrder(topo, make_fleet([Mode.M1] * 300, costs=costs))
+    rank = np.argsort(np.lexsort((np.arange(300), costs)))
+    c = topo.core_primary_contacts
+    expected = np.take_along_axis(c, np.argsort(rank[c], axis=1), axis=1)
+    assert np.array_equal(order.primary_sorted, expected)
+
+
+def test_setup_peak_memory_stays_near_the_contact_matrix():
+    # organize and ContactOrder may each hold at most one more matrix the
+    # size of the N x n contact list at their peak (tracemalloc sees numpy
+    # buffers); int64 copies or argsort temporaries of it would not fit
+    tracemalloc.start()
+    try:
+        topo = organize(TopologyConfig(n_core=100_000, n_periphery=1000,
+                                       primary_contacts_per_core=200,
+                                       periphery_per_core=10, seed=1))
+        organize_peak = tracemalloc.get_traced_memory()[1]
+        fleet = make_fleet(np.ones(100_000, dtype=np.int8),
+                           costs=np.random.default_rng(1).uniform(1, 10, 100_000))
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ContactOrder(topo, fleet)
+        order_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    matrix = topo.core_primary_contacts.nbytes
+    assert organize_peak <= 2 * matrix
+    assert order_peak <= 2 * matrix

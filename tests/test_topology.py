@@ -6,10 +6,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sococ import topology
 from sococ.errors import ConfigurationError
 from sococ.topology import (
     ContactTopology,
     TopologyConfig,
+    _sample_rows_fisher_yates,
+    _sample_rows_rejection,
     compute_stats,
     equal_width_histogram,
     expected_pcs_size,
@@ -123,6 +126,66 @@ def test_large_population_contact_sampler_stays_uniform():
     assert freq.mean() == pytest.approx(expected, abs=1e-9)
     assert freq.max() < expected + 6 * sigma
     assert freq.min() > expected - 6 * sigma
+
+
+def reference_rejection(rng, n_rows, k, pop):
+    """The rejection sampler stated over one int64 block: draw every row,
+    then redraw whole each row that holds a duplicate, until none does."""
+    out = rng.integers(0, pop, size=(n_rows, k), dtype=np.int64)
+    pending = np.arange(n_rows)
+    while pending.size:
+        srt = np.sort(out[pending], axis=1)
+        pending = pending[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
+        if pending.size:
+            out[pending] = rng.integers(0, pop, size=(pending.size, k), dtype=np.int64)
+    return out
+
+
+def test_rejection_sampler_is_unchanged_across_chunk_boundaries(monkeypatch):
+    # 50 draws from 2000 collide in ~46% of rows, forcing several redraw
+    # rounds; 3 rows to a chunk makes every round cross chunk boundaries
+    monkeypatch.setattr(topology, "CHUNK_CELLS", 3 * 50)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = _sample_rows_rejection(rng, 1000, 50, 2000)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, reference_rejection(ref_rng, 1000, 50, 2000))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_fisher_yates(rng, n_rows, k, pop, draw_rows):
+    """The partial Fisher-Yates shuffle on one full scratch matrix per block
+    of `draw_rows` rows, drawing each step's swap targets as it goes."""
+    out = np.empty((n_rows, k), dtype=np.int32)
+    for lo in range(0, n_rows, draw_rows):
+        c = min(draw_rows, n_rows - lo)
+        base = np.tile(np.arange(pop), (c, 1))
+        ridx = np.arange(c)
+        for s in range(k):
+            j = rng.integers(s, pop, size=c)
+            picked = base[ridx, j].copy()
+            base[ridx, j] = base[:, s]
+            base[:, s] = picked
+        out[lo : lo + c] = base[:, :k]
+    return out
+
+
+@pytest.mark.parametrize("k", [20, 50])
+@pytest.mark.parametrize("draw_rows", [None, 7])
+def test_fisher_yates_sampler_is_unchanged_across_scratch_blocks(monkeypatch, k, draw_rows):
+    # 3-row scratch blocks, against draw blocks of all rows (the default
+    # at this size) or of 7 rows, so the two never line up; k == pop is a
+    # full permutation of each row
+    pop = 50
+    monkeypatch.setattr(topology, "CHUNK_CELLS", 3 * pop)
+    if draw_rows is None:
+        draw_rows = topology._FY_DRAW_CELLS // pop
+    else:
+        monkeypatch.setattr(topology, "_FY_DRAW_CELLS", draw_rows * pop)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = _sample_rows_fisher_yates(rng, 1000, k, pop)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, reference_fisher_yates(ref_rng, 1000, k, pop, draw_rows))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- compute_stats -----------------------------------------------------------
