@@ -1,9 +1,10 @@
 """Experiment presets, config-file loading and the end-to-end run driver.
 
 Presets exp1..exp6 reproduce the published experiment parameters at full
-scale (exp1..exp4 are guarded because they need hours and tens of GB);
-the -desk variants reproduce the same regimes at workstation scale, with
-every deviation recorded in the preset's scale_note.
+scale (exp1..exp4 are guarded because they need hours and about 17 GB, for
+one N x n int32 primary-contact matrix); the -desk variants reproduce the
+same regimes at workstation scale, with every deviation recorded in the
+preset's scale_note.
 """
 
 from __future__ import annotations

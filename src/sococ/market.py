@@ -92,8 +92,13 @@ class ContactOrder:
     Unit costs are static, so the (unit cost, id) total order is computed
     once: `by_rank` lists the ids in that order and `rank` is its inverse
     permutation. A set of ids is cost-ordered by sorting its ranks and
-    mapping them back through `by_rank`. Secondary-contact lists are built
-    lazily and kept in a bounded cache.
+    mapping them back through `by_rank`.
+
+    The order owns the topology's primary-contact matrix: it sorts every
+    row in place, and `primary_sorted` is that same array, so set-up holds
+    one N x n matrix. A row's sorted order does not depend on its starting
+    order, so a topology reused with another fleet is re-sorted correctly.
+    Secondary-contact lists are built lazily and kept in a bounded cache.
     """
 
     def __init__(self, topology: ContactTopology, fleet):
@@ -104,11 +109,11 @@ class ContactOrder:
         self.rank = np.empty(n, dtype=np.int32)
         self.rank[self.by_rank] = np.arange(n, dtype=np.int32)
         contacts = topology.core_primary_contacts
-        self.primary_sorted = np.empty_like(contacts)
         for rows in row_chunks(n, contacts.shape[1]):
             ranks = self.rank[contacts[rows]]
             ranks.sort(axis=1)
-            self.primary_sorted[rows] = self.by_rank[ranks]
+            contacts[rows] = self.by_rank[ranks]
+        self.primary_sorted = contacts
         self._secondary: OrderedDict[int, np.ndarray] = OrderedDict()
 
     def sort_ids(self, ids: np.ndarray) -> np.ndarray:

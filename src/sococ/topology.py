@@ -81,6 +81,9 @@ class ContactTopology:
     core_known_periphery[c] holds the m periphery ids core c selected;
     core_primary_contacts[c] holds its n primary core contacts; and
     periphery_known_cores[p] is the exact inverse of the first relation.
+
+    A row of core_primary_contacts is an unordered set: `market.ContactOrder`
+    takes the matrix over and re-orders every row in place by (unit cost, id).
     """
 
     n_core: int
@@ -157,7 +160,11 @@ def _sample_rows_rejection(
 
     Rows are drawn with replacement and redrawn whole while they contain a
     duplicate; accepted rows are uniform over distinct k-tuples. Duplicates
-    are found by sorting copies of the pending rows one chunk at a time.
+    are found by sorting copies of the pending rows, and the pending rows
+    are redrawn, one chunk at a time. Bounded int32 draws consume the bit
+    stream value by value (PCG64 keeps a spare 32-bit half in its state), so
+    splitting a redraw into chunks changes neither the values nor the
+    generator state that follows.
     """
     out = rng.integers(0, pop, size=(n_rows, k), dtype=np.int32)
     pending = np.arange(n_rows)
@@ -168,8 +175,9 @@ def _sample_rows_rejection(
             srt.sort(axis=1)
             bad[rows] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
         pending = pending[bad]
-        if pending.size:
-            out[pending] = rng.integers(0, pop, size=(pending.size, k), dtype=np.int32)
+        for rows in row_chunks(pending.size, k):
+            out[pending[rows]] = rng.integers(
+                0, pop, size=(rows.stop - rows.start, k), dtype=np.int32)
     return out
 
 
@@ -203,6 +211,9 @@ def organize(config: TopologyConfig, rng: np.random.Generator | None = None) -> 
     n_contacts = config.primary_contacts_per_core
 
     known_periphery = _sample_rows(rng, n, m, config.n_periphery)
+    # Inverted before the contact draw (no rng involved), so the inversion's
+    # temporaries are freed before the N x n contact matrix exists.
+    periphery_known = _invert_selection(known_periphery, config.n_periphery)
 
     # Contacts are drawn from N-1 slots and shifted past the owner so the
     # owner can never appear in its own list.
@@ -212,7 +223,6 @@ def organize(config: TopologyConfig, rng: np.random.Generator | None = None) -> 
         block = contacts[rows]
         block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
 
-    periphery_known = _invert_selection(known_periphery, config.n_periphery)
     return ContactTopology(
         n_core=n,
         n_periphery=config.n_periphery,

@@ -431,6 +431,7 @@ def test_contact_order_ranks_by_cost_then_id():
     topo = organize(TopologyConfig(n_core=60, n_periphery=8,
                                    primary_contacts_per_core=7,
                                    periphery_per_core=2, seed=4))
+    drawn = topo.core_primary_contacts.copy()
     costs = np.random.default_rng(4).integers(1, 4, size=60).astype(float)
     order = ContactOrder(topo, make_fleet([Mode.M1] * 60, costs=costs))
 
@@ -438,8 +439,7 @@ def test_contact_order_ranks_by_cost_then_id():
         return sorted(ids, key=lambda i: (costs[i], i))
 
     for c in range(60):
-        assert order.primary_sorted[c].tolist() == by_cost(
-            topo.core_primary_contacts[c].tolist())
+        assert order.primary_sorted[c].tolist() == by_cost(drawn[c].tolist())
         reach = {int(i) for p in topo.core_known_periphery[c]
                  for i in topo.periphery_known_cores[p]}
         assert order.secondary(c).tolist() == by_cost(reach - {c})
@@ -451,18 +451,34 @@ def test_contact_order_is_unchanged_across_chunk_boundaries(monkeypatch):
     topo = organize(TopologyConfig(n_core=300, n_periphery=5,
                                    primary_contacts_per_core=9,
                                    periphery_per_core=2, seed=8))
+    c = topo.core_primary_contacts.copy()
     costs = np.random.default_rng(8).integers(1, 20, size=300).astype(float)
     order = ContactOrder(topo, make_fleet([Mode.M1] * 300, costs=costs))
     rank = np.argsort(np.lexsort((np.arange(300), costs)))
-    c = topo.core_primary_contacts
     expected = np.take_along_axis(c, np.argsort(rank[c], axis=1), axis=1)
     assert np.array_equal(order.primary_sorted, expected)
 
 
-def test_setup_peak_memory_stays_near_the_contact_matrix():
-    # organize and ContactOrder may each hold at most one more matrix the
-    # size of the N x n contact list at their peak (tracemalloc sees numpy
-    # buffers); int64 copies or argsort temporaries of it would not fit
+def test_contact_order_reuses_the_topology_matrix():
+    # two fleets in turn on one topology: each order sorts the rows of the
+    # topology's own matrix, whatever order the previous fleet left them in
+    topo = organize(TopologyConfig(n_core=80, n_periphery=6,
+                                   primary_contacts_per_core=9,
+                                   periphery_per_core=2, seed=6))
+    drawn = topo.core_primary_contacts.copy()
+    for seed in (6, 7):
+        costs = np.random.default_rng(seed).integers(1, 4, size=80).astype(float)
+        order = ContactOrder(topo, make_fleet([Mode.M1] * 80, costs=costs))
+        assert np.shares_memory(order.primary_sorted, topo.core_primary_contacts)
+        for c in range(80):
+            assert order.primary_sorted[c].tolist() == sorted(
+                drawn[c].tolist(), key=lambda i: (costs[i], i))
+
+
+def test_setup_peak_memory_stays_near_one_contact_matrix():
+    # set-up holds one N x n contact matrix: organize may add a quarter of
+    # it at its peak and ContactOrder, which sorts it in place, a quarter
+    # (tracemalloc sees numpy buffers); a second matrix would not fit
     tracemalloc.start()
     try:
         topo = organize(TopologyConfig(n_core=100_000, n_periphery=1000,
@@ -478,5 +494,5 @@ def test_setup_peak_memory_stays_near_the_contact_matrix():
     finally:
         tracemalloc.stop()
     matrix = topo.core_primary_contacts.nbytes
-    assert organize_peak <= 2 * matrix
-    assert order_peak <= 2 * matrix
+    assert organize_peak <= 1.25 * matrix
+    assert order_peak <= 0.25 * matrix

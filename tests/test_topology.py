@@ -142,14 +142,16 @@ def reference_rejection(rng, n_rows, k, pop):
 
 
 def test_rejection_sampler_is_unchanged_across_chunk_boundaries(monkeypatch):
-    # 50 draws from 2000 collide in ~46% of rows, forcing several redraw
-    # rounds; 3 rows to a chunk makes every round cross chunk boundaries
-    monkeypatch.setattr(topology, "CHUNK_CELLS", 3 * 50)
-    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    got = _sample_rows_rejection(rng, 1000, 50, 2000)
-    assert got.dtype == np.int32
-    assert np.array_equal(got, reference_rejection(ref_rng, 1000, 50, 2000))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # ~50 draws from 2000 collide in ~45% of rows, forcing several redraw
+    # rounds; 3 rows to a chunk makes every round cross chunk boundaries,
+    # and k = 49 gives each chunk an odd number of draws
+    for k in (49, 50):
+        monkeypatch.setattr(topology, "CHUNK_CELLS", 3 * k)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = _sample_rows_rejection(rng, 1000, k, 2000)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, reference_rejection(ref_rng, 1000, k, 2000))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def reference_fisher_yates(rng, n_rows, k, pop, draw_rows):
