@@ -250,14 +250,21 @@ def _require(d: dict, path: str, required: tuple[str, ...], optional: tuple[str,
         raise ConfigurationError(f"{path}: missing keys {missing}")
 
 
-def _get(d: dict, path: str, key: str, convert, default=None):
-    """convert(d[key]), or convert(default) when the key is absent; a value
-    that does not convert is an error at path.key."""
-    value = d.get(key, default)
+def _get(d: dict, path: str, key: str, convert):
+    """convert(d[key]); a value that does not convert is an error at
+    path.key."""
+    value = d[key]
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}.{key}: invalid value {value!r}: {exc}") from None
+
+
+def _present(d: dict, path: str, **converters) -> dict:
+    """{key: convert(d[key])} for each key of `converters` that d holds; an
+    absent key is left out, so the dataclass supplies its default."""
+    return {key: _get(d, path, key, convert)
+            for key, convert in converters.items() if key in d}
 
 
 def _build(cls, path: str, *args, **fields):
@@ -328,11 +335,8 @@ def load_config(path: str | Path) -> ExperimentPreset:
              ("n_aux",))
     topo = _build(
         TopologyConfig, "topology",
-        n_core=_get(t, "topology", "n_core", _int),
-        n_periphery=_get(t, "topology", "n_periphery", _int),
-        n_aux=_get(t, "topology", "n_aux", _int, 0),
-        primary_contacts_per_core=_get(t, "topology", "primary_contacts_per_core", _int),
-        periphery_per_core=_get(t, "topology", "periphery_per_core", _int),
+        **_present(t, "topology", n_core=_int, n_periphery=_int, n_aux=_int,
+                   primary_contacts_per_core=_int, periphery_per_core=_int),
     )
 
     w = raw["workload"]
@@ -351,35 +355,29 @@ def load_config(path: str | Path) -> ExperimentPreset:
     _require(m, "market", ("initiation",),
              ("leader_candidate_fraction", "use_secondary", "invited_fraction_c1",
               "cost_range"))
-    market = _build(
-        MarketConfig, "market",
-        initiation=m["initiation"],
-        leader_candidate_fraction=_get(m, "market", "leader_candidate_fraction", float, 0.001),
-        use_secondary_contacts=_get(m, "market", "use_secondary", _bool, False),
-        invited_fraction_c1=_get(m, "market", "invited_fraction_c1", float, 0.001),
-    )
+    market_fields = _present(m, "market", leader_candidate_fraction=float,
+                             use_secondary=_bool, invited_fraction_c1=float)
+    if "use_secondary" in market_fields:
+        market_fields["use_secondary_contacts"] = market_fields.pop("use_secondary")
+    market = _build(MarketConfig, "market", initiation=m["initiation"], **market_fields)
 
     e = raw["engine"]
     _require(e, "engine", (),
              ("capacity_scu", "initial_state_mix", "initial_load_range"))
     eng = _build(
         EngineConfig, "engine",
-        capacity_scu=_get(e, "engine", "capacity_scu", float, 10.0),
-        initial_state_mix=_get(e, "engine", "initial_state_mix", _floats,
-                               (0.2, 0.4, 0.15, 0.25)),
-        initial_load_range=_get(e, "engine", "initial_load_range", _pair, (0.3, 0.8)),
+        **_present(e, "engine", capacity_scu=float, initial_state_mix=_floats,
+                   initial_load_range=_pair),
         # cost_range rides in the market section but parameterizes
         # fleet initialization
-        cost_range=_get(m, "market", "cost_range", _pair, (1.0, 10.0)),
+        **_present(m, "market", cost_range=_pair),
     )
 
     mc = raw.get("metrics", {})
     _require(mc, "metrics", (), ("bin_size", "n_subsets", "coalition_buckets"))
     metrics = _build(
         MetricsConfig, "metrics",
-        bin_size=_get(mc, "metrics", "bin_size", _int, 1_000_000),
-        n_subsets=_get(mc, "metrics", "n_subsets", _int, 1_000),
-        coalition_buckets=_get(mc, "metrics", "coalition_buckets", _int, 20),
+        **_present(mc, "metrics", bin_size=_int, n_subsets=_int, coalition_buckets=_int),
     )
 
     return ExperimentPreset(

@@ -13,19 +13,17 @@ engine commits it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .topology import ContactTopology, row_chunks
+from .topology import ContactTopology, row_chunks, secondary_mask
 from .workload import Mode, ServiceRequest
 
 # Smallest allocation a server is recruited for, in SCU.
 MIN_ALLOCATION = 0.01
 _TRIM_EPS = 1e-9
-_SECONDARY_CACHE_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -92,18 +90,19 @@ class ContactOrder:
     Unit costs are static, so the (unit cost, id) total order is computed
     once: `by_rank` lists the ids in that order and `rank` is its inverse
     permutation. A set of ids is cost-ordered by sorting its ranks and
-    mapping them back through `by_rank`.
+    mapping them back through `by_rank`; its first member in that order is
+    the one of lowest rank.
 
     The order owns the topology's primary-contact matrix: it sorts every
     row in place, and `primary_sorted` is that same array, so set-up holds
     one N x n matrix. A row's sorted order does not depend on its starting
     order, so a topology reused with another fleet is re-sorted correctly.
-    Secondary-contact lists are built lazily and kept in a bounded cache.
+    Secondary contacts are recomputed from the topology on every call
+    (`topology.secondary_mask`); the order keeps no per-core state.
     """
 
     def __init__(self, topology: ContactTopology, fleet):
         self.topology = topology
-        self.fleet = fleet
         n = topology.n_core
         self.by_rank = np.lexsort((np.arange(n), fleet.unit_cost)).astype(np.int32)
         self.rank = np.empty(n, dtype=np.int32)
@@ -114,25 +113,20 @@ class ContactOrder:
             ranks.sort(axis=1)
             contacts[rows] = self.by_rank[ranks]
         self.primary_sorted = contacts
-        self._secondary: OrderedDict[int, np.ndarray] = OrderedDict()
 
     def sort_ids(self, ids: np.ndarray) -> np.ndarray:
         return self.by_rank[np.sort(self.rank[ids])]
 
     def secondary(self, core: int) -> np.ndarray:
         """All cores sharing a periphery server with `core`, cost-ordered."""
-        cached = self._secondary.get(core)
-        if cached is not None:
-            self._secondary.move_to_end(core)
-            return cached
-        pcs = self.topology.periphery_known_cores
-        ids = np.concatenate([pcs[p] for p in self.topology.core_known_periphery[core]])
-        ids = self.by_rank[np.unique(self.rank[ids])]
-        ids = ids[ids != core]
-        if len(self._secondary) >= _SECONDARY_CACHE_CAP:
-            self._secondary.popitem(last=False)
-        self._secondary[core] = ids
-        return ids
+        mask = secondary_mask(self.topology, core)
+        return self.by_rank[mask[self.by_rank]]
+
+
+def _invite(pcs: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random subset of ceil(fraction * |pcs|) of the cores in `pcs`;
+    empty, with no draw, when `pcs` is."""
+    return rng.choice(pcs, size=math.ceil(fraction * pcs.size), replace=False)
 
 
 def invite_leader_candidates(
@@ -142,20 +136,20 @@ def invite_leader_candidates(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Uniform random subset of ceil(fraction * |pcs|) leader candidates."""
-    pcs = topology.periphery_known_cores[periphery]
-    if pcs.size == 0:
-        return np.zeros(0, dtype=np.int32)
-    k = math.ceil(config.leader_candidate_fraction * pcs.size)
-    return rng.choice(pcs, size=k, replace=False)
+    return _invite(
+        topology.periphery_known_cores[periphery], config.leader_candidate_fraction, rng
+    )
 
 
-def elect_leader(candidates: np.ndarray, fleet, request: ServiceRequest) -> int | None:
-    """Cheapest eligible candidate, ties broken by lowest id."""
-    elig = _eligible_ids(fleet, np.asarray(candidates), request.mode)
+def elect_leader(
+    candidates: np.ndarray, fleet, request: ServiceRequest, order: ContactOrder
+) -> int | None:
+    """Cheapest eligible candidate, ties broken by lowest id: the eligible
+    candidate of lowest rank in `order`."""
+    elig = _eligible_ids(fleet, candidates, request.mode)
     if elig.size == 0:
         return None
-    best = np.lexsort((elig, fleet.unit_cost[elig]))[0]
-    return int(elig[best])
+    return int(order.by_rank[order.rank[elig].min()])
 
 
 def _fill_from_pool(
@@ -241,7 +235,7 @@ def price_bid(coalition: Coalition, fleet) -> Bid:
 
 
 class Market:
-    """Per-run auction coordinator holding the cost-order cache and rng."""
+    """Per-run auction coordinator holding the cost order and rng."""
 
     def __init__(
         self,
@@ -267,26 +261,26 @@ class Market:
         return self._run_c1(request)
 
     def _run_c1(self, request: ServiceRequest) -> AuctionOutcome:
-        pcs = self.topology.periphery_known_cores[request.entry_periphery]
-        if pcs.size == 0:
-            return AuctionOutcome(request.id, None, 0)
-        k = math.ceil(self.config.invited_fraction_c1 * pcs.size)
-        invited = self.rng.choice(pcs, size=k, replace=False)
+        invited = _invite(
+            self.topology.periphery_known_cores[request.entry_periphery],
+            self.config.invited_fraction_c1,
+            self.rng,
+        )
         pool = self.order.sort_ids(_eligible_ids(self.fleet, invited, request.mode))
         free = self.fleet.capacity - self.fleet.committed[pool]
         filled = _fill_from_pool(pool, free, request.workload)
         if filled is None:
-            return AuctionOutcome(request.id, None, k)
+            return AuctionOutcome(request.id, None, invited.size)
         ids, allocs = filled
         coalition = Coalition(int(ids[0]), ids, allocs, request.id)
-        return AuctionOutcome(request.id, price_bid(coalition, self.fleet), k)
+        return AuctionOutcome(request.id, price_bid(coalition, self.fleet), invited.size)
 
     def _run_c2(self, request: ServiceRequest) -> AuctionOutcome:
         candidates = invite_leader_candidates(
             request.entry_periphery, self.topology, self.config, self.rng
         )
         k = candidates.size
-        leader = elect_leader(candidates, self.fleet, request)
+        leader = elect_leader(candidates, self.fleet, request, self.order)
         if leader is None:
             return AuctionOutcome(request.id, None, k)
         coalition = assemble_coalition(

@@ -309,29 +309,3 @@ def emit(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     except OSError as exc:
         raise OSError(f"failed writing report under {out}: {exc}") from exc
     return {"bins": bins_path, "coalitions": coalitions_path, "summary": summary_path}
-
-
-def load_bins(path: str | Path) -> list[BinStats]:
-    """Parse a bins.csv back into BinStats records."""
-    rows = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            rows.append(
-                BinStats(
-                    mode=row["mode"],
-                    bin_index=int(row["bin_index"]),
-                    n_requests=int(row["n_requests"]),
-                    n_failed=int(row["n_failed"]),
-                    success_rate=float(row["success_rate"]),
-                    subset_stddev=float(row["subset_stddev"]),
-                    partial=row["partial"] == "1",
-                    subset_dropped=int(row["subset_dropped"]),
-                    request_share=float(row["request_share"]),
-                )
-            )
-    return rows
-
-
-def load_summary(path: str | Path) -> dict:
-    with open(path) as f:
-        return json.load(f)

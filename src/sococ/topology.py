@@ -4,7 +4,7 @@ The fleet organizes itself in one round: every core server picks m of the M
 periphery servers (its known-periphery list) plus n other core servers as
 primary contacts, and each periphery server ends up knowing exactly the cores
 that picked it.  Secondary contacts of a core are all other cores reachable
-through a shared periphery server.
+through a shared periphery server (`secondary_mask`).
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class TopologyStats:
     secondary_min: int
     secondary_max: int
     secondary_mean: float
-    secondary_histogram: list[tuple[float, float, int]]
     sample_size: int
     exact: bool
 
@@ -245,6 +244,16 @@ def _invert_selection(known_periphery: np.ndarray, n_periphery: int) -> list[np.
     return [grouped[bounds[p] : bounds[p + 1]] for p in range(n_periphery)]
 
 
+def secondary_mask(topology: ContactTopology, core: int) -> np.ndarray:
+    """Bool mask over the cores, True where a core shares a periphery server
+    with `core`: its secondary contacts. The owner is excluded."""
+    mask = np.zeros(topology.n_core, dtype=bool)
+    for p in topology.core_known_periphery[core]:
+        mask[topology.periphery_known_cores[p]] = True
+    mask[core] = False
+    return mask
+
+
 def compute_stats(
     topology: ContactTopology,
     sample_size: int | None = None,
@@ -252,10 +261,11 @@ def compute_stats(
 ) -> TopologyStats:
     """Measure pcs sizes (exact) and secondary-contact counts.
 
-    A core's secondary count S is the number of distinct cores, other than
-    itself, appearing in the known-core lists of its m periphery servers.
-    sample_size == n_core (the default) computes S exactly for every core;
-    smaller values measure a uniform core sample drawn from `rng`.
+    A core's secondary count S is the number of True entries of its
+    `secondary_mask`: the distinct cores, other than itself, appearing in
+    the known-core lists of its m periphery servers. sample_size == n_core
+    (the default) computes S exactly for every core; smaller values measure
+    a uniform core sample drawn from `rng`.
     """
     n = topology.n_core
     if n == 0 or topology.n_periphery == 0:
@@ -273,16 +283,9 @@ def compute_stats(
             rng = np.random.default_rng(0)
         sampled = rng.choice(n, size=sample_size, replace=False)
 
-    pcs = topology.periphery_known_cores
-    counts = np.empty(sample_size, dtype=np.int64)
-    for i, c in enumerate(sampled):
-        lists = [pcs[p] for p in topology.core_known_periphery[c]]
-        union = np.unique(np.concatenate(lists)) if lists else np.zeros(0, np.int32)
-        s = union.size
-        pos = np.searchsorted(union, c)
-        if pos < union.size and union[pos] == c:
-            s -= 1  # the owner is not its own secondary contact
-        counts[i] = s
+    counts = np.array(
+        [np.count_nonzero(secondary_mask(topology, c)) for c in sampled], dtype=np.int64
+    )
 
     pcs_sizes = topology.pcs_sizes()
     return TopologyStats(
@@ -292,7 +295,6 @@ def compute_stats(
         secondary_min=int(counts.min()),
         secondary_max=int(counts.max()),
         secondary_mean=float(counts.mean()),
-        secondary_histogram=equal_width_histogram(counts, 20),
         sample_size=sample_size,
         exact=exact,
     )

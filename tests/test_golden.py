@@ -16,6 +16,12 @@ are compared with the ones recorded here:
 The desk presets are cut from 10^5 to 10^4 requests to keep the run fast.
 exp5 and exp6 run at their published 10^3 requests.
 
+No preset reaches the secondary-contact fallback: with 100 primary contacts
+per core a leader never exhausts its primary list. One more pin covers it:
+exp2-desk with 10 primary contacts per core, cut to 5,000 requests, where
+leaders fall back several hundred times. That pin also counts the
+`ContactOrder.secondary` calls, so it fails if the run stops falling back.
+
 A change that moves any of these values changes simulated behaviour; it
 must say which value moved and why the new behaviour is intended.
 """
@@ -26,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sococ import engine
+from sococ import engine, market
 from sococ.harness import preset, run_experiment
 
 SEED = 1
@@ -74,6 +80,17 @@ GOLDEN = {
 }
 
 
+# exp2-desk with primary_contacts_per_core=10 and 5,000 requests, at SEED:
+# the four pinned values and the number of ContactOrder.secondary calls
+FALLBACK = (
+    "3e6018031fd0a1377a55758b406bc0ed",
+    "2536dd4d935e2a3a928132806c4d9add78bcd3d6fea3b40703f9accc0014e6a0",
+    "82be4839bbf60057d22aec18a95fcd21b569a8c0aa6d8563ff43e8c399647dee",
+    "cdaa794bf5101200bc2f973b44eabbf081589b1c43de04d11037a632870a3380",
+)
+FALLBACK_SECONDARY_CALLS = 670
+
+
 def golden_preset(name):
     p = preset(name)
     if name.endswith("-desk"):
@@ -85,7 +102,7 @@ def file_sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_pinned(name, out_dir, monkeypatch):
+def run_pinned(p, out_dir, monkeypatch):
     """The four pinned values of one preset run at SEED."""
     commits = hashlib.sha256()
     original = engine.Fleet.commit
@@ -98,7 +115,7 @@ def run_pinned(name, out_dir, monkeypatch):
         return original(fleet, request, coalition)
 
     monkeypatch.setattr(engine.Fleet, "commit", recording_commit)
-    report = run_experiment(golden_preset(name), SEED, out_dir)
+    report = run_experiment(p, SEED, out_dir)
     return (
         report.event_digest,
         file_sha256(out_dir / "bins.csv"),
@@ -111,4 +128,25 @@ def run_pinned(name, out_dir, monkeypatch):
     "name", ["exp5", "exp6", "exp1-desk", "exp2-desk", "exp3-desk", "exp4-desk"]
 )
 def test_preset_outputs_match_golden(name, tmp_path, monkeypatch):
-    assert run_pinned(name, tmp_path, monkeypatch) == GOLDEN[name]
+    assert run_pinned(golden_preset(name), tmp_path, monkeypatch) == GOLDEN[name]
+
+
+def test_secondary_fallback_outputs_match_golden(tmp_path, monkeypatch):
+    base = preset("exp2-desk")
+    p = replace(
+        base,
+        topology=replace(base.topology, primary_contacts_per_core=10),
+        workload=replace(base.workload, n_requests=5_000),
+    )
+    calls = 0
+    original = market.ContactOrder.secondary
+
+    def counting_secondary(order, core):
+        nonlocal calls
+        calls += 1
+        return original(order, core)
+
+    monkeypatch.setattr(market.ContactOrder, "secondary", counting_secondary)
+    pinned = run_pinned(p, tmp_path, monkeypatch)
+    assert calls == FALLBACK_SECONDARY_CALLS
+    assert pinned == FALLBACK

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from sococ.cli import main
+from sococ.engine import EngineConfig
 from sococ.errors import ConfigurationError
 from sococ.harness import (
     PRESET_NAMES,
@@ -16,7 +17,9 @@ from sococ.harness import (
     run_experiment,
     sweep,
 )
-from sococ.metrics import load_summary
+from sococ.market import MarketConfig
+from sococ.metrics import MetricsConfig
+from sococ.topology import TopologyConfig
 from sococ.workload import Mode
 
 
@@ -129,6 +132,22 @@ def test_config_file_round_trip(tmp_path):
     assert p.name == "run"
 
 
+def test_config_omitting_optional_keys_loads_dataclass_defaults(tmp_path):
+    def strip(raw):
+        del raw["topology"]["n_aux"]
+        raw["market"] = {"initiation": "C2"}
+        raw["engine"] = {}
+        del raw["metrics"]
+
+    p = load_config(write_config(tmp_path, strip))
+    assert p.topology == TopologyConfig(n_core=500, n_periphery=10,
+                                        primary_contacts_per_core=20,
+                                        periphery_per_core=3)
+    assert p.market == MarketConfig("C2")
+    assert p.engine == EngineConfig()
+    assert p.metrics == MetricsConfig()
+
+
 def test_config_rejects_unknown_keys_with_field_path(tmp_path):
     def add_key(raw):
         raw["workload"]["burstiness"] = 2
@@ -191,7 +210,7 @@ def test_exp5_run_emits_thousand_requests(tmp_path):
     report = run_experiment("exp5", 1, tmp_path)
     assert report.n_requests == 1000
     assert sum(t.requests for t in report.totals.values()) == 1000
-    summary = load_summary(tmp_path / "summary.json")
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["preset"] == "exp5"
     assert summary["n_requests"] == 1000
     assert (tmp_path / "bins.csv").exists()
@@ -216,7 +235,7 @@ def test_sweep_isolates_seeds(tmp_path):
     assert len(reports) == 2
     assert (tmp_path / "seed-10" / "summary.json").exists()
     assert (tmp_path / "seed-11" / "summary.json").exists()
-    assert load_summary(tmp_path / "seed-10" / "summary.json")["seed"] == 10
+    assert json.loads((tmp_path / "seed-10" / "summary.json").read_text())["seed"] == 10
 
 
 def test_metrics_overrides_apply(tmp_path):
@@ -268,7 +287,7 @@ def test_cli_run_from_config_file(tmp_path):
     code = main(["run", "--config", str(path), "--seed", "2",
                  "--out", str(tmp_path / "out")])
     assert code == 0
-    summary = load_summary(tmp_path / "out" / "summary.json")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["n_requests"] == 1000
 
 

@@ -64,6 +64,13 @@ def assemble(leader, request, topo, fleet, use_secondary=False):
     )
 
 
+def elect(candidates, fleet, request, topo=None):
+    """elect_leader over the fleet's (unit cost, id) order; the topology
+    defaults to a star over the fleet, since an election reads no contacts."""
+    topo = star_topology(fleet.n, [1]) if topo is None else topo
+    return elect_leader(np.asarray(candidates), fleet, request, ContactOrder(topo, fleet))
+
+
 def auction(request, topo, fleet, config, rng):
     return Market(topo, fleet, config, rng).run_auction(request)
 
@@ -149,25 +156,28 @@ def test_invite_is_reproducible_per_seed():
 def test_invite_empty_pcs_yields_no_candidates():
     topo = star_topology(4, [1])
     topo.periphery_known_cores[0] = np.zeros(0, dtype=np.int32)
-    got = invite_leader_candidates(0, topo, MarketConfig("C2"), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    got = invite_leader_candidates(0, topo, MarketConfig("C2"), rng)
     assert len(got) == 0
+    assert rng.bit_generator.state == state  # no draw
 
 
 # -- leader election -----------------------------------------------------------
 
 def test_elect_picks_lowest_unit_cost():
     fleet = make_fleet([Mode.M1] * 3, costs=[3.0, 1.5, 2.2])
-    assert elect_leader(np.array([0, 1, 2]), fleet, make_request()) == 1
+    assert elect([0, 1, 2], fleet, make_request()) == 1
 
 
 def test_elect_breaks_ties_by_lowest_id():
     fleet = make_fleet([Mode.M1] * 13, costs=[2.0] * 13)
-    assert elect_leader(np.array([12, 7]), fleet, make_request()) == 7
+    assert elect([12, 7], fleet, make_request()) == 7
 
 
 def test_elect_none_when_no_candidate_eligible():
     fleet = make_fleet([Mode.M2, Mode.M3])
-    assert elect_leader(np.array([0, 1]), fleet, make_request(Mode.M1)) is None
+    assert elect([0, 1], fleet, make_request(Mode.M1)) is None
 
 
 # -- coalition assembly ----------------------------------------------------------
@@ -235,7 +245,7 @@ def test_every_allocation_fits_free_capacity():
     for rid in range(40):
         mode = Mode(int(rng.integers(1, 4)))
         request = make_request(mode=mode, workload=float(rng.uniform(0.1, 40)), rid=rid)
-        leader = elect_leader(np.arange(50), fleet, request)
+        leader = elect(np.arange(50), fleet, request, topo)
         if leader is None:
             continue
         coalition = assemble(leader, request, topo, fleet, True)
@@ -362,7 +372,7 @@ def test_secondary_reach_is_superset_of_primary_reach():
                            committed=rng.uniform(5, 10, size=40))
         request = make_request(Mode(int(rng.integers(1, 4))),
                                workload=float(rng.uniform(5, 30)), rid=trial)
-        leader = elect_leader(np.arange(40), fleet, request)
+        leader = elect(np.arange(40), fleet, request, topo)
         if leader is None:
             continue
         primary_only = assemble(leader, request, topo, fleet)

@@ -1,5 +1,7 @@
 """Binned success rates, subset dispersion, histograms and report files."""
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -15,8 +17,6 @@ from sococ.metrics import (
     build_report,
     coalition_histogram,
     emit,
-    load_bins,
-    load_summary,
     subset_stddev,
 )
 from sococ.workload import Mode
@@ -149,7 +149,7 @@ def test_empty_run_emits_valid_headers_only_files(tmp_path):
         "partial,subset_dropped,request_share"
     )
     assert paths["coalitions"].read_text().strip() == "bucket_lo,bucket_hi,count"
-    summary = load_summary(paths["summary"])
+    summary = json.loads(paths["summary"].read_text())
     assert summary["seed"] == 9
     assert summary["overall_success_rate"] is None
     assert summary["totals"]["M1"]["requests"] == 0
@@ -185,19 +185,20 @@ def test_report_round_trips_through_files(tmp_path):
     report = build_report(sink, fleet, stats, config_echo={"k": [1, 2]}, seed=3)
     paths = emit(report, tmp_path)
 
-    bins = load_bins(paths["bins"])
+    with open(paths["bins"], newline="") as f:
+        bins = list(csv.DictReader(f))
     assert len(bins) == len(report.bins)
     for parsed, original in zip(bins, report.bins):
-        assert parsed.mode == original.mode
-        assert parsed.bin_index == original.bin_index
-        assert parsed.n_requests == original.n_requests
-        assert parsed.n_failed == original.n_failed
-        assert parsed.partial == original.partial
-        assert parsed.success_rate == pytest.approx(original.success_rate, rel=1e-8)
-        assert parsed.subset_stddev == pytest.approx(original.subset_stddev, rel=1e-8)
-        assert parsed.request_share == pytest.approx(original.request_share, rel=1e-8)
+        assert parsed["mode"] == original.mode
+        assert int(parsed["bin_index"]) == original.bin_index
+        assert int(parsed["n_requests"]) == original.n_requests
+        assert int(parsed["n_failed"]) == original.n_failed
+        assert (parsed["partial"] == "1") == original.partial
+        assert int(parsed["subset_dropped"]) == original.subset_dropped
+        for key in ("success_rate", "subset_stddev", "request_share"):
+            assert float(parsed[key]) == pytest.approx(getattr(original, key), rel=1e-8)
 
-    summary = load_summary(paths["summary"])
+    summary = json.loads(paths["summary"].read_text())
     assert summary["n_requests"] == 23
     assert summary["unsatisfied"] == 4
     assert summary["in_flight_at_stream_end"] == 2

@@ -19,6 +19,7 @@ from sococ.topology import (
     expected_secondary_fraction,
     organize,
     secondary_histogram,
+    secondary_mask,
 )
 
 
@@ -203,11 +204,12 @@ def test_secondary_counts_match_pairwise_enumeration():
     stats = compute_stats(topo)
     sets = [set(row.tolist()) for row in topo.core_known_periphery]
     for c in range(300):
-        expected = sum(
-            1 for other in range(300)
+        expected = [
+            other for other in range(300)
             if other != c and sets[c] & sets[other]
-        )
-        assert stats.secondary_counts[c] == expected
+        ]
+        assert np.flatnonzero(secondary_mask(topo, c)).tolist() == expected
+        assert stats.secondary_counts[c] == len(expected)
 
 
 def test_sampled_secondary_fraction_matches_hypergeometric_oracle():
