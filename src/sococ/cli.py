@@ -35,8 +35,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bin-size", type=int, default=None, help="override the metrics bin size")
     p.add_argument("--n-subsets", type=int, default=None,
                    help="override the per-bin subset count")
-    p.add_argument("--check-invariants", action="store_true",
-                   help="run per-event conservation sweeps (slower)")
     p.add_argument("--allow-huge", action="store_true",
                    help="permit full published-scale presets")
 
@@ -133,7 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run_experiment(
         p, args.seed, out,
         bin_size=args.bin_size, n_subsets=args.n_subsets,
-        check_invariants=args.check_invariants, allow_huge=args.allow_huge,
+        allow_huge=args.allow_huge,
     )
     rate = report.overall_success_rate()
     print(f"{p.name}: {report.n_requests} requests, "
@@ -148,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reports = sweep(
         p, args.seeds, args.seed, out,
         bin_size=args.bin_size, n_subsets=args.n_subsets,
-        check_invariants=args.check_invariants, allow_huge=args.allow_huge,
+        allow_huge=args.allow_huge,
     )
     for seed, report in zip(range(args.seed, args.seed + args.seeds), reports):
         rate = report.overall_success_rate()

@@ -4,6 +4,10 @@ The fleet is held as parallel numpy arrays so auctions can filter thousands
 of servers per request without per-object overhead. Events are processed in
 (time, completion-before-arrival, request id) order; winning allocations are
 committed atomically and released when the service completes.
+
+Every run checks the fleet ledger: `Fleet.commit` and `Fleet.release`, the
+only writers of committed load, check each server they write, and the whole
+fleet is swept when the stream ends and again after the drain.
 """
 
 from __future__ import annotations
@@ -80,17 +84,23 @@ class Fleet:
         self.live: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def commit(self, request: ServiceRequest, coalition: "market.Coalition") -> None:
-        """Apply a winning coalition's allocations atomically."""
+        """Apply a winning coalition's allocations atomically, after checking
+        that it lists each server once and overflows none."""
         ids = coalition.member_ids
         allocs = coalition.allocations
         if request.id in self.live:
             raise InternalConsistencyError(f"request {request.id} committed twice")
-        over = self.committed[ids] + allocs > self.capacity + CAPACITY_TOL
-        if over.any():
+        # a fancy-index write would apply a repeated server's allocation once
+        if len(set(ids.tolist())) != ids.size:
+            raise InternalConsistencyError(f"request {request.id}: coalition repeats a server")
+        load = self.committed[ids] + allocs
+        limit = self.capacity + CAPACITY_TOL
+        # coalitions are small, so a list reduction is cheaper than numpy's
+        if max(load.tolist()) > limit:
             raise InternalConsistencyError(
-                f"allocation overflows capacity on servers {ids[over].tolist()}"
+                f"allocation overflows capacity on servers {ids[load > limit].tolist()}"
             )
-        self.committed[ids] += allocs
+        self.committed[ids] = load
         self.coalition_count[ids] += 1
         sleepers = ids[self.modes[ids] == Mode.SLEEP]
         if sleepers.size:
@@ -99,16 +109,17 @@ class Fleet:
         self.live[request.id] = (ids, allocs)
 
     def release(self, request_id: int) -> None:
-        """Return a completed request's allocations; drained recruits go
-        back to sleep."""
+        """Return a completed request's allocations, after checking that no
+        server drops below zero; drained recruits go back to sleep."""
         entry = self.live.pop(request_id, None)
         if entry is None:
             raise InternalConsistencyError(f"completion for unknown request {request_id}")
         ids, allocs = entry
-        self.committed[ids] -= allocs
-        drained = ids[
-            self.recruited_from_sleep[ids] & (self.committed[ids] <= CAPACITY_TOL)
-        ]
+        load = self.committed[ids] - allocs
+        if min(load.tolist()) < -CAPACITY_TOL:
+            raise InternalConsistencyError(f"request {request_id} released to a negative load")
+        self.committed[ids] = load
+        drained = ids[self.recruited_from_sleep[ids] & (load <= CAPACITY_TOL)]
         if drained.size:
             self.committed[drained] = 0.0  # clear float residue
             self.modes[drained] = Mode.SLEEP
@@ -174,17 +185,16 @@ def run(
     market_config: "market.MarketConfig",
     sink: MetricsSink,
     rng: np.random.Generator,
-    check_invariants: bool = False,
 ) -> RunStats:
     """Drive the request stream through auctions against mutable fleet state.
 
     Every auction outcome is forwarded to the metrics sink in arrival order.
     After the stream ends, remaining completions are drained so the fleet
-    returns to its background load.
+    returns to its background load; the ledger is swept before and after.
     """
     mkt = market.Market(topology, fleet, market_config, rng)
     stats = RunStats()
-    heap: list[tuple[float, int, int]] = []
+    heap: list[tuple[float, int]] = []  # (completion time, request id)
     digest = hashlib.blake2b(digest_size=16)
     last_time = -np.inf
 
@@ -194,11 +204,9 @@ def run(
             raise InternalConsistencyError("event times went backwards")
         last_time = time
         digest.update(struct.pack("<dBq", time, kind, request_id))
-        if check_invariants:
-            fleet.check_conservation()
 
     def complete_one() -> None:
-        time, _, rid = heapq.heappop(heap)
+        time, rid = heapq.heappop(heap)
         fleet.release(rid)
         stats.completed += 1
         on_event(time, EV_COMPLETION, rid)
@@ -209,9 +217,7 @@ def run(
         outcome = mkt.run_auction(request)
         if outcome.bid is not None:
             fleet.commit(request, outcome.bid.coalition)
-            heapq.heappush(
-                heap, (request.arrival_time + request.duration, EV_COMPLETION, request.id)
-            )
+            heapq.heappush(heap, (request.arrival_time + request.duration, request.id))
             stats.successes += 1
         else:
             stats.unsatisfied += 1
@@ -225,19 +231,19 @@ def run(
         raise InternalConsistencyError("request ledger does not balance")
     if stats.successes != stats.completed + stats.in_flight_at_stream_end:
         raise InternalConsistencyError("in-flight ledger does not balance")
+    fleet.check_conservation()
 
     while heap:
         complete_one()
 
-    if check_invariants:
-        fleet.check_conservation()
-        if fleet.live:
-            raise InternalConsistencyError("live allocations survived the drain")
-        drift = abs(float(fleet.committed.sum() - fleet.background.sum()))
-        if drift > 1e-6:
-            raise InternalConsistencyError(
-                f"fleet did not return to background load (drift {drift:g} SCU)"
-            )
+    fleet.check_conservation()
+    if fleet.live:
+        raise InternalConsistencyError("live allocations survived the drain")
+    drift = abs(float(fleet.committed.sum() - fleet.background.sum()))
+    if drift > 1e-6:
+        raise InternalConsistencyError(
+            f"fleet did not return to background load (drift {drift:g} SCU)"
+        )
 
     stats.final_time = last_time if stats.n_requests else 0.0
     stats.event_digest = digest.hexdigest()

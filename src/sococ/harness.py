@@ -415,7 +415,6 @@ def run_experiment(
     *,
     bin_size: int | None = None,
     n_subsets: int | None = None,
-    check_invariants: bool = False,
     allow_huge: bool = False,
 ) -> RunReport:
     """organize -> init_servers -> generate_stream -> run -> emit.
@@ -454,9 +453,7 @@ def run_experiment(
     stream = generate_stream(wcfg, topo.n_periphery)
     sink = MetricsSink(mets.bin_size, mets.n_subsets)
     market_rng = np.random.default_rng(seeds[3])
-    stats = engine_mod.run(
-        topo, fleet, stream, mcfg, sink, market_rng, check_invariants=check_invariants
-    )
+    stats = engine_mod.run(topo, fleet, stream, mcfg, sink, market_rng)
     t2 = time.perf_counter()
     log.info("%s: %d requests (%d won, %d unsatisfied) in %.2fs",
              p.name, stats.n_requests, stats.successes, stats.unsatisfied, t2 - t1)

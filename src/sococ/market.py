@@ -52,10 +52,6 @@ class Coalition:
     request_id: int
 
     @property
-    def members(self) -> list[tuple[int, float]]:
-        return [(int(i), float(a)) for i, a in zip(self.member_ids, self.allocations)]
-
-    @property
     def size(self) -> int:
         return len(self.member_ids)
 

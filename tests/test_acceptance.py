@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines live. Heavy
-preset runs are executed once (with invariant checking enabled) and shared
-across criteria through a module-level cache.
+preset runs are executed once and shared across criteria through a
+module-level cache. Every run checks the fleet ledger: commit and release
+check the servers they write, and the whole fleet is swept when the stream
+ends and after the drain.
 
 Known red: criterion 1's published-ratio clause fails at m=50 by plain
 arithmetic. The published average pcs size for m=50 is 4.884% of the fleet
@@ -37,11 +39,11 @@ _RUNS: dict[tuple[str, int], tuple] = {}
 
 
 def cached_run(name: str, seed: int, out_dir=None):
-    """Run a preset once (invariants checked) and share it across criteria."""
+    """Run a preset once and share it across criteria."""
     key = (name, seed)
     if key not in _RUNS:
         t0 = time.perf_counter()
-        report = run_experiment(name, seed, out_dir, check_invariants=True)
+        report = run_experiment(name, seed, out_dir)
         _RUNS[key] = (report, time.perf_counter() - t0)
     return _RUNS[key]
 
@@ -178,7 +180,7 @@ def test_criterion_6_small_overloaded_system():
     """C6: exp5 succeeds at least 10pp less often than exp1-desk, queues
     unsatisfied requests, and finishes in under a second."""
     t0 = time.perf_counter()
-    exp5 = run_experiment("exp5", 1, check_invariants=True)
+    exp5 = run_experiment("exp5", 1)
     elapsed = time.perf_counter() - t0
     exp1_desk, _ = cached_run("exp1-desk", 1)
     small = exp5.overall_success_rate()
@@ -195,14 +197,9 @@ def test_criterion_6_small_overloaded_system():
 def test_criterion_7_byte_identical_reruns(tmp_path):
     """C7: the same preset and seed emit byte-identical report files."""
     files = ("bins.csv", "coalitions.csv", "summary.json")
-    for name in ("exp5", "exp6", "exp4-desk"):
-        if name == "exp4-desk":
-            # reuse the invariant-checked run budget: one fresh rerun only
-            run_experiment(name, 1, tmp_path / name / "a")
-            run_experiment(name, 1, tmp_path / name / "b")
-        else:
-            run_experiment(name, 7, tmp_path / name / "a")
-            run_experiment(name, 7, tmp_path / name / "b")
+    for name, seed in (("exp5", 7), ("exp6", 7), ("exp4-desk", 1)):
+        run_experiment(name, seed, tmp_path / name / "a")
+        run_experiment(name, seed, tmp_path / name / "b")
         for f in files:
             a = (tmp_path / name / "a" / f).read_bytes()
             b = (tmp_path / name / "b" / f).read_bytes()
@@ -213,16 +210,17 @@ def test_criterion_7_byte_identical_reruns(tmp_path):
 
 
 def test_criterion_8_invariant_checked_runs(tmp_path):
-    """C8: every desk preset plus exp5/exp6 completes under per-event
-    invariant checking with a balanced ledger."""
+    """C8: every desk preset plus exp5/exp6 completes with its fleet ledger
+    checked at every commit and release and swept at stream end and after
+    the drain, and with a balanced request ledger."""
     names = ("exp1-desk", "exp2-desk", "exp3-desk", "exp4-desk", "exp5", "exp6")
     details = []
     for name in names:
         out = tmp_path / name
         if name in ("exp5", "exp6"):
-            report = run_experiment(name, 1, out, check_invariants=True)
+            report = run_experiment(name, 1, out)
         else:
-            report, _ = cached_run(name, 1)  # already invariant-checked
+            report, _ = cached_run(name, 1)
             from sococ.metrics import emit
             emit(report, out)
         summary = json.loads((out / "summary.json").read_text())

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sococ.engine import EngineConfig, Fleet, RunStats, init_servers, run
+from sococ.engine import CAPACITY_TOL, EngineConfig, Fleet, RunStats, init_servers, run
 from sococ.errors import ConfigurationError, InternalConsistencyError
-from sococ.market import MarketConfig
+from sococ.market import Coalition, Market, MarketConfig
 from sococ.metrics import MetricsSink
 from sococ.topology import ContactTopology, TopologyConfig, organize
 from sococ.workload import (
@@ -42,12 +44,10 @@ def request(rid, t, mode=Mode.M1, workload=1.0, duration=1.0, entry=0):
                           duration=duration, entry_periphery=entry)
 
 
-def run_requests(topology, fleet, requests, market_config=None, seed=0,
-                 check_invariants=True, bin_size=100):
+def run_requests(topology, fleet, requests, market_config=None, seed=0, bin_size=100):
     sink = MetricsSink(bin_size=bin_size, n_subsets=10)
     config = market_config or MarketConfig("C2", leader_candidate_fraction=1.0)
-    stats = run(topology, fleet, requests, config, sink,
-                np.random.default_rng(seed), check_invariants=check_invariants)
+    stats = run(topology, fleet, requests, config, sink, np.random.default_rng(seed))
     return stats, sink
 
 
@@ -286,8 +286,110 @@ def test_invariant_checked_stress_run_stays_clean():
         market = MarketConfig(initiation, leader_candidate_fraction=0.3,
                               use_secondary_contacts=True, invited_fraction_c1=0.3)
         stream = generate_stream(config, 3)
-        stats, _ = run_requests(topo, fleet, stream, market_config=market,
-                                seed=8, check_invariants=True)
+        stats, _ = run_requests(topo, fleet, stream, market_config=market, seed=8)
         assert stats.n_requests == 2000
         assert 0 < stats.successes <= 2000
         assert np.allclose(fleet.committed, fleet.background, atol=1e-6)
+
+
+# -- fault injection: every run checks the ledger -----------------------------------
+
+def test_commit_rejects_a_server_listed_twice():
+    fleet = make_fleet([Mode.M1, Mode.M1], background=[1.0, 1.0])
+    coalition = Coalition(0, np.array([0, 0]), np.array([1.0, 1.0]), 3)
+    with pytest.raises(InternalConsistencyError, match="repeats a server"):
+        fleet.commit(request(3, 0.0, workload=2.0), coalition)
+    assert fleet.committed.tolist() == [1.0, 1.0]
+    assert not fleet.live
+
+
+def test_release_rejects_a_negative_load():
+    fleet = make_fleet([Mode.M1], background=[1.0])
+    fleet.commit(request(5, 0.0, workload=2.0), Coalition(0, np.array([0]), np.array([2.0]), 5))
+    fleet.committed[0] = 1.5  # releasing 2.0 SCU would leave -0.5
+    with pytest.raises(InternalConsistencyError, match="negative load"):
+        fleet.release(5)
+
+
+def test_run_catches_a_write_to_an_untouched_server(monkeypatch):
+    topo = small_topology(n_core=4)
+    # every request is M1, so no coalition ever touches the M3 server 3
+    fleet = make_fleet([Mode.M1, Mode.M1, Mode.M1, Mode.M3], background=[1.0] * 4)
+    run_auction = Market.run_auction
+
+    def run_auction_then_corrupt(mkt, req):
+        if req.id == 1:
+            fleet.committed[3] += 1.0
+        return run_auction(mkt, req)
+
+    monkeypatch.setattr(Market, "run_auction", run_auction_then_corrupt)
+    with pytest.raises(InternalConsistencyError, match="allocation-sum mismatch"):
+        run_requests(topo, fleet, [request(i, float(i + 1)) for i in range(3)])
+
+
+def test_run_catches_allocations_mutated_before_release():
+    topo = small_topology()
+    fleet = make_fleet([Mode.M1] * 20, background=[4.0] * 20)
+    commit = fleet.commit
+
+    def commit_then_corrupt(req, coalition):
+        commit(req, coalition)
+        coalition.allocations *= 0.5  # the live entry holds this same array
+
+    fleet.commit = commit_then_corrupt
+    with pytest.raises(InternalConsistencyError, match="allocation-sum mismatch"):
+        run_requests(topo, fleet, [request(0, 1.0, workload=2.0)])
+
+
+# -- property: random small topologies and streams ------------------------------------
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    n_core=st.integers(1, 60),
+    n_periphery=st.integers(1, 6),
+    contact_share=st.floats(0.0, 1.0),
+    initiation=st.sampled_from(["C1", "C2"]),
+    use_secondary=st.booleans(),
+    fraction=st.floats(0.05, 1.0),
+    mean_gap=st.floats(0.01, 2.0),
+    n_requests=st.integers(1, 80),
+    seed=st.integers(0, 2**16),
+)
+def test_random_runs_keep_the_fleet_ledger(n_core, n_periphery, contact_share, initiation,
+                                           use_secondary, fraction, mean_gap, n_requests,
+                                           seed):
+    topo = organize(TopologyConfig(
+        n_core=n_core, n_periphery=n_periphery,
+        primary_contacts_per_core=round(contact_share * (n_core - 1)),
+        periphery_per_core=1 + seed % n_periphery, seed=seed,
+    ))
+    fleet = init_servers(topo, EngineConfig(seed=seed + 1))
+    modes_before = fleet.modes.copy()
+    peak = fleet.committed.copy()
+    commit = fleet.commit
+
+    def watched_commit(req, coalition):
+        commit(req, coalition)
+        np.maximum(peak, fleet.committed, out=peak)
+
+    fleet.commit = watched_commit
+    stream = generate_stream(WorkloadConfig(
+        interarrival=DistributionSpec("exponential", mean_gap),
+        service=DistributionSpec("exponential", 5.0),
+        workload_range=(0.1, 30.0),
+        mode_probabilities=(1 / 3, 1 / 3, 1 / 3),
+        n_requests=n_requests, seed=seed + 2,
+    ), n_periphery)
+    config = MarketConfig(initiation, leader_candidate_fraction=fraction,
+                          use_secondary_contacts=use_secondary,
+                          invited_fraction_c1=fraction)
+    stats, sink = run_requests(topo, fleet, stream, market_config=config, seed=seed + 3)
+
+    assert stats.n_requests == n_requests == stats.successes + stats.unsatisfied
+    assert sum(t.requests for t in sink.totals.values()) == n_requests
+    assert sum(t.failed for t in sink.totals.values()) == stats.unsatisfied
+    assert stats.completed == stats.successes
+    assert (peak <= fleet.capacity + CAPACITY_TOL).all()
+    assert not fleet.live
+    assert np.allclose(fleet.committed, fleet.background, rtol=0.0, atol=1e-9)
+    assert (fleet.modes == modes_before).all()

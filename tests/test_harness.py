@@ -341,8 +341,7 @@ def test_cli_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
         raise InternalConsistencyError("forced for the exit-code contract")
 
     monkeypatch.setattr(harness.engine_mod, "run", boom)
-    code = main(["run", "--preset", "exp5", "--check-invariants",
-                 "--out", str(tmp_path)])
+    code = main(["run", "--preset", "exp5", "--out", str(tmp_path)])
     assert code == 3
     assert "invariant" in capsys.readouterr().err
 

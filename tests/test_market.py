@@ -186,7 +186,8 @@ def test_singleton_coalition_when_leader_covers_workload():
     topo = star_topology(4, [1, 2, 3])
     fleet = make_fleet([Mode.M1] * 4, committed=[5.0, 0, 0, 0])
     coalition = assemble(0, make_request(workload=4.0), topo, fleet)
-    assert coalition.members == [(0, 4.0)]
+    assert coalition.member_ids.tolist() == [0]
+    assert coalition.allocations.tolist() == [4.0]
     assert coalition.leader == 0
 
 
@@ -196,7 +197,8 @@ def test_greedy_fill_eight_members_of_five_scu():
                        committed=[5.0] * 8)
     coalition = assemble(0, make_request(workload=40.0), topo, fleet)
     assert coalition.size == 8
-    assert coalition.members == [(i, 5.0) for i in range(8)]
+    assert coalition.member_ids.tolist() == list(range(8))
+    assert coalition.allocations.tolist() == [5.0] * 8
     assert coalition.allocations.sum() == pytest.approx(40.0, abs=1e-9)
 
 
@@ -211,7 +213,8 @@ def test_last_member_allocation_is_trimmed():
     fleet = make_fleet([Mode.M1] * 3, costs=[1.0, 2.0, 3.0], committed=[7.0, 4.0, 4.0])
     coalition = assemble(0, make_request(workload=7.5), topo, fleet)
     # leader free 3.0, contact 1 free 6.0 trimmed to 4.5
-    assert coalition.members == [(0, 3.0), (1, 4.5)]
+    assert coalition.member_ids.tolist() == [0, 1]
+    assert coalition.allocations.tolist() == [3.0, 4.5]
 
 
 def test_contacts_join_in_cost_then_id_order():
@@ -219,8 +222,8 @@ def test_contacts_join_in_cost_then_id_order():
     fleet = make_fleet([Mode.M1] * 4, costs=[1.0, 5.0, 2.0, 2.0], committed=[8.0, 0, 0, 0])
     coalition = assemble(0, make_request(workload=23.0), topo, fleet)
     # order by (cost, id): 2 then 3 then 1
-    assert [m for m, _ in coalition.members] == [0, 2, 3, 1]
-    assert coalition.members[-1] == (1, 1.0)
+    assert coalition.member_ids.tolist() == [0, 2, 3, 1]
+    assert coalition.allocations[-1] == 1.0
 
 
 def test_secondary_contacts_extend_the_primary_pool():
@@ -230,7 +233,8 @@ def test_secondary_contacts_extend_the_primary_pool():
     request = make_request(workload=8.0)
     assert assemble(0, request, topo, fleet) is None
     coalition = assemble(0, request, topo, fleet, True)
-    assert coalition.members == [(0, 3.0), (1, 2.0), (2, 2.0), (3, 1.0)]
+    assert coalition.member_ids.tolist() == [0, 1, 2, 3]
+    assert coalition.allocations.tolist() == [3.0, 2.0, 2.0, 1.0]
 
 
 def test_every_allocation_fits_free_capacity():
@@ -252,8 +256,9 @@ def test_every_allocation_fits_free_capacity():
         if coalition is None:
             continue
         assert coalition.allocations.sum() == pytest.approx(request.workload, abs=1e-9)
-        assert len({m for m, _ in coalition.members}) == coalition.size
-        for member, alloc in coalition.members:
+        ids = coalition.member_ids.tolist()
+        assert len(set(ids)) == coalition.size
+        for member, alloc in zip(ids, coalition.allocations.tolist()):
             assert alloc > 0
             assert alloc <= free_before[member] + 1e-9
 
@@ -335,8 +340,9 @@ def test_greedy_result_is_cheapest_covering_prefix():
                 pass
         assert outcome.bid is not None
         assert outcome.bid.price == pytest.approx(best_price, rel=1e-12)
-        got = [(m, pytest.approx(a, abs=1e-9)) for m, a in best_members]
-        assert outcome.bid.coalition.members == got
+        assert outcome.bid.coalition.member_ids.tolist() == [m for m, _ in best_members]
+        assert outcome.bid.coalition.allocations.tolist() == pytest.approx(
+            [a for _, a in best_members], abs=1e-9)
 
 
 def test_winner_is_invariant_under_cost_scaling():
@@ -356,7 +362,9 @@ def test_winner_is_invariant_under_cost_scaling():
         scaled = auction(request, topo, make_fleet(modes, costs * k, committed),
                          config, np.random.default_rng(21))
         assert scaled.bid is not None
-        assert scaled.bid.coalition.members == baseline.bid.coalition.members
+        got, want = scaled.bid.coalition, baseline.bid.coalition
+        assert got.member_ids.tolist() == want.member_ids.tolist()
+        assert got.allocations.tolist() == want.allocations.tolist()
         assert scaled.bid.price == pytest.approx(baseline.bid.price * k, rel=1e-9)
 
 
@@ -398,7 +406,9 @@ def test_auction_is_deterministic_per_state_and_seed():
         results.append(outcome)
     assert (results[0].bid is None) == (results[1].bid is None)
     if results[0].bid is not None:
-        assert results[0].bid.coalition.members == results[1].bid.coalition.members
+        a, b = results[0].bid.coalition, results[1].bid.coalition
+        assert a.member_ids.tolist() == b.member_ids.tolist()
+        assert a.allocations.tolist() == b.allocations.tolist()
         assert results[0].bid.price == results[1].bid.price
 
 
@@ -428,7 +438,7 @@ def test_c1_leader_is_cheapest_member():
                       np.random.default_rng(1))
     assert outcome.bid is not None
     assert outcome.bid.coalition.leader == 2
-    assert [m for m, _ in outcome.bid.coalition.members] == [2, 5, 1]
+    assert outcome.bid.coalition.member_ids.tolist() == [2, 5, 1]
 
 
 def test_contact_order_ranks_by_cost_then_id():
