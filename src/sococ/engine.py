@@ -33,6 +33,9 @@ STATE_MIX_TOL = 1e-12
 EV_COMPLETION = 0
 EV_ARRIVAL = 1
 
+# Mode.SLEEP as a plain int: an enum member lookup costs more per request
+_SLEEP = int(Mode.SLEEP)
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -102,7 +105,7 @@ class Fleet:
             )
         self.committed[ids] = load
         self.coalition_count[ids] += 1
-        sleepers = ids[self.modes[ids] == Mode.SLEEP]
+        sleepers = ids[self.modes[ids] == _SLEEP]
         if sleepers.size:
             self.modes[sleepers] = int(request.mode)
             self.recruited_from_sleep[sleepers] = True
@@ -122,7 +125,7 @@ class Fleet:
         drained = ids[self.recruited_from_sleep[ids] & (load <= CAPACITY_TOL)]
         if drained.size:
             self.committed[drained] = 0.0  # clear float residue
-            self.modes[drained] = Mode.SLEEP
+            self.modes[drained] = _SLEEP
             self.recruited_from_sleep[drained] = False
 
     def check_conservation(self) -> None:

@@ -8,12 +8,16 @@ contacts. Under C1 (periphery-initiated) the periphery draws a pool from its
 own known cores and fills one coalition from that pool only. Either way an
 auction yields at most one bid, priced at its coalition's cost, and the
 engine commits it.
-"""
+
+Every phase scans a cost-ordered list one server at a time through one
+eligibility rule, `_eligible`, and stops as soon as the request is served:
+coalitions take a few servers out of hundreds of contacts."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .workload import Mode, ServiceRequest
 # Smallest allocation a server is recruited for, in SCU.
 MIN_ALLOCATION = 0.01
 _TRIM_EPS = 1e-9
+_SLEEP = int(Mode.SLEEP)
 
 
 @dataclass(frozen=True)
@@ -69,15 +74,18 @@ class AuctionOutcome:
     candidates_contacted: int
 
 
-def _eligible_ids(fleet, ids: np.ndarray, mode: Mode) -> np.ndarray:
-    """The servers among `ids` that can join a coalition for `mode`, in order:
-    those running `mode` or asleep, with at least MIN_ALLOCATION free."""
-    if ids.size == 0:
-        return ids
-    modes = fleet.modes[ids]
-    mask = (modes == int(mode)) | (modes == Mode.SLEEP)
-    mask &= (fleet.capacity - fleet.committed[ids]) >= MIN_ALLOCATION
-    return ids[mask]
+def _eligible(fleet, ids: np.ndarray, mode: Mode) -> Iterator[tuple[int, float]]:
+    """Yield (id, free capacity) for each server among `ids` that can join a
+    coalition for `mode`, lazily and in input order: those running `mode` or
+    asleep, with at least MIN_ALLOCATION free."""
+    mode_of, committed = fleet.modes.item, fleet.committed.item
+    capacity, wanted = fleet.capacity, int(mode)
+    for i in ids:
+        server_mode = mode_of(i)
+        if server_mode == wanted or server_mode == _SLEEP:
+            free = capacity - committed(i)
+            if free >= MIN_ALLOCATION:
+                yield i, free
 
 
 class ContactOrder:
@@ -140,30 +148,33 @@ def invite_leader_candidates(
 def elect_leader(
     candidates: np.ndarray, fleet, request: ServiceRequest, order: ContactOrder
 ) -> int | None:
-    """Cheapest eligible candidate, ties broken by lowest id: the eligible
-    candidate of lowest rank in `order`."""
-    elig = _eligible_ids(fleet, candidates, request.mode)
-    if elig.size == 0:
-        return None
-    return int(order.by_rank[order.rank[elig].min()])
+    """Cheapest eligible candidate, ties broken by lowest id: the first
+    eligible candidate in `order`. Sorting the candidates first and scanning
+    until one is eligible is cheaper than testing them all."""
+    for leader, _ in _eligible(fleet, order.sort_ids(candidates), request.mode):
+        return int(leader)
+    return None
 
 
-def _fill_from_pool(
-    pool: np.ndarray, free: np.ndarray, need: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Take pool members in order at full free capacity until `need` is
-    covered; the last allocation is trimmed to hit `need` exactly."""
-    if need <= 0:
-        return np.zeros(0, np.int32), np.zeros(0)
-    if pool.size == 0:
-        return None
-    cum = np.cumsum(free)
-    if cum[-1] + _TRIM_EPS < need:
-        return None
-    k = int(np.searchsorted(cum, need - _TRIM_EPS, side="left"))
-    allocs = free[: k + 1].copy()
-    allocs[k] = need - (cum[k - 1] if k > 0 else 0.0)
-    return pool[: k + 1], allocs
+def _fill(
+    servers: Iterable[tuple[int, float]], need: float, ids: list, allocs: list
+) -> bool:
+    """Append (id, free) servers to `ids` and `allocs` at full free capacity
+    until `need` is covered, stopping at the server that covers it, whose
+    allocation is trimmed to hit `need` exactly. Returns whether it was.
+
+    Every allocation is positive: a full one is at least MIN_ALLOCATION, and
+    a trimmed one is `need` itself or exceeds _TRIM_EPS, since the servers
+    before it summed to less than `need - _TRIM_EPS`."""
+    cum = 0.0
+    for i, free in servers:
+        ids.append(i)
+        if cum + free >= need - _TRIM_EPS:
+            allocs.append(need - cum)
+            return True
+        allocs.append(free)
+        cum += free
+    return False
 
 
 def assemble_coalition(
@@ -179,52 +190,39 @@ def assemble_coalition(
     as `elect_leader`'s result is for the fleet state it was elected on. The
     leader contributes its full free capacity first; its primary contacts
     are scanned in ascending (unit cost, id) order, each eligible one joining
-    at full free capacity, until the workload is covered. When the primary
-    list is exhausted and use_secondary is set, the scan continues over the
-    leader's secondary contacts in the same order. Returns None when the
-    reachable capacity cannot cover the workload.
+    at full free capacity, and the scan stops at the contact that covers the
+    workload. When the primary list is exhausted and use_secondary is set,
+    the scan continues over the leader's secondary contacts not already
+    recruited, in the same order. Returns None when the reachable capacity
+    cannot cover the workload.
     """
     need = request.workload
-    leader_free = float(fleet.capacity - fleet.committed[leader])
+    leader_free = fleet.capacity - fleet.committed.item(leader)
     if leader_free + _TRIM_EPS >= need:
         return Coalition(leader, np.array([leader], np.int32), np.array([need]), request.id)
 
-    member_ids = [np.array([leader], np.int32)]
-    member_allocs = [np.array([leader_free])]
+    ids, allocs = [leader], [leader_free]
     remaining = need - leader_free
-
-    pool = _eligible_ids(fleet, order.primary_sorted[leader], request.mode)
-    pool = pool[pool != leader]
-    free = fleet.capacity - fleet.committed[pool]
-    filled = _fill_from_pool(pool, free, remaining)
-
-    if filled is None and use_secondary:
-        # all eligible primaries join in full; the tail comes from
+    covered = _fill(_eligible(fleet, order.primary_sorted[leader], request.mode),
+                    remaining, ids, allocs)
+    if not covered and use_secondary:
+        # all eligible primaries joined in full; the tail comes from
         # secondary contacts not already recruited
-        taken = float(free.sum())
-        member_ids.append(pool)
-        member_allocs.append(free)
-        remaining -= taken
-        sec = _eligible_ids(fleet, order.secondary(leader), request.mode)
-        sec = sec[~np.isin(sec, pool)]
-        sec_free = fleet.capacity - fleet.committed[sec]
-        filled = _fill_from_pool(sec, sec_free, remaining)
-
-    if filled is None:
+        remaining -= float(np.sum(allocs[1:]))
+        taken = set(ids)
+        secondaries = _eligible(fleet, order.secondary(leader), request.mode)
+        covered = _fill((s for s in secondaries if s[0] not in taken), remaining, ids, allocs)
+    if not covered:
         return None
-    ids, allocs = filled
-    member_ids.append(ids)
-    member_allocs.append(allocs)
-    all_ids = np.concatenate(member_ids)
-    all_allocs = np.concatenate(member_allocs)
-    keep = all_allocs > 0.0
-    return Coalition(leader, all_ids[keep], all_allocs[keep], request.id)
+    return Coalition(leader, np.array(ids, np.int32), np.array(allocs), request.id)
 
 
 def price_bid(coalition: Coalition, fleet) -> Bid:
     """Price a coalition: sum of allocation times member unit cost."""
     ids = coalition.member_ids
-    if ids.size and (ids.min() < 0 or ids.max() >= fleet.n):
+    # coalitions are small, so a list reduction is cheaper than numpy's
+    listed = ids.tolist()
+    if listed and (min(listed) < 0 or max(listed) >= fleet.n):
         raise InternalConsistencyError("coalition references unknown server ids")
     price = float(np.dot(coalition.allocations, fleet.unit_cost[ids]))
     return Bid(coalition=coalition, price=price)
@@ -262,13 +260,11 @@ class Market:
             self.config.invited_fraction_c1,
             self.rng,
         )
-        pool = self.order.sort_ids(_eligible_ids(self.fleet, invited, request.mode))
-        free = self.fleet.capacity - self.fleet.committed[pool]
-        filled = _fill_from_pool(pool, free, request.workload)
-        if filled is None:
+        ids, allocs = [], []
+        pool = _eligible(self.fleet, self.order.sort_ids(invited), request.mode)
+        if not _fill(pool, request.workload, ids, allocs):
             return AuctionOutcome(request.id, None, invited.size)
-        ids, allocs = filled
-        coalition = Coalition(int(ids[0]), ids, allocs, request.id)
+        coalition = Coalition(int(ids[0]), np.array(ids, np.int32), np.array(allocs), request.id)
         return AuctionOutcome(request.id, price_bid(coalition, self.fleet), invited.size)
 
     def _run_c2(self, request: ServiceRequest) -> AuctionOutcome:

@@ -130,10 +130,10 @@ def sample(dist: DistributionSpec, rng: np.random.Generator) -> float:
 def _draw_mode(rng: np.random.Generator, probs: tuple[float, float, float]) -> Mode:
     u = _unit(rng)
     if u < probs[0]:
-        return Mode.M1
+        return REQUEST_MODES[0]
     if u < probs[0] + probs[1]:
-        return Mode.M2
-    return Mode.M3
+        return REQUEST_MODES[1]
+    return REQUEST_MODES[2]
 
 
 def generate_stream(

@@ -13,7 +13,8 @@ from sococ.market import (
     ContactOrder,
     Market,
     MarketConfig,
-    _eligible_ids,
+    _eligible,
+    _fill,
     assemble_coalition,
     elect_leader,
     invite_leader_candidates,
@@ -87,8 +88,8 @@ def eligible_by_rule(fleet, i, mode):
 
 
 def eligible_ids(fleet, mode):
-    """_eligible_ids over the whole fleet, checked against the plain rule."""
-    got = _eligible_ids(fleet, np.arange(fleet.n), mode).tolist()
+    """_eligible over the whole fleet, checked against the plain rule."""
+    got = [i for i, _ in _eligible(fleet, np.arange(fleet.n), mode)]
     assert got == [i for i in range(fleet.n) if eligible_by_rule(fleet, i, mode)]
     return got
 
@@ -110,17 +111,18 @@ def test_mode_mismatch_is_not_eligible():
     assert eligible_ids(fleet, Mode.M2) == [0]
 
 
-def test_vectorized_eligibility_matches_scalar():
+def test_lazy_eligibility_matches_the_rule_in_input_order():
     rng = np.random.default_rng(0)
     modes = rng.integers(0, 4, size=200)
     committed = rng.uniform(0, 10, size=200)
     fleet = make_fleet(modes, committed=committed)
     ids = rng.permutation(200)
     for mode in (Mode.M1, Mode.M2, Mode.M3):
-        fast = _eligible_ids(fleet, ids, mode).tolist()
+        got = list(_eligible(fleet, ids, mode))
         slow = [int(i) for i in ids if eligible_by_rule(fleet, i, mode)]
-        assert fast == slow  # same set, input order kept
-        assert 0 < len(fast) < 200
+        assert [i for i, _ in got] == slow  # same set, input order kept
+        assert [free for _, free in got] == [10.0 - committed[i] for i in slow]
+        assert 0 < len(got) < 200
 
 
 # -- leader invitation ---------------------------------------------------------
@@ -237,6 +239,23 @@ def test_secondary_contacts_extend_the_primary_pool():
     assert coalition.allocations.tolist() == [3.0, 2.0, 2.0, 1.0]
 
 
+def test_secondary_tail_subtracts_the_pairwise_sum_of_the_primaries():
+    # nine primary frees whose numpy (pairwise) sum and left-to-right sum
+    # differ in the last bit; the vectorized assembly used numpy's
+    primary_committed = [
+        1.2728450074150763, 4.942850838157138, 5.954833740471239,
+        0.28402118288225103, 1.4644682373168139, 9.189289127307658,
+        0.6971637039265487, 1.2847620990530502, 9.388451687588573,
+    ]
+    frees = [10.0 - c for c in primary_committed]
+    assert 100.0 - float(np.sum(frees)) != 100.0 - sum(frees)
+    topo = star_topology(15, list(range(1, 10)))  # secondaries 10..14
+    fleet = make_fleet([Mode.M1] * 15, committed=[9.0] + primary_committed + [0.0] * 5)
+    coalition = assemble(0, make_request(workload=101.0), topo, fleet, True)
+    assert coalition.member_ids.tolist() == list(range(15))
+    assert coalition.allocations[-1] == (100.0 - float(np.sum(frees))) - 40.0
+
+
 def test_every_allocation_fits_free_capacity():
     rng = np.random.default_rng(7)
     topo = organize(TopologyConfig(n_core=50, n_periphery=5,
@@ -343,6 +362,134 @@ def test_greedy_result_is_cheapest_covering_prefix():
         assert outcome.bid.coalition.member_ids.tolist() == [m for m, _ in best_members]
         assert outcome.bid.coalition.allocations.tolist() == pytest.approx(
             [a for _, a in best_members], abs=1e-9)
+
+
+def test_fill_stops_at_the_covering_server():
+    def servers():
+        yield 1, 2.0
+        yield 2, 3.0
+        raise AssertionError("scanned past the covering server")
+
+    ids, allocs = [], []
+    assert _fill(servers(), 4.0, ids, allocs)
+    assert ids == [1, 2]
+    assert allocs == [2.0, 2.0]
+    # a running sum of exactly need - _TRIM_EPS covers, as searchsorted's
+    # side="left" did
+    ids, allocs = [], []
+    assert _fill(servers(), 5.0 + 1e-9, ids, allocs)
+    assert allocs == [2.0, 3.0 + 1e-9]
+
+
+def test_fill_reports_a_short_pool():
+    ids, allocs = [], []
+    assert not _fill(iter([(1, 2.0), (2, 3.0)]), 6.0, ids, allocs)
+    assert ids == [1, 2]
+
+
+# The auction as it was written with whole-list numpy filters, a cumsum and
+# searchsorted; the lazy scan must reproduce it bit for bit.
+
+def vectorized_eligible(fleet, ids, mode):
+    if ids.size == 0:
+        return ids
+    modes = fleet.modes[ids]
+    mask = (modes == int(mode)) | (modes == Mode.SLEEP)
+    mask &= (fleet.capacity - fleet.committed[ids]) >= MIN_ALLOCATION
+    return ids[mask]
+
+
+def vectorized_fill(pool, free, need):
+    if need <= 0:
+        return np.zeros(0, np.int32), np.zeros(0)
+    if pool.size == 0:
+        return None
+    cum = np.cumsum(free)
+    if cum[-1] + 1e-9 < need:
+        return None
+    k = int(np.searchsorted(cum, need - 1e-9, side="left"))
+    allocs = free[: k + 1].copy()
+    allocs[k] = need - (cum[k - 1] if k > 0 else 0.0)
+    return pool[: k + 1], allocs
+
+
+def vectorized_auction(request, topo, fleet, config, rng, fallbacks):
+    """(member ids, allocations) of the winning coalition, or None."""
+    order = ContactOrder(topo, fleet)
+    pcs = topo.periphery_known_cores[request.entry_periphery]
+    if config.initiation == "C1":
+        invited = rng.choice(pcs, size=int(np.ceil(config.invited_fraction_c1 * pcs.size)),
+                             replace=False)
+        pool = order.sort_ids(vectorized_eligible(fleet, invited, request.mode))
+        return vectorized_fill(pool, fleet.capacity - fleet.committed[pool], request.workload)
+    candidates = rng.choice(
+        pcs, size=int(np.ceil(config.leader_candidate_fraction * pcs.size)), replace=False)
+    elig = vectorized_eligible(fleet, candidates, request.mode)
+    if elig.size == 0:
+        return None
+    leader = int(order.by_rank[order.rank[elig].min()])
+    need = request.workload
+    leader_free = float(fleet.capacity - fleet.committed[leader])
+    if leader_free + 1e-9 >= need:
+        return np.array([leader]), np.array([need])
+    member_ids, member_allocs = [np.array([leader])], [np.array([leader_free])]
+    remaining = need - leader_free
+    pool = vectorized_eligible(fleet, order.primary_sorted[leader], request.mode)
+    free = fleet.capacity - fleet.committed[pool]
+    filled = vectorized_fill(pool, free, remaining)
+    if filled is None and config.use_secondary_contacts:
+        fallbacks.append(request.id)
+        member_ids.append(pool)
+        member_allocs.append(free)
+        remaining -= float(free.sum())
+        sec = vectorized_eligible(fleet, order.secondary(leader), request.mode)
+        sec = sec[~np.isin(sec, pool)]
+        filled = vectorized_fill(sec, fleet.capacity - fleet.committed[sec], remaining)
+    if filled is None:
+        return None
+    member_ids.append(filled[0])
+    member_allocs.append(filled[1])
+    ids, allocs = np.concatenate(member_ids), np.concatenate(member_allocs)
+    keep = allocs > 0.0
+    return ids[keep], allocs[keep]
+
+
+def test_lazy_auction_matches_the_vectorized_auction_bit_for_bit():
+    rng = np.random.default_rng(12)
+    fallbacks, won, lost = [], 0, 0
+    for trial in range(300):
+        n_core = int(rng.integers(20, 80))
+        topo = organize(TopologyConfig(
+            n_core=n_core, n_periphery=int(rng.integers(3, 8)),
+            primary_contacts_per_core=int(rng.integers(2, 12)),
+            periphery_per_core=2, seed=trial))
+        modes = rng.integers(0, 4, size=n_core)
+        costs = rng.uniform(1, 10, size=n_core)
+        committed = np.where(modes == 0, 0.0, rng.uniform(0, 10, size=n_core))
+        committed[rng.random(n_core) < 0.1] = 9.995  # below the minimum quantum
+        config = MarketConfig(
+            "C1" if trial % 3 == 0 else "C2",
+            leader_candidate_fraction=float(rng.uniform(0.05, 1.0)),
+            use_secondary_contacts=bool(trial % 2),
+            invited_fraction_c1=float(rng.uniform(0.05, 1.0)),
+        )
+        request = make_request(Mode(int(rng.integers(1, 4))),
+                               workload=float(rng.uniform(0.1, 60.0)),
+                               entry=int(rng.integers(topo.n_periphery)), rid=trial)
+        want = vectorized_auction(request, topo, make_fleet(modes, costs, committed),
+                                  config, np.random.default_rng(trial), fallbacks)
+        got = auction(request, topo, make_fleet(modes, costs, committed),
+                      config, np.random.default_rng(trial)).bid
+        assert (got is None) == (want is None), trial
+        if got is None:
+            lost += 1
+            continue
+        won += 1
+        coalition = got.coalition
+        assert coalition.member_ids.tolist() == want[0].tolist(), trial
+        assert coalition.allocations.tobytes() == want[1].astype(np.float64).tobytes(), trial
+        assert (coalition.allocations > 0.0).all(), trial
+    assert won > 50 and lost > 50 and len(fallbacks) > 10, (won, lost, len(fallbacks))
 
 
 def test_winner_is_invariant_under_cost_scaling():
