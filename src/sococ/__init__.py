@@ -30,7 +30,6 @@ from .topology import (
     expected_pcs_size,
     expected_secondary_fraction,
     organize,
-    secondary_histogram,
 )
 from .workload import DistributionSpec, Mode, ServiceRequest, WorkloadConfig, generate_stream, sample
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigurationError, InternalConsistencyError
 from .harness import PRESET_NAMES, load_config, preset, run_experiment, sweep
 from .metrics import _fmt
-from .topology import TopologyConfig, compute_stats, organize, secondary_histogram
+from .topology import TopologyConfig, compute_stats, equal_width_histogram, organize
 
 # Exact secondary-contact statistics above this fleet size would take too
 # long; a uniform core sample is measured instead.
@@ -51,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     org.add_argument("--n-periphery", type=int, required=True)
     org.add_argument("--m", type=int, required=True,
                      help="periphery servers known to each core")
-    org.add_argument("--n-contacts", type=int, required=True,
-                     help="primary contacts per core")
-    org.add_argument("--n-aux", type=int, default=0)
     org.add_argument("--seed", type=int, default=1)
     org.add_argument("--stats-sample", type=int, default=None,
                      help="cores sampled for secondary-contact statistics "
@@ -75,8 +72,6 @@ def _cmd_organize(args: argparse.Namespace) -> int:
     config = TopologyConfig(
         n_core=args.n_core,
         n_periphery=args.n_periphery,
-        n_aux=args.n_aux,
-        primary_contacts_per_core=args.n_contacts,
         periphery_per_core=args.m,
         seed=args.seed,
     )
@@ -93,7 +88,6 @@ def _cmd_organize(args: argparse.Namespace) -> int:
         ("n_core", config.n_core),
         ("n_periphery", config.n_periphery),
         ("m", config.periphery_per_core),
-        ("n_contacts", config.primary_contacts_per_core),
         ("seed", config.seed),
         ("pcs_mean", stats.pcs_mean),
         ("pcs_min", int(stats.pcs_sizes.min())),
@@ -112,7 +106,7 @@ def _cmd_organize(args: argparse.Namespace) -> int:
     with open(out / "secondary_histogram.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("bucket_lo", "bucket_hi", "count"))
-        for lo, hi, count in secondary_histogram(stats, 20):
+        for lo, hi, count in equal_width_histogram(stats.secondary_counts, 20):
             w.writerow((_fmt(float(lo)), _fmt(float(hi)), count))
     print(f"pcs_mean={stats.pcs_mean:.9g} secondary_mean={stats.secondary_mean:.9g} "
           f"(sample={stats.sample_size}, exact={stats.exact})")

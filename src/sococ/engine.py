@@ -22,9 +22,10 @@ import numpy as np
 
 from . import market
 from .errors import ConfigurationError, InternalConsistencyError
+from .market import _SLEEP
 from .metrics import MetricsSink
 from .topology import ContactTopology
-from .workload import Mode, ServiceRequest
+from .workload import ServiceRequest
 
 CAPACITY_TOL = 1e-9
 STATE_MIX_TOL = 1e-12
@@ -32,9 +33,6 @@ STATE_MIX_TOL = 1e-12
 # Event kinds; completions sort before arrivals at equal times.
 EV_COMPLETION = 0
 EV_ARRIVAL = 1
-
-# Mode.SLEEP as a plain int: an enum member lookup costs more per request
-_SLEEP = int(Mode.SLEEP)
 
 
 @dataclass(frozen=True)
@@ -145,24 +143,20 @@ class Fleet:
             )
 
 
-def init_servers(
-    topology: ContactTopology,
-    config: EngineConfig,
-    rng: np.random.Generator | None = None,
-) -> Fleet:
+def init_servers(topology: ContactTopology, config: EngineConfig) -> Fleet:
     """Draw each server's mode, background load and unit cost.
 
-    Draw order per fleet: modes, unit costs, background loads. Sleeping
-    servers always start with zero background load.
+    The draws come from a generator seeded with `config.seed`, in this order
+    per fleet: modes, unit costs, background loads. Sleeping servers always
+    start with zero background load.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     n = topology.n_core
     modes = rng.choice(4, size=n, p=list(config.initial_state_mix)).astype(np.int8)
     costs = rng.uniform(config.cost_range[0], config.cost_range[1], size=n)
     lo, hi = config.initial_load_range
     loads = rng.uniform(lo, hi, size=n) * config.capacity_scu
-    background = np.where(modes == Mode.SLEEP, 0.0, loads)
+    background = np.where(modes == _SLEEP, 0.0, loads)
     return Fleet(modes=modes, capacity=config.capacity_scu,
                  background=background, unit_cost=costs)
 
@@ -177,7 +171,6 @@ class RunStats:
     completed_at_stream_end: int = 0
     in_flight_at_stream_end: int = 0
     unsatisfied: int = 0
-    final_time: float = 0.0
     event_digest: str = ""
 
 
@@ -248,6 +241,5 @@ def run(
             f"fleet did not return to background load (drift {drift:g} SCU)"
         )
 
-    stats.final_time = last_time if stats.n_requests else 0.0
     stats.event_digest = digest.hexdigest()
     return stats

@@ -287,14 +287,28 @@ def _int(value) -> int:
     return value
 
 
+def _float(value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    if not isinstance(values, list):
+        raise TypeError("expected a list of numbers")
+    return tuple(_float(v) for v in values)
 
 
 def _pair(value) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
+    if not isinstance(value, list) or len(value) != 2:
         raise ValueError("expected [lo, hi]")
-    return float(value[0]), float(value[1])
+    return _floats(value)
 
 
 def _dist(d: dict, path: str) -> DistributionSpec:
@@ -303,15 +317,15 @@ def _dist(d: dict, path: str) -> DistributionSpec:
     kind = d["kind"]
     if kind == "exponential":
         _require(d, path, ("kind", "mean"))
-        return _build(DistributionSpec, path, kind, _get(d, path, "mean", float))
+        return _build(DistributionSpec, path, kind, _get(d, path, "mean", _float))
     if kind == "pareto":
         _require(d, path, ("kind", "alpha", "scale"))
-        return _build(DistributionSpec, path, kind, _get(d, path, "alpha", float),
-                      _get(d, path, "scale", float))
+        return _build(DistributionSpec, path, kind, _get(d, path, "alpha", _float),
+                      _get(d, path, "scale", _float))
     if kind == "uniform":
         _require(d, path, ("kind", "low", "high"))
-        return _build(DistributionSpec, path, kind, _get(d, path, "low", float),
-                      _get(d, path, "high", float))
+        return _build(DistributionSpec, path, kind, _get(d, path, "low", _float),
+                      _get(d, path, "high", _float))
     raise ConfigurationError(f"{path}.kind: unknown distribution {kind!r}")
 
 
@@ -355,8 +369,8 @@ def load_config(path: str | Path) -> ExperimentPreset:
     _require(m, "market", ("initiation",),
              ("leader_candidate_fraction", "use_secondary", "invited_fraction_c1",
               "cost_range"))
-    market_fields = _present(m, "market", leader_candidate_fraction=float,
-                             use_secondary=_bool, invited_fraction_c1=float)
+    market_fields = _present(m, "market", leader_candidate_fraction=_float,
+                             use_secondary=_bool, invited_fraction_c1=_float)
     if "use_secondary" in market_fields:
         market_fields["use_secondary_contacts"] = market_fields.pop("use_secondary")
     market = _build(MarketConfig, "market", initiation=m["initiation"], **market_fields)
@@ -366,7 +380,7 @@ def load_config(path: str | Path) -> ExperimentPreset:
              ("capacity_scu", "initial_state_mix", "initial_load_range"))
     eng = _build(
         EngineConfig, "engine",
-        **_present(e, "engine", capacity_scu=float, initial_state_mix=_floats,
+        **_present(e, "engine", capacity_scu=_float, initial_state_mix=_floats,
                    initial_load_range=_pair),
         # cost_range rides in the market section but parameterizes
         # fleet initialization
@@ -381,7 +395,7 @@ def load_config(path: str | Path) -> ExperimentPreset:
     )
 
     return ExperimentPreset(
-        name=str(raw.get("name", path.stem)),
+        name=_present(raw, "config", name=_str).get("name", path.stem),
         topology=topo, engine=eng, workload=workload, market=market,
         metrics=metrics, scale_note="loaded from config file",
     )
@@ -437,11 +451,10 @@ def run_experiment(
     ecfg = replace(p.engine, seed=seeds[1])
     wcfg = replace(p.workload, seed=seeds[2])
     mcfg = p.market
-    mets = p.metrics
     if bin_size is not None:
-        mets = replace(mets, bin_size=bin_size)
+        p = replace(p, metrics=replace(p.metrics, bin_size=bin_size))
     if n_subsets is not None:
-        mets = replace(mets, n_subsets=n_subsets)
+        p = replace(p, metrics=replace(p.metrics, n_subsets=n_subsets))
 
     t0 = time.perf_counter()
     topo = organize(tcfg)
@@ -451,7 +464,7 @@ def run_experiment(
 
     fleet = init_servers(topo, ecfg)
     stream = generate_stream(wcfg, topo.n_periphery)
-    sink = MetricsSink(mets.bin_size, mets.n_subsets)
+    sink = MetricsSink(p.metrics)
     market_rng = np.random.default_rng(seeds[3])
     stats = engine_mod.run(topo, fleet, stream, mcfg, sink, market_rng)
     t2 = time.perf_counter()
@@ -461,7 +474,7 @@ def run_experiment(
     report = build_report(
         sink, fleet, stats,
         config_echo=_config_echo(p, seed, seeds),
-        seed=seed, preset=p.name, coalition_buckets=mets.coalition_buckets,
+        seed=seed, preset=p.name, coalition_buckets=p.metrics.coalition_buckets,
     )
     if out_dir is not None:
         emit(report, out_dir)

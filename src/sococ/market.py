@@ -28,6 +28,7 @@ from .workload import Mode, ServiceRequest
 # Smallest allocation a server is recruited for, in SCU.
 MIN_ALLOCATION = 0.01
 _TRIM_EPS = 1e-9
+# Mode.SLEEP as a plain int: an enum member lookup costs more per request
 _SLEEP = int(Mode.SLEEP)
 
 
@@ -49,12 +50,11 @@ class MarketConfig:
 
 @dataclass
 class Coalition:
-    """A leader-headed member set whose allocations cover one request."""
+    """A member set whose allocations cover one request; member_ids[0] is
+    the leader."""
 
-    leader: int
     member_ids: np.ndarray
     allocations: np.ndarray
-    request_id: int
 
     @property
     def size(self) -> int:
@@ -199,7 +199,7 @@ def assemble_coalition(
     need = request.workload
     leader_free = fleet.capacity - fleet.committed.item(leader)
     if leader_free + _TRIM_EPS >= need:
-        return Coalition(leader, np.array([leader], np.int32), np.array([need]), request.id)
+        return Coalition(np.array([leader], np.int32), np.array([need]))
 
     ids, allocs = [leader], [leader_free]
     remaining = need - leader_free
@@ -214,7 +214,7 @@ def assemble_coalition(
         covered = _fill((s for s in secondaries if s[0] not in taken), remaining, ids, allocs)
     if not covered:
         return None
-    return Coalition(leader, np.array(ids, np.int32), np.array(allocs), request.id)
+    return Coalition(np.array(ids, np.int32), np.array(allocs))
 
 
 def price_bid(coalition: Coalition, fleet) -> Bid:
@@ -264,7 +264,7 @@ class Market:
         pool = _eligible(self.fleet, self.order.sort_ids(invited), request.mode)
         if not _fill(pool, request.workload, ids, allocs):
             return AuctionOutcome(request.id, None, invited.size)
-        coalition = Coalition(int(ids[0]), np.array(ids, np.int32), np.array(allocs), request.id)
+        coalition = Coalition(np.array(ids, np.int32), np.array(allocs))
         return AuctionOutcome(request.id, price_bid(coalition, self.fleet), invited.size)
 
     def _run_c2(self, request: ServiceRequest) -> AuctionOutcome:

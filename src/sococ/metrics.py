@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,13 +114,9 @@ def subset_stddev(outcomes, n_subsets: int) -> float:
 class MetricsSink:
     """Single-writer sink receiving auction outcomes in arrival order."""
 
-    def __init__(self, bin_size: int, n_subsets: int):
-        if bin_size < 1:
-            raise ConfigurationError("bin_size must be >= 1")
-        if n_subsets < 1:
-            raise ConfigurationError("n_subsets must be >= 1")
-        self.bin_size = bin_size
-        self.n_subsets = n_subsets
+    def __init__(self, config: MetricsConfig):
+        self.bin_size = config.bin_size
+        self.n_subsets = config.n_subsets
         self.bins: list[BinStats] = []
         self.totals: dict[Mode, ModeTotals] = {m: ModeTotals() for m in REQUEST_MODES}
         self._buffers: dict[Mode, list[bool]] = {m: [] for m in REQUEST_MODES}
@@ -196,14 +192,10 @@ def build_report(
     bins = sorted(sink.bins, key=lambda b: (b.mode, b.bin_index))
     for b in bins:
         b.request_share = b.n_requests / total if total else 0.0
-    if fleet is not None:
-        coalition = coalition_histogram(fleet, coalition_buckets)
-    else:
-        coalition = CoalitionHistogram(mean=0.0, stddev=0.0, buckets=[])
     return RunReport(
         bins=bins,
         totals={m.name: sink.totals[m] for m in REQUEST_MODES},
-        coalition=coalition,
+        coalition=coalition_histogram(fleet, coalition_buckets),
         n_requests=stats.n_requests,
         unsatisfied=stats.unsatisfied,
         completed=stats.completed,

@@ -93,14 +93,6 @@ class ContactTopology:
     periphery_known_cores: list[np.ndarray]  # M arrays of core ids, ascending
     aux_roster: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
 
-    @property
-    def m(self) -> int:
-        return self.core_known_periphery.shape[1]
-
-    @property
-    def n_contacts(self) -> int:
-        return self.core_primary_contacts.shape[1]
-
     def pcs_sizes(self) -> np.ndarray:
         return np.array([len(p) for p in self.periphery_known_cores], dtype=np.int64)
 
@@ -196,16 +188,15 @@ def _sample_rows(rng: np.random.Generator, n_rows: int, k: int, pop: int) -> np.
     return _sample_rows_rejection(rng, n_rows, k, pop)
 
 
-def organize(config: TopologyConfig, rng: np.random.Generator | None = None) -> ContactTopology:
+def organize(config: TopologyConfig) -> ContactTopology:
     """Run the one-shot self-organization and return the contact structure.
 
     The periphery "broadcast" is modeled as instantaneous global knowledge:
     each core directly draws m distinct periphery servers, then n distinct
-    primary contacts excluding itself. Identical (config, seed) pairs yield
-    identical topologies.
+    primary contacts excluding itself. The draws come from a generator
+    seeded with `config.seed`, so equal configs yield equal topologies.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     n, m = config.n_core, config.periphery_per_core
     n_contacts = config.primary_contacts_per_core
 
@@ -343,10 +334,3 @@ def equal_width_histogram(values: np.ndarray, bucket_count: int) -> list[tuple[f
         (lo + i * width, lo + (i + 1) * width, int(counts[i]))
         for i in range(bucket_count)
     ]
-
-
-def secondary_histogram(stats: TopologyStats, bucket_count: int) -> list[tuple[float, float, int]]:
-    """Re-bucket the measured secondary-contact counts."""
-    if stats.secondary_counts.size == 0:
-        raise ConfigurationError("stats carry no secondary-contact sample")
-    return equal_width_histogram(stats.secondary_counts, bucket_count)

@@ -61,13 +61,6 @@ class DistributionSpec:
         else:
             raise ConfigurationError(f"unknown distribution kind {self.kind!r}")
 
-    def mean(self) -> float:
-        if self.kind == "exponential":
-            return self.param1
-        if self.kind == "pareto":
-            return self.param1 * self.param2 / (self.param1 - 1.0)
-        return 0.5 * (self.param1 + self.param2)
-
 
 @dataclass(frozen=True)
 class ServiceRequest:
@@ -136,21 +129,17 @@ def _draw_mode(rng: np.random.Generator, probs: tuple[float, float, float]) -> M
     return REQUEST_MODES[2]
 
 
-def generate_stream(
-    config: WorkloadConfig,
-    n_periphery: int,
-    rng: np.random.Generator | None = None,
-) -> Iterator[ServiceRequest]:
+def generate_stream(config: WorkloadConfig, n_periphery: int) -> Iterator[ServiceRequest]:
     """Yield exactly n_requests requests in arrival order, lazily.
 
     Arrival times accumulate the inter-arrival samples; the entry periphery
-    is uniform over [0, n_periphery). The same (config, seed) regenerates an
-    element-wise identical stream.
+    is uniform over [0, n_periphery). The draws come from a generator seeded
+    with `config.seed`, so equal configs regenerate element-wise identical
+    streams.
     """
     if n_periphery < 1:
         raise ConfigurationError("n_periphery must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     workload_dist = DistributionSpec("uniform", *config.workload_range)
     t = 0.0
     for i in range(config.n_requests):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sococ.engine import CAPACITY_TOL, EngineConfig, Fleet, RunStats, init_servers, run
 from sococ.errors import ConfigurationError, InternalConsistencyError
 from sococ.market import Coalition, Market, MarketConfig
-from sococ.metrics import MetricsSink
+from sococ.metrics import MetricsConfig, MetricsSink
 from sococ.topology import ContactTopology, TopologyConfig, organize
 from sococ.workload import (
     DistributionSpec,
@@ -45,7 +45,7 @@ def request(rid, t, mode=Mode.M1, workload=1.0, duration=1.0, entry=0):
 
 
 def run_requests(topology, fleet, requests, market_config=None, seed=0, bin_size=100):
-    sink = MetricsSink(bin_size=bin_size, n_subsets=10)
+    sink = MetricsSink(MetricsConfig(bin_size=bin_size, n_subsets=10))
     config = market_config or MarketConfig("C2", leader_candidate_fraction=1.0)
     stats = run(topology, fleet, requests, config, sink, np.random.default_rng(seed))
     return stats, sink
@@ -74,7 +74,7 @@ def test_all_sleep_mix_gives_idle_fleet():
 
 def test_state_mix_matches_binomial_oracle_at_scale():
     topo = small_topology(n_core=1_000_000, n_periphery=2, m=1, contacts=0)
-    fleet = init_servers(topo, EngineConfig(), np.random.default_rng(3))
+    fleet = init_servers(topo, EngineConfig(seed=3))
     sleep_count = int((fleet.modes == Mode.SLEEP).sum())
     sigma = math.sqrt(0.2 * 0.8 * 1_000_000)
     assert abs(sleep_count - 200_000) <= 3 * sigma
@@ -116,7 +116,7 @@ def test_init_is_deterministic_per_seed():
 def test_commit_and_release_roundtrip():
     from sococ.market import Coalition
     fleet = make_fleet([Mode.M1, Mode.SLEEP], background=[4.0, 0.0])
-    coalition = Coalition(0, np.array([0, 1]), np.array([2.0, 3.0]), 7)
+    coalition = Coalition(np.array([0, 1]), np.array([2.0, 3.0]))
     fleet.commit(request(7, 0.0, workload=5.0), coalition)
     assert fleet.committed.tolist() == [6.0, 3.0]
     assert fleet.modes[1] == Mode.M1          # sleeper woke into the request mode
@@ -137,7 +137,7 @@ def test_release_of_unknown_request_is_fatal():
 def test_double_commit_is_fatal():
     from sococ.market import Coalition
     fleet = make_fleet([Mode.M1])
-    coalition = Coalition(0, np.array([0]), np.array([1.0]), 1)
+    coalition = Coalition(np.array([0]), np.array([1.0]))
     fleet.commit(request(1, 0.0), coalition)
     with pytest.raises(InternalConsistencyError):
         fleet.commit(request(1, 0.0), coalition)
@@ -154,7 +154,7 @@ def test_conservation_check_detects_corruption():
 def test_server_view_reflects_live_allocations():
     from sococ.market import Coalition
     fleet = make_fleet([Mode.M2], background=[3.0])
-    fleet.commit(request(4, 0.0, mode=Mode.M2), Coalition(0, np.array([0]), np.array([2.5]), 4))
+    fleet.commit(request(4, 0.0, mode=Mode.M2), Coalition(np.array([0]), np.array([2.5])))
     assert fleet.committed[0] == pytest.approx(5.5)
     assert fleet.capacity - fleet.committed[0] == pytest.approx(4.5)
     ids, allocs = fleet.live[4]
@@ -296,7 +296,7 @@ def test_invariant_checked_stress_run_stays_clean():
 
 def test_commit_rejects_a_server_listed_twice():
     fleet = make_fleet([Mode.M1, Mode.M1], background=[1.0, 1.0])
-    coalition = Coalition(0, np.array([0, 0]), np.array([1.0, 1.0]), 3)
+    coalition = Coalition(np.array([0, 0]), np.array([1.0, 1.0]))
     with pytest.raises(InternalConsistencyError, match="repeats a server"):
         fleet.commit(request(3, 0.0, workload=2.0), coalition)
     assert fleet.committed.tolist() == [1.0, 1.0]
@@ -305,7 +305,7 @@ def test_commit_rejects_a_server_listed_twice():
 
 def test_release_rejects_a_negative_load():
     fleet = make_fleet([Mode.M1], background=[1.0])
-    fleet.commit(request(5, 0.0, workload=2.0), Coalition(0, np.array([0]), np.array([2.0]), 5))
+    fleet.commit(request(5, 0.0, workload=2.0), Coalition(np.array([0]), np.array([2.0])))
     fleet.committed[0] = 1.5  # releasing 2.0 SCU would leave -0.5
     with pytest.raises(InternalConsistencyError, match="negative load"):
         fleet.release(5)

@@ -13,6 +13,9 @@ are compared with the ones recorded here:
   alone cannot tell which servers won: two runs that commit different
   coalitions with the same arrival times and durations share it.
 
+The sha256 of `summary.json` is pinned as well, in `SUMMARY`: it covers the
+totals and the config echo, which the four values above do not.
+
 The desk presets are cut from 10^5 to 10^4 requests to keep the run fast.
 exp5 and exp6 run at their published 10^3 requests.
 
@@ -79,6 +82,16 @@ GOLDEN = {
     ),
 }
 
+# preset -> sha256(summary.json)
+SUMMARY = {
+    "exp5": "b619c1930bfa53242d89549b5e32aca3ebcb24df826104c0297cde385ce422ad",
+    "exp6": "965a9b73709260efb7e146ee73c61a0fc4c1a2af5362d2009601f53ab2948bb4",
+    "exp1-desk": "a03a7f97c77179b7728f8073df2fc9b8c8c998a04e95c7c4f21b76840a121009",
+    "exp2-desk": "ac09a0cfa09a6812b65a42aadbc65359c37382493ea4a4d38072c9aec80c0db7",
+    "exp3-desk": "a47796aebf65b676d388b59e2ff2779f43a66fb9409cd35389b409e7d9eccc5c",
+    "exp4-desk": "67fdcdf511773078c2cff4b312a81548c2ec13dfd24773a91aab7357abfdd283",
+}
+
 
 # exp2-desk with primary_contacts_per_core=10 and 5,000 requests, at SEED:
 # the four pinned values and the number of ContactOrder.secondary calls
@@ -89,6 +102,7 @@ FALLBACK = (
     "cdaa794bf5101200bc2f973b44eabbf081589b1c43de04d11037a632870a3380",
 )
 FALLBACK_SECONDARY_CALLS = 670
+FALLBACK_SUMMARY = "a38fd7432e149bbab5b84724eb9e84cbdb653c21d3046512ba73e7a421d368f1"
 
 
 def golden_preset(name):
@@ -129,6 +143,7 @@ def run_pinned(p, out_dir, monkeypatch):
 )
 def test_preset_outputs_match_golden(name, tmp_path, monkeypatch):
     assert run_pinned(golden_preset(name), tmp_path, monkeypatch) == GOLDEN[name]
+    assert file_sha256(tmp_path / "summary.json") == SUMMARY[name]
 
 
 def test_secondary_fallback_outputs_match_golden(tmp_path, monkeypatch):
@@ -150,3 +165,4 @@ def test_secondary_fallback_outputs_match_golden(tmp_path, monkeypatch):
     pinned = run_pinned(p, tmp_path, monkeypatch)
     assert calls == FALLBACK_SECONDARY_CALLS
     assert pinned == FALLBACK
+    assert file_sha256(tmp_path / "summary.json") == FALLBACK_SUMMARY

@@ -183,11 +183,26 @@ def test_config_rejects_bad_values_with_section(tmp_path):
         ("topology", "n_core", "500"),
         ("workload", "n_requests", True),
         ("metrics", "bin_size", 100.0),
+        ("market", "leader_candidate_fraction", True),
+        ("engine", "capacity_scu", "10"),
+        ("workload", "workload_scu", ["0.1", 40]),
+        ("workload", "mode_probs", [0.3333, 0.3333, "0.3334"]),
     ):
         path = write_config(tmp_path, lambda raw: raw[section].update({key: value}))
         with pytest.raises(ConfigurationError) as err:
             load_config(path)
         assert f"{section}.{key}" in str(err.value)
+
+    def string_mean(raw):
+        raw["workload"]["interarrival"]["mean"] = "1.5"
+
+    with pytest.raises(ConfigurationError) as err:
+        load_config(write_config(tmp_path, string_mean))
+    assert "workload.interarrival.mean" in str(err.value)
+
+    with pytest.raises(ConfigurationError) as err:
+        load_config(write_config(tmp_path, lambda raw: raw.update(name=5)))
+    assert "config.name" in str(err.value)
 
 
 def test_config_rejects_missing_section(tmp_path):
@@ -242,6 +257,10 @@ def test_metrics_overrides_apply(tmp_path):
     report = run_experiment("exp5", 1, tmp_path, bin_size=50, n_subsets=5)
     full_bins = [b for b in report.bins if not b.partial]
     assert all(b.n_requests == 50 for b in full_bins)
+    # the config echo reports the metrics the run used, not the preset's
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["config"]["metrics"]["bin_size"] == 50
+    assert summary["config"]["metrics"]["n_subsets"] == 5
 
 
 def test_secondary_contacts_never_reduce_success_on_matched_seeds():
@@ -307,13 +326,14 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys):
 def test_cli_organize_emits_stats(tmp_path):
     code = main([
         "organize", "--n-core", "2000", "--n-periphery", "100", "--m", "10",
-        "--n-contacts", "50", "--seed", "7", "--out", str(tmp_path),
+        "--seed", "7", "--out", str(tmp_path),
     ])
     assert code == 0
     stats = (tmp_path / "topology_stats.csv").read_text().splitlines()
     assert stats[0] == "metric,value"
     values = dict(line.split(",") for line in stats[1:])
     assert values["n_core"] == "2000"
+    assert "n_contacts" not in values
     assert float(values["pcs_mean"]) == 200.0  # N*m/M exactly
     hist = (tmp_path / "secondary_histogram.csv").read_text().splitlines()
     assert hist[0] == "bucket_lo,bucket_hi,count"

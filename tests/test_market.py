@@ -190,7 +190,7 @@ def test_singleton_coalition_when_leader_covers_workload():
     coalition = assemble(0, make_request(workload=4.0), topo, fleet)
     assert coalition.member_ids.tolist() == [0]
     assert coalition.allocations.tolist() == [4.0]
-    assert coalition.leader == 0
+    assert coalition.member_ids[0] == 0
 
 
 def test_greedy_fill_eight_members_of_five_scu():
@@ -286,11 +286,11 @@ def test_every_allocation_fits_free_capacity():
 
 def test_price_is_allocation_weighted_cost():
     fleet = make_fleet([Mode.M1], costs=[2.0])
-    coalition = Coalition(0, np.array([0]), np.array([4.0]), 0)
+    coalition = Coalition(np.array([0]), np.array([4.0]))
     assert price_bid(coalition, fleet).price == pytest.approx(8.0)
 
     fleet2 = make_fleet([Mode.M1] * 2, costs=[1.0, 3.0])
-    coalition2 = Coalition(0, np.array([0, 1]), np.array([3.0, 1.0]), 0)
+    coalition2 = Coalition(np.array([0, 1]), np.array([3.0, 1.0]))
     assert price_bid(coalition2, fleet2).price == pytest.approx(6.0)
 
 
@@ -302,7 +302,7 @@ def test_price_matches_independent_dot_product():
         fleet = make_fleet([Mode.M1] * 8, costs=costs)
         ids = rng.choice(8, size=n, replace=False)
         allocs = rng.uniform(0.1, 5.0, size=n)
-        bid = price_bid(Coalition(int(ids[0]), ids, allocs, 0), fleet)
+        bid = price_bid(Coalition(ids, allocs), fleet)
         manual = sum(float(a) * costs[i] for i, a in zip(ids, allocs))
         assert bid.price == pytest.approx(manual, rel=1e-12)
 
@@ -311,7 +311,7 @@ def test_unknown_member_id_is_an_internal_error():
     from sococ.errors import InternalConsistencyError
     fleet = make_fleet([Mode.M1])
     with pytest.raises(InternalConsistencyError):
-        price_bid(Coalition(5, np.array([5]), np.array([1.0]), 0), fleet)
+        price_bid(Coalition(np.array([5]), np.array([1.0])), fleet)
 
 
 # -- Market.run_auction ---------------------------------------------------------
@@ -584,7 +584,7 @@ def test_c1_leader_is_cheapest_member():
     outcome = auction(make_request(workload=5.0), topo, fleet, config,
                       np.random.default_rng(1))
     assert outcome.bid is not None
-    assert outcome.bid.coalition.leader == 2
+    assert outcome.bid.coalition.member_ids[0] == 2
     assert outcome.bid.coalition.member_ids.tolist() == [2, 5, 1]
 
 

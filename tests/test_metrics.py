@@ -23,7 +23,7 @@ from sococ.workload import Mode
 
 
 def won(rid=0):
-    coalition = Coalition(0, np.array([0]), np.array([1.0]), rid)
+    coalition = Coalition(np.array([0]), np.array([1.0]))
     return AuctionOutcome(rid, Bid(coalition, 1.0), 1)
 
 
@@ -47,7 +47,7 @@ def empty_stats():
 # -- sink / bins ----------------------------------------------------------------
 
 def test_bin_closes_at_size_with_correct_rate():
-    sink = MetricsSink(bin_size=4, n_subsets=2)
+    sink = MetricsSink(MetricsConfig(bin_size=4, n_subsets=2))
     for outcome in [won(0), won(1), lost(2)]:
         sink.record_outcome(outcome, Mode.M2)
     assert sink.bins == []  # no bin before the rollover
@@ -60,7 +60,7 @@ def test_bin_closes_at_size_with_correct_rate():
 
 
 def test_finalize_flags_partial_bins():
-    sink = MetricsSink(bin_size=4, n_subsets=2)
+    sink = MetricsSink(MetricsConfig(bin_size=4, n_subsets=2))
     for i in range(6):
         sink.record_outcome(won(i), Mode.M3)
     sink.finalize()
@@ -77,7 +77,7 @@ def test_published_totals_arithmetic():
 
 
 def test_bins_are_per_mode_and_ordered():
-    sink = MetricsSink(bin_size=2, n_subsets=1)
+    sink = MetricsSink(MetricsConfig(bin_size=2, n_subsets=1))
     sequence = [(won(0), Mode.M1), (won(1), Mode.M2), (lost(2), Mode.M1),
                 (won(3), Mode.M1), (lost(4), Mode.M2)]
     for outcome, mode in sequence:
@@ -141,14 +141,13 @@ def test_single_win_histogram():
 # -- emit / round-trip ----------------------------------------------------------------
 
 def test_empty_run_emits_valid_headers_only_files(tmp_path):
-    sink = MetricsSink(bin_size=10, n_subsets=2)
-    report = build_report(sink, None, empty_stats(), config_echo={"x": 1}, seed=9)
+    sink = MetricsSink(MetricsConfig(bin_size=10, n_subsets=2))
+    report = build_report(sink, make_fleet(), empty_stats(), config_echo={"x": 1}, seed=9)
     paths = emit(report, tmp_path)
     assert paths["bins"].read_text().strip() == (
         "mode,bin_index,n_requests,n_failed,success_rate,subset_stddev,"
         "partial,subset_dropped,request_share"
     )
-    assert paths["coalitions"].read_text().strip() == "bucket_lo,bucket_hi,count"
     summary = json.loads(paths["summary"].read_text())
     assert summary["seed"] == 9
     assert summary["overall_success_rate"] is None
@@ -157,7 +156,7 @@ def test_empty_run_emits_valid_headers_only_files(tmp_path):
 
 def test_emitted_files_are_byte_identical_across_calls(tmp_path):
     def build():
-        sink = MetricsSink(bin_size=3, n_subsets=3)
+        sink = MetricsSink(MetricsConfig(bin_size=3, n_subsets=3))
         for i in range(7):
             sink.record_outcome(won(i) if i % 3 else lost(i), Mode.M1)
         fleet = make_fleet()
@@ -172,7 +171,7 @@ def test_emitted_files_are_byte_identical_across_calls(tmp_path):
 
 
 def test_report_round_trips_through_files(tmp_path):
-    sink = MetricsSink(bin_size=5, n_subsets=5)
+    sink = MetricsSink(MetricsConfig(bin_size=5, n_subsets=5))
     rng = np.random.default_rng(4)
     for i in range(23):
         mode = Mode(int(rng.integers(1, 4)))
@@ -208,7 +207,7 @@ def test_report_round_trips_through_files(tmp_path):
 
 
 def test_request_share_sums_to_one_over_all_bins():
-    sink = MetricsSink(bin_size=4, n_subsets=2)
+    sink = MetricsSink(MetricsConfig(bin_size=4, n_subsets=2))
     rng = np.random.default_rng(8)
     for i in range(37):
         sink.record_outcome(won(i), Mode(int(rng.integers(1, 4))))
@@ -221,5 +220,3 @@ def test_metrics_config_validation():
         MetricsConfig(bin_size=0)
     with pytest.raises(ConfigurationError):
         MetricsConfig(n_subsets=0)
-    with pytest.raises(ConfigurationError):
-        MetricsSink(bin_size=5, n_subsets=0)

@@ -18,7 +18,6 @@ from sococ.topology import (
     expected_pcs_size,
     expected_secondary_fraction,
     organize,
-    secondary_histogram,
     secondary_mask,
 )
 
@@ -309,7 +308,7 @@ def test_histogram_rejects_zero_buckets():
 def test_secondary_histogram_mode_sits_near_the_mean():
     topo = make(2000, 100, 10, 5, seed=1)
     stats = compute_stats(topo)
-    buckets = secondary_histogram(stats, 20)
+    buckets = equal_width_histogram(stats.secondary_counts, 20)
     assert sum(c for _, _, c in buckets) == 2000
     modal = max(buckets, key=lambda b: b[2])
     # distribution concentrates around its mean

@@ -66,7 +66,6 @@ def test_pareto_sample_mean_matches_closed_form():
     rng = np.random.default_rng(3)
     dist = DistributionSpec("pareto", 2.0, 1.0)
     draws = np.array([sample(dist, rng) for _ in range(1_000_000)])
-    assert dist.mean() == 2.0
     assert abs(draws.mean() - 2.0) < 0.05
     assert draws.min() >= 1.0
 
