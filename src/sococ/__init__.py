@@ -10,17 +10,7 @@ together behind named experiment presets and the `sococ` CLI.
 from .engine import EngineConfig, Fleet, init_servers, run
 from .errors import ConfigurationError, InternalConsistencyError
 from .harness import ExperimentPreset, load_config, preset, run_experiment, sweep
-from .market import (
-    AuctionOutcome,
-    Bid,
-    Coalition,
-    Market,
-    MarketConfig,
-    assemble_coalition,
-    elect_leader,
-    invite_leader_candidates,
-    price_bid,
-)
+from .market import AuctionOutcome, Bid, Coalition, Market, MarketConfig
 from .metrics import MetricsConfig, MetricsSink, RunReport, coalition_histogram, emit, subset_stddev
 from .topology import (
     ContactTopology,

@@ -163,14 +163,12 @@ def init_servers(topology: ContactTopology, config: EngineConfig) -> Fleet:
 
 @dataclass
 class RunStats:
-    """Outcome counters and determinism digest of one engine run."""
+    """Completion counters and determinism digest of one engine run; the
+    auction outcomes themselves are recorded by the metrics sink."""
 
-    n_requests: int = 0
-    successes: int = 0
     completed: int = 0                 # total completions, including the drain
     completed_at_stream_end: int = 0
     in_flight_at_stream_end: int = 0
-    unsatisfied: int = 0
     event_digest: str = ""
 
 
@@ -214,19 +212,15 @@ def run(
         if outcome.bid is not None:
             fleet.commit(request, outcome.bid.coalition)
             heapq.heappush(heap, (request.arrival_time + request.duration, request.id))
-            stats.successes += 1
-        else:
-            stats.unsatisfied += 1
         sink.record_outcome(outcome, request.mode)
-        stats.n_requests += 1
         on_event(request.arrival_time, EV_ARRIVAL, request.id)
 
+    # the completion queue and the live ledger each hold the won requests
+    # not yet released
+    if len(heap) != len(fleet.live):
+        raise InternalConsistencyError("in-flight ledger does not balance")
     stats.in_flight_at_stream_end = len(fleet.live)
     stats.completed_at_stream_end = stats.completed
-    if stats.n_requests != stats.successes + stats.unsatisfied:
-        raise InternalConsistencyError("request ledger does not balance")
-    if stats.successes != stats.completed + stats.in_flight_at_stream_end:
-        raise InternalConsistencyError("in-flight ledger does not balance")
     fleet.check_conservation()
 
     while heap:

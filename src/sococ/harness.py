@@ -468,14 +468,14 @@ def run_experiment(
     market_rng = np.random.default_rng(seeds[3])
     stats = engine_mod.run(topo, fleet, stream, mcfg, sink, market_rng)
     t2 = time.perf_counter()
-    log.info("%s: %d requests (%d won, %d unsatisfied) in %.2fs",
-             p.name, stats.n_requests, stats.successes, stats.unsatisfied, t2 - t1)
 
     report = build_report(
         sink, fleet, stats,
         config_echo=_config_echo(p, seed, seeds),
-        seed=seed, preset=p.name, coalition_buckets=p.metrics.coalition_buckets,
+        seed=seed, preset=p.name,
     )
+    log.info("%s: %d requests (%d won, %d unsatisfied) in %.2fs", p.name, report.n_requests,
+             report.n_requests - report.unsatisfied, report.unsatisfied, t2 - t1)
     if out_dir is not None:
         emit(report, out_dir)
         log.info("%s: report written to %s (emit %.2fs)",

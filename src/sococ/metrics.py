@@ -1,17 +1,23 @@
 """Run statistics: binned success rates, dispersion, coalition histograms,
 and the CSV/JSON report files.
 
-Success rates are tracked per request mode in arrival-ordered bins of a
-fixed size; each closed bin also records the standard deviation of the
-success rate across equal arrival-ordered subsets, mirroring how dispersion
-is reported for the large experiments.
+The sink is the one record of auction outcomes: a won flag per request,
+kept per request mode in arrival order. Everything the report says about
+outcomes is derived from it at report time: per-mode totals, request and
+failure counts, and the bins. Each mode's flags are cut into bins of a fixed
+size plus one partial tail, and each bin also records the standard deviation
+of the success rate across equal arrival-ordered subsets, mirroring how
+dispersion is reported for the large experiments.
+
+The record costs one byte per request: 20 KB for 2x10^4 requests, about
+50 MB for the 5x10^7 requests of the published presets.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +42,12 @@ class MetricsConfig:
             raise ConfigurationError("coalition_buckets must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinStats:
-    """Success statistics of one arrival-ordered bin of a single mode."""
+    """Success statistics of one arrival-ordered bin of a single mode.
+
+    The field order is the column order of bins.csv.
+    """
 
     mode: str
     bin_index: int
@@ -46,15 +55,15 @@ class BinStats:
     n_failed: int
     success_rate: float
     subset_stddev: float
-    partial: bool = False
-    subset_dropped: int = 0
-    request_share: float = 0.0
+    partial: bool
+    subset_dropped: int
+    request_share: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeTotals:
-    requests: int = 0
-    failed: int = 0
+    requests: int
+    failed: int
 
     @property
     def success_rate(self) -> float | None:
@@ -75,23 +84,28 @@ class RunReport:
     bins: list[BinStats]
     totals: dict[str, ModeTotals]
     coalition: CoalitionHistogram
-    n_requests: int
-    unsatisfied: int
     completed: int
     completed_at_stream_end: int
     in_flight_at_stream_end: int
     seed: int
-    preset: str | None
+    preset: str
     config: dict
     event_digest: str = ""
     schema_version: str = "1"
 
+    @property
+    def n_requests(self) -> int:
+        return sum(t.requests for t in self.totals.values())
+
+    @property
+    def unsatisfied(self) -> int:
+        return sum(t.failed for t in self.totals.values())
+
     def overall_success_rate(self) -> float | None:
-        total = sum(t.requests for t in self.totals.values())
+        total = self.n_requests
         if total == 0:
             return None
-        failed = sum(t.failed for t in self.totals.values())
-        return (total - failed) / total
+        return (total - self.unsatisfied) / total
 
 
 def subset_stddev(outcomes, n_subsets: int) -> float:
@@ -112,61 +126,18 @@ def subset_stddev(outcomes, n_subsets: int) -> float:
 
 
 class MetricsSink:
-    """Single-writer sink receiving auction outcomes in arrival order."""
+    """Single-writer record of auction outcomes: one won flag per request,
+    per request mode, in arrival order."""
 
     def __init__(self, config: MetricsConfig):
-        self.bin_size = config.bin_size
-        self.n_subsets = config.n_subsets
-        self.bins: list[BinStats] = []
-        self.totals: dict[Mode, ModeTotals] = {m: ModeTotals() for m in REQUEST_MODES}
-        self._buffers: dict[Mode, list[bool]] = {m: [] for m in REQUEST_MODES}
-        self._bin_index: dict[Mode, int] = {m: 0 for m in REQUEST_MODES}
-        self._finalized = False
+        self.config = config
+        self.won: dict[Mode, bytearray] = {m: bytearray() for m in REQUEST_MODES}
 
     def record_outcome(self, outcome, mode: Mode) -> None:
-        if self._finalized:
-            raise ConfigurationError("sink already finalized")
-        won = outcome.bid is not None
-        totals = self.totals[mode]
-        totals.requests += 1
-        if not won:
-            totals.failed += 1
-        buf = self._buffers[mode]
-        buf.append(won)
-        if len(buf) == self.bin_size:
-            self._close_bin(mode, partial=False)
-
-    def _close_bin(self, mode: Mode, partial: bool) -> None:
-        buf = self._buffers[mode]
-        n = len(buf)
-        wins = sum(buf)
-        set_size = n // self.n_subsets
-        self.bins.append(
-            BinStats(
-                mode=mode.name,
-                bin_index=self._bin_index[mode],
-                n_requests=n,
-                n_failed=n - wins,
-                success_rate=wins / n,
-                subset_stddev=subset_stddev(buf, self.n_subsets),
-                partial=partial,
-                subset_dropped=n - set_size * self.n_subsets,
-            )
-        )
-        self._bin_index[mode] += 1
-        self._buffers[mode] = []
-
-    def finalize(self) -> None:
-        """Close any open partial bins; the sink stops accepting outcomes."""
-        if self._finalized:
-            return
-        for mode in REQUEST_MODES:
-            if self._buffers[mode]:
-                self._close_bin(mode, partial=True)
-        self._finalized = True
+        self.won[mode].append(outcome.bid is not None)
 
 
-def coalition_histogram(fleet, bucket_count: int = 20) -> CoalitionHistogram:
+def coalition_histogram(fleet, bucket_count: int) -> CoalitionHistogram:
     """Distribution of how many coalitions each core server ever joined."""
     counts = fleet.coalition_count
     return CoalitionHistogram(
@@ -176,6 +147,29 @@ def coalition_histogram(fleet, bucket_count: int = 20) -> CoalitionHistogram:
     )
 
 
+def _mode_bins(mode: Mode, won: bytearray, config: MetricsConfig, total: int) -> list[BinStats]:
+    """One mode's flags cut into full bins of `config.bin_size`, then the
+    partial tail, if any."""
+    flags = np.frombuffer(won, dtype=np.uint8)
+    bins = []
+    for index, start in enumerate(range(0, flags.size, config.bin_size)):
+        chunk = flags[start:start + config.bin_size]
+        n = chunk.size
+        wins = int(chunk.sum())
+        bins.append(BinStats(
+            mode=mode.name,
+            bin_index=index,
+            n_requests=n,
+            n_failed=n - wins,
+            success_rate=wins / n,
+            subset_stddev=subset_stddev(chunk, config.n_subsets),
+            partial=n < config.bin_size,
+            subset_dropped=n % config.n_subsets,
+            request_share=n / total,
+        ))
+    return bins
+
+
 def build_report(
     sink: MetricsSink,
     fleet,
@@ -183,21 +177,18 @@ def build_report(
     *,
     config_echo: dict,
     seed: int,
-    preset: str | None = None,
-    coalition_buckets: int = 20,
+    preset: str,
 ) -> RunReport:
-    """Assemble the final run report from the sink, fleet and engine stats."""
-    sink.finalize()
-    total = sum(t.requests for t in sink.totals.values())
-    bins = sorted(sink.bins, key=lambda b: (b.mode, b.bin_index))
-    for b in bins:
-        b.request_share = b.n_requests / total if total else 0.0
+    """Derive the run report from the sink's outcome record, the fleet and
+    the engine stats."""
+    config = sink.config
+    total = sum(len(won) for won in sink.won.values())
     return RunReport(
-        bins=bins,
-        totals={m.name: sink.totals[m] for m in REQUEST_MODES},
-        coalition=coalition_histogram(fleet, coalition_buckets),
-        n_requests=stats.n_requests,
-        unsatisfied=stats.unsatisfied,
+        bins=[b for mode, won in sink.won.items()
+              for b in _mode_bins(mode, won, config, total)],
+        totals={mode.name: ModeTotals(len(won), len(won) - won.count(1))
+                for mode, won in sink.won.items()},
+        coalition=coalition_histogram(fleet, config.coalition_buckets),
         completed=stats.completed,
         completed_at_stream_end=stats.completed_at_stream_end,
         in_flight_at_stream_end=stats.in_flight_at_stream_end,
@@ -227,17 +218,6 @@ def _round9(obj):
     return obj
 
 
-BINS_COLUMNS = (
-    "mode",
-    "bin_index",
-    "n_requests",
-    "n_failed",
-    "success_rate",
-    "subset_stddev",
-    "partial",
-    "subset_dropped",
-    "request_share",
-)
 COALITIONS_COLUMNS = ("bucket_lo", "bucket_hi", "count")
 
 
@@ -253,16 +233,9 @@ def emit(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         bins_path = out / "bins.csv"
         with open(bins_path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(BINS_COLUMNS)
+            w.writerow(column.name for column in fields(BinStats))
             for b in report.bins:
-                w.writerow(
-                    _fmt(v)
-                    for v in (
-                        b.mode, b.bin_index, b.n_requests, b.n_failed,
-                        b.success_rate, b.subset_stddev, b.partial,
-                        b.subset_dropped, b.request_share,
-                    )
-                )
+                w.writerow(_fmt(v) for v in astuple(b))
         coalitions_path = out / "coalitions.csv"
         with open(coalitions_path, "w", newline="") as f:
             w = csv.writer(f)

@@ -4,13 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sococ.engine import CAPACITY_TOL, EngineConfig, Fleet, RunStats, init_servers, run
+from sococ.engine import CAPACITY_TOL, EngineConfig, Fleet, init_servers, run
 from sococ.errors import ConfigurationError, InternalConsistencyError
 from sococ.market import Coalition, Market, MarketConfig
-from sococ.metrics import MetricsConfig, MetricsSink
+from sococ.metrics import MetricsConfig, MetricsSink, build_report
 from sococ.topology import ContactTopology, TopologyConfig, organize
 from sococ.workload import (
     DistributionSpec,
@@ -45,10 +43,15 @@ def request(rid, t, mode=Mode.M1, workload=1.0, duration=1.0, entry=0):
 
 
 def run_requests(topology, fleet, requests, market_config=None, seed=0, bin_size=100):
+    """Run the requests; return the engine stats and the run report."""
     sink = MetricsSink(MetricsConfig(bin_size=bin_size, n_subsets=10))
     config = market_config or MarketConfig("C2", leader_candidate_fraction=1.0)
     stats = run(topology, fleet, requests, config, sink, np.random.default_rng(seed))
-    return stats, sink
+    return stats, build_report(sink, fleet, stats, config_echo={}, seed=seed, preset="test")
+
+
+def won(report):
+    return report.n_requests - report.unsatisfied
 
 
 # -- configuration -------------------------------------------------------------
@@ -169,8 +172,8 @@ def test_zero_requests_leave_state_untouched():
     fleet = init_servers(topo, EngineConfig(seed=1))
     before = fleet.committed.copy()
     modes_before = fleet.modes.copy()
-    stats, _ = run_requests(topo, fleet, [])
-    assert stats.n_requests == 0
+    _, report = run_requests(topo, fleet, [])
+    assert report.n_requests == 0
     assert (fleet.committed == before).all()
     assert (fleet.modes == modes_before).all()
 
@@ -178,8 +181,8 @@ def test_zero_requests_leave_state_untouched():
 def test_single_request_lifecycle_conserves_capacity():
     topo = small_topology()
     fleet = make_fleet([Mode.M1] * 20, background=[4.0] * 20)
-    stats, _ = run_requests(topo, fleet, [request(0, 1.0, workload=2.0)])
-    assert stats.successes == 1
+    stats, report = run_requests(topo, fleet, [request(0, 1.0, workload=2.0)])
+    assert won(report) == 1
     assert stats.completed == 1
     assert (fleet.coalition_count.sum()) == 1  # singleton coalition
     assert np.allclose(fleet.committed, fleet.background)
@@ -194,9 +197,9 @@ def test_completion_frees_capacity_before_equal_time_arrival():
         request(0, 1.0, workload=0.1, duration=1.0),
         request(1, 2.0, workload=0.1, duration=1.0),
     ]
-    stats, _ = run_requests(topo, fleet, requests)
-    assert stats.successes == 2
-    assert stats.unsatisfied == 0
+    _, report = run_requests(topo, fleet, requests)
+    assert won(report) == 2
+    assert report.unsatisfied == 0
 
 
 def test_ledger_balances_with_in_flight_requests():
@@ -205,9 +208,9 @@ def test_ledger_balances_with_in_flight_requests():
     # durations far beyond the last arrival keep everything in flight
     requests = [request(i, float(i + 1), workload=0.5, duration=1000.0)
                 for i in range(10)]
-    stats, _ = run_requests(topo, fleet, requests)
-    assert stats.n_requests == stats.successes + stats.unsatisfied
-    assert stats.successes == stats.completed_at_stream_end + stats.in_flight_at_stream_end
+    stats, report = run_requests(topo, fleet, requests)
+    assert report.n_requests == 10 == won(report) + report.unsatisfied
+    assert won(report) == stats.completed_at_stream_end + stats.in_flight_at_stream_end
     assert stats.in_flight_at_stream_end == 10
     assert stats.completed_at_stream_end == 0
     # the post-stream drain completes everything and returns the fleet
@@ -220,11 +223,11 @@ def test_unsatisfied_requests_are_recorded_and_never_retried():
     topo = small_topology(n_core=4)
     fleet = make_fleet([Mode.M2] * 4, background=[0.0] * 4)
     requests = [request(0, 1.0, mode=Mode.M1), request(1, 2.0, mode=Mode.M2)]
-    stats, sink = run_requests(topo, fleet, requests)
-    assert stats.unsatisfied == 1
-    assert stats.successes == 1
-    assert sink.totals[Mode.M1].failed == 1
-    assert sink.totals[Mode.M2].failed == 0
+    _, report = run_requests(topo, fleet, requests)
+    assert report.unsatisfied == 1
+    assert won(report) == 1
+    assert report.totals["M1"].failed == 1
+    assert report.totals["M2"].failed == 0
 
 
 def test_originally_running_server_keeps_mode_after_drain():
@@ -241,8 +244,8 @@ def test_multiplexing_increments_coalition_count_per_request():
     fleet = make_fleet([Mode.M1], background=[0.0])
     requests = [request(i, float(i + 1) * 0.001, workload=1.0, duration=50.0)
                 for i in range(5)]
-    stats, _ = run_requests(topo, fleet, requests)
-    assert stats.successes == 5
+    _, report = run_requests(topo, fleet, requests)
+    assert won(report) == 5
     assert fleet.coalition_count[0] == 5
 
 
@@ -260,12 +263,12 @@ def test_event_digest_is_deterministic_and_seed_sensitive():
         stream = generate_stream(config, 4)
         market = MarketConfig("C2", leader_candidate_fraction=0.1,
                               use_secondary_contacts=True)
-        stats, _ = run_requests(topo, fleet, stream, market_config=market, seed=seed)
-        return stats
+        _, report = run_requests(topo, fleet, stream, market_config=market, seed=seed)
+        return report
 
     a, b, c = one_run(3), one_run(3), one_run(4)
     assert a.event_digest == b.event_digest
-    assert a.successes == b.successes
+    assert won(a) == won(b)
     assert a.event_digest != c.event_digest
 
 
@@ -286,9 +289,9 @@ def test_invariant_checked_stress_run_stays_clean():
         market = MarketConfig(initiation, leader_candidate_fraction=0.3,
                               use_secondary_contacts=True, invited_fraction_c1=0.3)
         stream = generate_stream(config, 3)
-        stats, _ = run_requests(topo, fleet, stream, market_config=market, seed=8)
-        assert stats.n_requests == 2000
-        assert 0 < stats.successes <= 2000
+        _, report = run_requests(topo, fleet, stream, market_config=market, seed=8)
+        assert report.n_requests == 2000
+        assert 0 < won(report) <= 2000
         assert np.allclose(fleet.committed, fleet.background, atol=1e-6)
 
 
@@ -341,23 +344,36 @@ def test_run_catches_allocations_mutated_before_release():
         run_requests(topo, fleet, [request(0, 1.0, workload=2.0)])
 
 
-# -- property: random small topologies and streams ------------------------------------
+def test_run_catches_a_won_request_missing_from_the_live_ledger():
+    topo = small_topology()
+    fleet = make_fleet([Mode.M1] * 20, background=[4.0] * 20)
+    commit = fleet.commit
 
-@settings(derandomize=True, database=None, deadline=None)
-@given(
-    n_core=st.integers(1, 60),
-    n_periphery=st.integers(1, 6),
-    contact_share=st.floats(0.0, 1.0),
-    initiation=st.sampled_from(["C1", "C2"]),
-    use_secondary=st.booleans(),
-    fraction=st.floats(0.05, 1.0),
-    mean_gap=st.floats(0.01, 2.0),
-    n_requests=st.integers(1, 80),
-    seed=st.integers(0, 2**16),
-)
-def test_random_runs_keep_the_fleet_ledger(n_core, n_periphery, contact_share, initiation,
-                                           use_secondary, fraction, mean_gap, n_requests,
-                                           seed):
+    def commit_then_forget(req, coalition):
+        commit(req, coalition)
+        del fleet.live[req.id]  # its completion is still pending
+
+    fleet.commit = commit_then_forget
+    with pytest.raises(InternalConsistencyError, match="in-flight ledger"):
+        run_requests(topo, fleet, [request(0, 1.0, workload=2.0, duration=100.0)])
+
+
+# -- random small topologies and streams ----------------------------------------------
+
+def ledger_cases(n_cases=100):
+    """A fixed table of random cases: (n_core, n_periphery, contact_share,
+    initiation, use_secondary, fraction, mean_gap, n_requests, seed)."""
+    rng = np.random.default_rng(2013)
+    return [
+        (int(rng.integers(1, 61)), int(rng.integers(1, 7)), float(rng.uniform(0.0, 1.0)),
+         ("C1", "C2")[rng.integers(2)], bool(rng.integers(2)), float(rng.uniform(0.05, 1.0)),
+         float(rng.uniform(0.01, 2.0)), int(rng.integers(1, 81)), int(rng.integers(0, 2**16 + 1)))
+        for _ in range(n_cases)
+    ]
+
+
+def check_fleet_ledger(n_core, n_periphery, contact_share, initiation, use_secondary,
+                       fraction, mean_gap, n_requests, seed):
     topo = organize(TopologyConfig(
         n_core=n_core, n_periphery=n_periphery,
         primary_contacts_per_core=round(contact_share * (n_core - 1)),
@@ -367,9 +383,11 @@ def test_random_runs_keep_the_fleet_ledger(n_core, n_periphery, contact_share, i
     modes_before = fleet.modes.copy()
     peak = fleet.committed.copy()
     commit = fleet.commit
+    commits = []
 
     def watched_commit(req, coalition):
         commit(req, coalition)
+        commits.append(req.id)
         np.maximum(peak, fleet.committed, out=peak)
 
     fleet.commit = watched_commit
@@ -383,13 +401,18 @@ def test_random_runs_keep_the_fleet_ledger(n_core, n_periphery, contact_share, i
     config = MarketConfig(initiation, leader_candidate_fraction=fraction,
                           use_secondary_contacts=use_secondary,
                           invited_fraction_c1=fraction)
-    stats, sink = run_requests(topo, fleet, stream, market_config=config, seed=seed + 3)
+    stats, report = run_requests(topo, fleet, stream, market_config=config, seed=seed + 3)
 
-    assert stats.n_requests == n_requests == stats.successes + stats.unsatisfied
-    assert sum(t.requests for t in sink.totals.values()) == n_requests
-    assert sum(t.failed for t in sink.totals.values()) == stats.unsatisfied
-    assert stats.completed == stats.successes
+    assert report.n_requests == n_requests == won(report) + report.unsatisfied
+    assert sum(t.requests for t in report.totals.values()) == n_requests
+    assert sum(t.failed for t in report.totals.values()) == report.unsatisfied
+    assert stats.completed == won(report) == len(commits)
     assert (peak <= fleet.capacity + CAPACITY_TOL).all()
     assert not fleet.live
     assert np.allclose(fleet.committed, fleet.background, rtol=0.0, atol=1e-9)
     assert (fleet.modes == modes_before).all()
+
+
+def test_random_runs_keep_the_fleet_ledger():
+    for case in ledger_cases():
+        check_fleet_ledger(*case)
