@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -13,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .harness import PRESET_NAMES, load_config, preset, run_experiment, sweep
-from .metrics import _fmt
+from .metrics import HISTOGRAM_COLUMNS, write_csv
 from .topology import TopologyConfig, compute_stats, equal_width_histogram, organize
 
 # Exact secondary-contact statistics above this fleet size would take too
@@ -69,26 +68,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_organize(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {args.seed}")
     config = TopologyConfig(
         n_core=args.n_core,
         n_periphery=args.n_periphery,
         periphery_per_core=args.m,
-        seed=args.seed,
     )
-    topo = organize(config)
+    topo = organize(config, args.seed)
     sample = args.stats_sample
     if sample is None:
         sample = config.n_core if config.n_core <= EXACT_STATS_LIMIT \
             else min(DEFAULT_STATS_SAMPLE, config.n_core)
-    stats = compute_stats(topo, sample, np.random.default_rng(config.seed))
+    stats = compute_stats(topo, sample, np.random.default_rng(args.seed))
 
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
-    rows = [
+    write_csv(out / "topology_stats.csv", ("metric", "value"), [
         ("n_core", config.n_core),
         ("n_periphery", config.n_periphery),
         ("m", config.periphery_per_core),
-        ("seed", config.seed),
+        ("seed", args.seed),
         ("pcs_mean", stats.pcs_mean),
         ("pcs_min", int(stats.pcs_sizes.min())),
         ("pcs_max", int(stats.pcs_sizes.max())),
@@ -97,17 +97,9 @@ def _cmd_organize(args: argparse.Namespace) -> int:
         ("secondary_min", stats.secondary_min),
         ("secondary_max", stats.secondary_max),
         ("secondary_mean", stats.secondary_mean),
-    ]
-    with open(out / "topology_stats.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("metric", "value"))
-        for name, value in rows:
-            w.writerow((name, _fmt(float(value) if isinstance(value, float) else value)))
-    with open(out / "secondary_histogram.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("bucket_lo", "bucket_hi", "count"))
-        for lo, hi, count in equal_width_histogram(stats.secondary_counts, 20):
-            w.writerow((_fmt(float(lo)), _fmt(float(hi)), count))
+    ])
+    write_csv(out / "secondary_histogram.csv", HISTOGRAM_COLUMNS,
+              equal_width_histogram(stats.secondary_counts, 20))
     print(f"pcs_mean={stats.pcs_mean:.9g} secondary_mean={stats.secondary_mean:.9g} "
           f"(sample={stats.sample_size}, exact={stats.exact})")
     return 0

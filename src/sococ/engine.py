@@ -1,7 +1,9 @@
 """Server fleet state and the discrete-event loop.
 
-The fleet is held as parallel numpy arrays so auctions can filter thousands
-of servers per request without per-object overhead. Events are processed in
+The fleet is held as parallel numpy arrays, one entry per server, so set-up
+draws and cost-orders it whole, commits write a coalition by index, and the
+ledger sweep checks every server at once; auctions read one entry at a time
+as they scan. Events are processed in
 (time, completion-before-arrival, request id) order; winning allocations are
 committed atomically and released when the service completes.
 
@@ -43,7 +45,6 @@ class EngineConfig:
     initial_state_mix: tuple[float, float, float, float] = (0.2, 0.4, 0.15, 0.25)
     initial_load_range: tuple[float, float] = (0.3, 0.8)
     cost_range: tuple[float, float] = (1.0, 10.0)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity_scu <= 0:
@@ -59,8 +60,6 @@ class EngineConfig:
         clo, chi = self.cost_range
         if clo <= 0 or chi < clo:
             raise ConfigurationError("cost_range must satisfy 0 < lo <= hi")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be a non-negative integer")
 
 
 class Fleet:
@@ -143,14 +142,14 @@ class Fleet:
             )
 
 
-def init_servers(topology: ContactTopology, config: EngineConfig) -> Fleet:
+def init_servers(topology: ContactTopology, config: EngineConfig, seed: int) -> Fleet:
     """Draw each server's mode, background load and unit cost.
 
-    The draws come from a generator seeded with `config.seed`, in this order
-    per fleet: modes, unit costs, background loads. Sleeping servers always
+    The draws come from a generator seeded with `seed`, in this order per
+    fleet: modes, unit costs, background loads. Sleeping servers always
     start with zero background load.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n = topology.n_core
     modes = rng.choice(4, size=n, p=list(config.initial_state_mix)).astype(np.int8)
     costs = rng.uniform(config.cost_range[0], config.cost_range[1], size=n)

@@ -113,7 +113,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
     presets["exp4"] = replace(
         presets["exp3"],
         name="exp4",
-        market=MarketConfig("C1", 0.001, True, invited_fraction_c1=0.001),
+        market=MarketConfig("C1", 0.001, True),
         scale_note="full published scale; needs --allow-huge. Periphery-initiated (C1).",
     )
 
@@ -130,7 +130,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
         topology=small_topo,
         engine=small_engine,
         workload=_workload_of(1.5, exp_service, 8.0, 1000),
-        market=MarketConfig("C1", 0.001, False, invited_fraction_c1=0.001),
+        market=MarketConfig("C1", 0.001, False),
         metrics=small_metrics,
         scale_note=(
             "published scale (N=100, M=2, 10^3 requests). Unpublished "
@@ -142,7 +142,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
         presets["exp5"],
         name="exp6",
         workload=_workload_of(1.5, exp_service, 40.0, 1000),
-        market=MarketConfig("C1", 0.001, True, invited_fraction_c1=0.001),
+        market=MarketConfig("C1", 0.001, True),
         scale_note=(
             presets["exp5"].scale_note
             + " use_secondary is set per the experiment description but is "
@@ -201,7 +201,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
     presets["exp4-desk"] = replace(
         presets["exp3-desk"],
         name="exp4-desk",
-        market=MarketConfig("C1", DESK_FRACTION, True, invited_fraction_c1=DESK_FRACTION),
+        market=MarketConfig("C1", DESK_FRACTION, True),
         scale_note=desk_note_heavy + " Periphery-initiated (C1).",
     )
     return presets
@@ -367,10 +367,8 @@ def load_config(path: str | Path) -> ExperimentPreset:
 
     m = raw["market"]
     _require(m, "market", ("initiation",),
-             ("leader_candidate_fraction", "use_secondary", "invited_fraction_c1",
-              "cost_range"))
-    market_fields = _present(m, "market", leader_candidate_fraction=_float,
-                             use_secondary=_bool, invited_fraction_c1=_float)
+             ("invited_fraction", "use_secondary", "cost_range"))
+    market_fields = _present(m, "market", invited_fraction=_float, use_secondary=_bool)
     if "use_secondary" in market_fields:
         market_fields["use_secondary_contacts"] = market_fields.pop("use_secondary")
     market = _build(MarketConfig, "market", initiation=m["initiation"], **market_fields)
@@ -405,23 +403,6 @@ def load_config(path: str | Path) -> ExperimentPreset:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-def _config_echo(p: ExperimentPreset, seed: int, seeds: tuple[int, int, int, int]) -> dict:
-    return {
-        "preset": p.name,
-        "scale_note": p.scale_note,
-        "topology": asdict(p.topology),
-        "engine": asdict(p.engine),
-        "workload": asdict(p.workload),
-        "market": asdict(p.market),
-        "metrics": asdict(p.metrics),
-        "seed": seed,
-        "derived_seeds": {
-            "topology": seeds[0], "engine": seeds[1],
-            "workload": seeds[2], "market": seeds[3],
-        },
-    }
-
-
 def run_experiment(
     preset_or_name: ExperimentPreset | str,
     seed: int,
@@ -447,31 +428,28 @@ def run_experiment(
             "pass --allow-huge to run it anyway"
         )
     seeds = derive_seeds(seed)
-    tcfg = replace(p.topology, seed=seeds[0])
-    ecfg = replace(p.engine, seed=seeds[1])
-    wcfg = replace(p.workload, seed=seeds[2])
-    mcfg = p.market
     if bin_size is not None:
         p = replace(p, metrics=replace(p.metrics, bin_size=bin_size))
     if n_subsets is not None:
         p = replace(p, metrics=replace(p.metrics, n_subsets=n_subsets))
 
     t0 = time.perf_counter()
-    topo = organize(tcfg)
+    topo = organize(p.topology, seeds[0])
     t1 = time.perf_counter()
     log.info("%s: organized %d cores / %d periphery in %.2fs",
-             p.name, tcfg.n_core, tcfg.n_periphery, t1 - t0)
+             p.name, topo.n_core, topo.n_periphery, t1 - t0)
 
-    fleet = init_servers(topo, ecfg)
-    stream = generate_stream(wcfg, topo.n_periphery)
+    fleet = init_servers(topo, p.engine, seeds[1])
+    stream = generate_stream(p.workload, topo.n_periphery, seeds[2])
     sink = MetricsSink(p.metrics)
     market_rng = np.random.default_rng(seeds[3])
-    stats = engine_mod.run(topo, fleet, stream, mcfg, sink, market_rng)
+    stats = engine_mod.run(topo, fleet, stream, p.market, sink, market_rng)
     t2 = time.perf_counter()
 
+    # the config echo is the preset as it ran, with the seeds it ran on
     report = build_report(
         sink, fleet, stats,
-        config_echo=_config_echo(p, seed, seeds),
+        config_echo={**asdict(p), "seed": seed, "derived_seeds": seeds},
         seed=seed, preset=p.name,
     )
     log.info("%s: %d requests (%d won, %d unsatisfied) in %.2fs", p.name, report.n_requests,

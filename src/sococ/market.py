@@ -34,18 +34,18 @@ _SLEEP = int(Mode.SLEEP)
 
 @dataclass(frozen=True)
 class MarketConfig:
+    """`invited_fraction` is the share of its known cores an entry periphery
+    invites: as leader candidates under C2, as the coalition pool under C1."""
+
     initiation: str = "C2"  # "C1" or "C2"
-    leader_candidate_fraction: float = 0.001
+    invited_fraction: float = 0.001
     use_secondary_contacts: bool = False
-    invited_fraction_c1: float = 0.001
 
     def __post_init__(self) -> None:
         if self.initiation not in ("C1", "C2"):
             raise ConfigurationError("initiation must be 'C1' or 'C2'")
-        for name in ("leader_candidate_fraction", "invited_fraction_c1"):
-            f = getattr(self, name)
-            if not 0.0 < f <= 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1]")
+        if not 0.0 < self.invited_fraction <= 1.0:
+            raise ConfigurationError("invited_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -141,7 +141,7 @@ def invite_leader_candidates(
 ) -> np.ndarray:
     """Uniform random subset of ceil(fraction * |pcs|) leader candidates."""
     return _invite(
-        topology.periphery_known_cores[periphery], config.leader_candidate_fraction, rng
+        topology.periphery_known_cores[periphery], config.invited_fraction, rng
     )
 
 
@@ -257,7 +257,7 @@ class Market:
     def _run_c1(self, request: ServiceRequest) -> AuctionOutcome:
         invited = _invite(
             self.topology.periphery_known_cores[request.entry_periphery],
-            self.config.invited_fraction_c1,
+            self.config.invited_fraction,
             self.rng,
         )
         ids, allocs = [], []

@@ -218,7 +218,15 @@ def _round9(obj):
     return obj
 
 
-COALITIONS_COLUMNS = ("bucket_lo", "bucket_hi", "count")
+HISTOGRAM_COLUMNS = ("bucket_lo", "bucket_hi", "count")
+
+
+def write_csv(path: Path, columns, rows) -> None:
+    """Write a header of `columns`, then `rows`, every cell through `_fmt`."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def emit(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
@@ -231,17 +239,10 @@ def emit(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     try:
         out.mkdir(parents=True, exist_ok=True)
         bins_path = out / "bins.csv"
-        with open(bins_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(column.name for column in fields(BinStats))
-            for b in report.bins:
-                w.writerow(_fmt(v) for v in astuple(b))
+        write_csv(bins_path, [column.name for column in fields(BinStats)],
+                  map(astuple, report.bins))
         coalitions_path = out / "coalitions.csv"
-        with open(coalitions_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(COALITIONS_COLUMNS)
-            for lo, hi, count in report.coalition.buckets:
-                w.writerow((_fmt(float(lo)), _fmt(float(hi)), count))
+        write_csv(coalitions_path, HISTOGRAM_COLUMNS, report.coalition.buckets)
         summary_path = out / "summary.json"
         summary = {
             "schema_version": report.schema_version,

@@ -51,7 +51,6 @@ class TopologyConfig:
     n_aux: int = 0
     primary_contacts_per_core: int = 0
     periphery_per_core: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_core < 1:
@@ -70,8 +69,6 @@ class TopologyConfig:
                 "primary_contacts_per_core must be in [0, n_core - 1] "
                 f"(got n={self.primary_contacts_per_core}, N={self.n_core})"
             )
-        if self.seed < 0:
-            raise ConfigurationError("seed must be a non-negative integer")
 
 
 @dataclass
@@ -188,15 +185,15 @@ def _sample_rows(rng: np.random.Generator, n_rows: int, k: int, pop: int) -> np.
     return _sample_rows_rejection(rng, n_rows, k, pop)
 
 
-def organize(config: TopologyConfig) -> ContactTopology:
+def organize(config: TopologyConfig, seed: int) -> ContactTopology:
     """Run the one-shot self-organization and return the contact structure.
 
     The periphery "broadcast" is modeled as instantaneous global knowledge:
     each core directly draws m distinct periphery servers, then n distinct
     primary contacts excluding itself. The draws come from a generator
-    seeded with `config.seed`, so equal configs yield equal topologies.
+    seeded with `seed`, so equal configs and seeds yield equal topologies.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n, m = config.n_core, config.periphery_per_core
     n_contacts = config.primary_contacts_per_core
 
@@ -256,7 +253,7 @@ def compute_stats(
     `secondary_mask`: the distinct cores, other than itself, appearing in
     the known-core lists of its m periphery servers. sample_size == n_core
     (the default) computes S exactly for every core; smaller values measure
-    a uniform core sample drawn from `rng`.
+    a uniform core sample drawn from `rng`, which they require.
     """
     n = topology.n_core
     if n == 0 or topology.n_periphery == 0:
@@ -269,9 +266,9 @@ def compute_stats(
     exact = sample_size == n
     if exact:
         sampled = np.arange(n)
+    elif rng is None:
+        raise ConfigurationError("a sampled measurement needs a generator (rng)")
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
         sampled = rng.choice(n, size=sample_size, replace=False)
 
     counts = np.array(

@@ -79,7 +79,6 @@ class WorkloadConfig:
     workload_range: tuple[float, float]
     mode_probabilities: tuple[float, float, float]
     n_requests: int
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:
@@ -97,8 +96,6 @@ class WorkloadConfig:
             raise ConfigurationError("uniform service durations must be > 0")
         if self.interarrival.kind == "uniform" and self.interarrival.param1 < 0:
             raise ConfigurationError("uniform inter-arrival times must be >= 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be a non-negative integer")
 
 
 def _unit(rng: np.random.Generator) -> float:
@@ -129,17 +126,19 @@ def _draw_mode(rng: np.random.Generator, probs: tuple[float, float, float]) -> M
     return REQUEST_MODES[2]
 
 
-def generate_stream(config: WorkloadConfig, n_periphery: int) -> Iterator[ServiceRequest]:
+def generate_stream(
+    config: WorkloadConfig, n_periphery: int, seed: int
+) -> Iterator[ServiceRequest]:
     """Yield exactly n_requests requests in arrival order, lazily.
 
     Arrival times accumulate the inter-arrival samples; the entry periphery
     is uniform over [0, n_periphery). The draws come from a generator seeded
-    with `config.seed`, so equal configs regenerate element-wise identical
-    streams.
+    with `seed`, so equal configs and seeds regenerate element-wise
+    identical streams.
     """
     if n_periphery < 1:
         raise ConfigurationError("n_periphery must be >= 1")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     workload_dist = DistributionSpec("uniform", *config.workload_range)
     t = 0.0
     for i in range(config.n_requests):

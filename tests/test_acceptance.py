@@ -64,8 +64,8 @@ def test_criterion_1_pcs_expectation_match():
     for m in (5, 10, 20, 50):
         topo = organize(TopologyConfig(
             n_core=100_000, n_periphery=1000,
-            primary_contacts_per_core=100, periphery_per_core=m, seed=1,
-        ))
+            primary_contacts_per_core=100, periphery_per_core=m,
+        ), 1)
         measured = float(topo.pcs_sizes().mean())
         expected = expected_pcs_size(100_000, m, 1000)
         if abs(measured - expected) / expected > 0.01:
@@ -107,8 +107,8 @@ def test_criterion_2_secondary_contact_match():
     for m in (5, 10, 20, 50):
         topo = organize(TopologyConfig(
             n_core=2000, n_periphery=1000,
-            primary_contacts_per_core=5, periphery_per_core=m, seed=seed,
-        ))
+            primary_contacts_per_core=5, periphery_per_core=m,
+        ), seed)
         stats = compute_stats(topo, 1000, np.random.default_rng(seed))
         frac = stats.secondary_counts / 1999
         oracle = expected_secondary_fraction(1000, m)

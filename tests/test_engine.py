@@ -23,8 +23,8 @@ def small_topology(n_core=20, n_periphery=2, m=2, contacts=5, seed=0):
     return organize(TopologyConfig(
         n_core=n_core, n_periphery=n_periphery,
         primary_contacts_per_core=min(contacts, n_core - 1),
-        periphery_per_core=m, seed=seed,
-    ))
+        periphery_per_core=m,
+    ), seed)
 
 
 def make_fleet(modes, costs=None, background=None, capacity=10.0):
@@ -45,7 +45,7 @@ def request(rid, t, mode=Mode.M1, workload=1.0, duration=1.0, entry=0):
 def run_requests(topology, fleet, requests, market_config=None, seed=0, bin_size=100):
     """Run the requests; return the engine stats and the run report."""
     sink = MetricsSink(MetricsConfig(bin_size=bin_size, n_subsets=10))
-    config = market_config or MarketConfig("C2", leader_candidate_fraction=1.0)
+    config = market_config or MarketConfig("C2", invited_fraction=1.0)
     stats = run(topology, fleet, requests, config, sink, np.random.default_rng(seed))
     return stats, build_report(sink, fleet, stats, config_echo={}, seed=seed, preset="test")
 
@@ -70,14 +70,14 @@ def test_engine_config_validation():
 # -- init_servers ----------------------------------------------------------------
 
 def test_all_sleep_mix_gives_idle_fleet():
-    fleet = init_servers(small_topology(), EngineConfig(initial_state_mix=(1, 0, 0, 0)))
+    fleet = init_servers(small_topology(), EngineConfig(initial_state_mix=(1, 0, 0, 0)), 0)
     assert (fleet.modes == Mode.SLEEP).all()
     assert (fleet.committed == 0.0).all()
 
 
 def test_state_mix_matches_binomial_oracle_at_scale():
     topo = small_topology(n_core=1_000_000, n_periphery=2, m=1, contacts=0)
-    fleet = init_servers(topo, EngineConfig(seed=3))
+    fleet = init_servers(topo, EngineConfig(), 3)
     sleep_count = int((fleet.modes == Mode.SLEEP).sum())
     sigma = math.sqrt(0.2 * 0.8 * 1_000_000)
     assert abs(sleep_count - 200_000) <= 3 * sigma
@@ -86,7 +86,7 @@ def test_state_mix_matches_binomial_oracle_at_scale():
 def test_equal_thirds_mix_has_no_sleepers():
     third = 1.0 / 3.0
     topo = small_topology(n_core=3000)
-    fleet = init_servers(topo, EngineConfig(initial_state_mix=(0.0, third, third, third)))
+    fleet = init_servers(topo, EngineConfig(initial_state_mix=(0.0, third, third, third)), 0)
     assert (fleet.modes != Mode.SLEEP).all()
     for mode in (Mode.M1, Mode.M2, Mode.M3):
         share = (fleet.modes == mode).mean()
@@ -96,7 +96,7 @@ def test_equal_thirds_mix_has_no_sleepers():
 def test_background_load_and_costs_respect_ranges():
     topo = small_topology(n_core=5000)
     config = EngineConfig(initial_load_range=(0.3, 0.8), cost_range=(1.0, 10.0))
-    fleet = init_servers(topo, config)
+    fleet = init_servers(topo, config, 0)
     running = fleet.modes != Mode.SLEEP
     assert (fleet.background[~running] == 0.0).all()
     assert (fleet.background[running] >= 3.0).all()
@@ -107,9 +107,9 @@ def test_background_load_and_costs_respect_ranges():
 
 def test_init_is_deterministic_per_seed():
     topo = small_topology()
-    a = init_servers(topo, EngineConfig(seed=5))
-    b = init_servers(topo, EngineConfig(seed=5))
-    c = init_servers(topo, EngineConfig(seed=6))
+    a = init_servers(topo, EngineConfig(), 5)
+    b = init_servers(topo, EngineConfig(), 5)
+    c = init_servers(topo, EngineConfig(), 6)
     assert (a.modes == b.modes).all() and (a.unit_cost == b.unit_cost).all()
     assert not ((a.modes == c.modes).all() and (a.unit_cost == c.unit_cost).all())
 
@@ -169,7 +169,7 @@ def test_server_view_reflects_live_allocations():
 
 def test_zero_requests_leave_state_untouched():
     topo = small_topology()
-    fleet = init_servers(topo, EngineConfig(seed=1))
+    fleet = init_servers(topo, EngineConfig(), 1)
     before = fleet.committed.copy()
     modes_before = fleet.modes.copy()
     _, report = run_requests(topo, fleet, [])
@@ -252,16 +252,16 @@ def test_multiplexing_increments_coalition_count_per_request():
 def test_event_digest_is_deterministic_and_seed_sensitive():
     def one_run(seed):
         topo = small_topology(n_core=200, n_periphery=4, m=2, contacts=20, seed=1)
-        fleet = init_servers(topo, EngineConfig(seed=2))
+        fleet = init_servers(topo, EngineConfig(), 2)
         config = WorkloadConfig(
             interarrival=DistributionSpec("exponential", 1.0),
             service=DistributionSpec("exponential", 2.0),
             workload_range=(0.1, 20.0),
             mode_probabilities=(1 / 3, 1 / 3, 1 / 3),
-            n_requests=500, seed=seed,
+            n_requests=500,
         )
-        stream = generate_stream(config, 4)
-        market = MarketConfig("C2", leader_candidate_fraction=0.1,
+        stream = generate_stream(config, 4, seed)
+        market = MarketConfig("C2", invited_fraction=0.1,
                               use_secondary_contacts=True)
         _, report = run_requests(topo, fleet, stream, market_config=market, seed=seed)
         return report
@@ -278,17 +278,16 @@ def test_invariant_checked_stress_run_stays_clean():
         topo = small_topology(n_core=100, n_periphery=3, m=2, contacts=10, seed=5)
         fleet = init_servers(
             topo, EngineConfig(initial_state_mix=(0.3, 0.3, 0.2, 0.2),
-                               initial_load_range=(0.5, 0.9), seed=6))
+                               initial_load_range=(0.5, 0.9)), 6)
         config = WorkloadConfig(
             interarrival=DistributionSpec("exponential", 0.2),
             service=DistributionSpec("pareto", 2.0, 1.0),
             workload_range=(0.1, 30.0),
             mode_probabilities=(0.5, 0.25, 0.25),
-            n_requests=2000, seed=7,
+            n_requests=2000,
         )
-        market = MarketConfig(initiation, leader_candidate_fraction=0.3,
-                              use_secondary_contacts=True, invited_fraction_c1=0.3)
-        stream = generate_stream(config, 3)
+        market = MarketConfig(initiation, invited_fraction=0.3, use_secondary_contacts=True)
+        stream = generate_stream(config, 3, 7)
         _, report = run_requests(topo, fleet, stream, market_config=market, seed=8)
         assert report.n_requests == 2000
         assert 0 < won(report) <= 2000
@@ -377,9 +376,9 @@ def check_fleet_ledger(n_core, n_periphery, contact_share, initiation, use_secon
     topo = organize(TopologyConfig(
         n_core=n_core, n_periphery=n_periphery,
         primary_contacts_per_core=round(contact_share * (n_core - 1)),
-        periphery_per_core=1 + seed % n_periphery, seed=seed,
-    ))
-    fleet = init_servers(topo, EngineConfig(seed=seed + 1))
+        periphery_per_core=1 + seed % n_periphery,
+    ), seed)
+    fleet = init_servers(topo, EngineConfig(), seed + 1)
     modes_before = fleet.modes.copy()
     peak = fleet.committed.copy()
     commit = fleet.commit
@@ -396,11 +395,10 @@ def check_fleet_ledger(n_core, n_periphery, contact_share, initiation, use_secon
         service=DistributionSpec("exponential", 5.0),
         workload_range=(0.1, 30.0),
         mode_probabilities=(1 / 3, 1 / 3, 1 / 3),
-        n_requests=n_requests, seed=seed + 2,
-    ), n_periphery)
-    config = MarketConfig(initiation, leader_candidate_fraction=fraction,
-                          use_secondary_contacts=use_secondary,
-                          invited_fraction_c1=fraction)
+        n_requests=n_requests,
+    ), n_periphery, seed + 2)
+    config = MarketConfig(initiation, invited_fraction=fraction,
+                          use_secondary_contacts=use_secondary)
     stats, report = run_requests(topo, fleet, stream, market_config=config, seed=seed + 3)
 
     assert report.n_requests == n_requests == won(report) + report.unsatisfied

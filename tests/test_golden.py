@@ -84,12 +84,12 @@ GOLDEN = {
 
 # preset -> sha256(summary.json)
 SUMMARY = {
-    "exp5": "b619c1930bfa53242d89549b5e32aca3ebcb24df826104c0297cde385ce422ad",
-    "exp6": "965a9b73709260efb7e146ee73c61a0fc4c1a2af5362d2009601f53ab2948bb4",
-    "exp1-desk": "a03a7f97c77179b7728f8073df2fc9b8c8c998a04e95c7c4f21b76840a121009",
-    "exp2-desk": "ac09a0cfa09a6812b65a42aadbc65359c37382493ea4a4d38072c9aec80c0db7",
-    "exp3-desk": "a47796aebf65b676d388b59e2ff2779f43a66fb9409cd35389b409e7d9eccc5c",
-    "exp4-desk": "67fdcdf511773078c2cff4b312a81548c2ec13dfd24773a91aab7357abfdd283",
+    "exp5": "cd303e1d7322bc3f49fc346ef1ec0b2928600428703861e36aa59cff176e19ea",
+    "exp6": "0d7b34bdf57ec204a422ac9269e0aaa75670207fecfddc336022511bf420f512",
+    "exp1-desk": "d9de1f2a713f888653900a9eb0f0fecbe2937afea7e3bad0675a89012adf367a",
+    "exp2-desk": "cfa9b38a05e62cb5d0097bcba6f02665f814dcff042eaa1c72f155b80a9cf27b",
+    "exp3-desk": "01c287373e2bccf518782050894a9fb83112506483d35d75213ffa411d49d56e",
+    "exp4-desk": "d418cc075a4267c31620af2cd85ae97620d98dfbe5c4eb7a647ac448df7e8945",
 }
 
 
@@ -102,7 +102,7 @@ FALLBACK = (
     "cdaa794bf5101200bc2f973b44eabbf081589b1c43de04d11037a632870a3380",
 )
 FALLBACK_SECONDARY_CALLS = 670
-FALLBACK_SUMMARY = "a38fd7432e149bbab5b84724eb9e84cbdb653c21d3046512ba73e7a421d368f1"
+FALLBACK_SUMMARY = "24f491c1424e6a03c60f7b0bcdf8d70514666c676f1ee9893e51d6e6afcbbcf4"
 
 
 def golden_preset(name):

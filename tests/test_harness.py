@@ -1,7 +1,9 @@
 """Preset integrity, config loading, the run driver and the CLI."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from sococ.engine import EngineConfig
 from sococ.errors import ConfigurationError
 from sococ.harness import (
     PRESET_NAMES,
+    ExperimentPreset,
     derive_seeds,
     is_huge,
     load_config,
@@ -101,7 +104,7 @@ CONFIG = {
         "n_requests": 1000,
     },
     "market": {
-        "initiation": "C2", "leader_candidate_fraction": 0.01,
+        "initiation": "C2", "invited_fraction": 0.01,
         "use_secondary": True, "cost_range": [1.0, 10.0],
     },
     "engine": {
@@ -156,6 +159,23 @@ def test_config_rejects_unknown_keys_with_field_path(tmp_path):
         load_config(write_config(tmp_path, add_key))
     assert "workload" in str(err.value) and "burstiness" in str(err.value)
 
+    # the two per-protocol fractions became one invited_fraction
+    for old_key in ("leader_candidate_fraction", "invited_fraction_c1"):
+        path = write_config(tmp_path, lambda raw: raw["market"].update({old_key: 0.01}))
+        with pytest.raises(ConfigurationError, match=old_key):
+            load_config(path)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Run configuration files", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    p = load_config(path)
+    assert isinstance(p, ExperimentPreset)
+    assert p.market.invited_fraction == 0.001
+
 
 def test_config_rejects_bad_values_with_section(tmp_path):
     def break_alpha(raw):
@@ -183,7 +203,7 @@ def test_config_rejects_bad_values_with_section(tmp_path):
         ("topology", "n_core", "500"),
         ("workload", "n_requests", True),
         ("metrics", "bin_size", 100.0),
-        ("market", "leader_candidate_fraction", True),
+        ("market", "invited_fraction", True),
         ("engine", "capacity_scu", "10"),
         ("workload", "workload_scu", ["0.1", 40]),
         ("workload", "mode_probs", [0.3333, 0.3333, "0.3334"]),
@@ -251,6 +271,19 @@ def test_sweep_isolates_seeds(tmp_path):
     assert (tmp_path / "seed-10" / "summary.json").exists()
     assert (tmp_path / "seed-11" / "summary.json").exists()
     assert json.loads((tmp_path / "seed-10" / "summary.json").read_text())["seed"] == 10
+
+
+def test_config_echo_is_the_preset_as_it_ran(tmp_path):
+    base = preset("exp1-desk")
+    p = replace(base, workload=replace(base.workload, n_requests=1_000))
+    run_experiment(p, 1, tmp_path)
+    config = json.loads((tmp_path / "summary.json").read_text())["config"]
+    for section in ("topology", "engine", "workload", "market", "metrics"):
+        assert "seed" not in config[section], section
+    assert config["market"]["invited_fraction"] == 0.03
+    assert config["workload"]["n_requests"] == 1_000
+    assert config["seed"] == 1
+    assert config["derived_seeds"] == list(derive_seeds(1))
 
 
 def test_metrics_overrides_apply(tmp_path):
@@ -321,6 +354,13 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
     with pytest.raises(ConfigurationError):
         run_experiment("exp5", -1)
+
+
+def test_cli_organize_negative_seed_exits_2(tmp_path, capsys):
+    code = main(["organize", "--n-core", "100", "--n-periphery", "10", "--m", "2",
+                 "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_organize_emits_stats(tmp_path):

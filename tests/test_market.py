@@ -129,7 +129,7 @@ def test_lazy_eligibility_matches_the_rule_in_input_order():
 
 def test_invite_count_is_ceiling_of_fraction():
     topo = star_topology(2000, [1])
-    config = MarketConfig("C2", leader_candidate_fraction=0.001)
+    config = MarketConfig("C2", invited_fraction=0.001)
     rng = np.random.default_rng(0)
     got = invite_leader_candidates(0, topo, config, rng)
     assert len(got) == 2  # ceil(0.001 * 2000)
@@ -137,19 +137,19 @@ def test_invite_count_is_ceiling_of_fraction():
     # at the published scale a periphery knows ~83,593 cores and the same
     # 0.1% rule invites 84 leader candidates
     import math
-    assert math.ceil(config.leader_candidate_fraction * 83_593) == 84
+    assert math.ceil(config.invited_fraction * 83_593) == 84
 
 
 def test_invite_single_known_core():
     topo = star_topology(1, [])
-    config = MarketConfig("C2", leader_candidate_fraction=0.001)
+    config = MarketConfig("C2", invited_fraction=0.001)
     got = invite_leader_candidates(0, topo, config, np.random.default_rng(0))
     assert got.tolist() == [0]
 
 
 def test_invite_is_reproducible_per_seed():
     topo = star_topology(2000, [1])
-    config = MarketConfig("C2", leader_candidate_fraction=0.001)
+    config = MarketConfig("C2", invited_fraction=0.001)
     a = invite_leader_candidates(0, topo, config, np.random.default_rng(5))
     b = invite_leader_candidates(0, topo, config, np.random.default_rng(5))
     assert a.tolist() == b.tolist()
@@ -260,7 +260,7 @@ def test_every_allocation_fits_free_capacity():
     rng = np.random.default_rng(7)
     topo = organize(TopologyConfig(n_core=50, n_periphery=5,
                                    primary_contacts_per_core=10,
-                                   periphery_per_core=2, seed=1))
+                                   periphery_per_core=2), 1)
     fleet = make_fleet(rng.integers(0, 4, size=50),
                        costs=rng.uniform(1, 10, size=50),
                        committed=rng.uniform(0, 10, size=50))
@@ -319,7 +319,7 @@ def test_unknown_member_id_is_an_internal_error():
 def test_unsatisfied_when_no_server_is_eligible():
     topo = star_topology(10, [1, 2])
     fleet = make_fleet([Mode.M2] * 10)
-    config = MarketConfig("C2", leader_candidate_fraction=1.0)
+    config = MarketConfig("C2", invited_fraction=1.0)
     outcome = auction(make_request(Mode.M1), topo, fleet, config,
                       np.random.default_rng(0))
     assert outcome.bid is None
@@ -334,7 +334,7 @@ def test_greedy_result_is_cheapest_covering_prefix():
         costs = rng.uniform(1, 10, size=20)
         fleet = make_fleet([Mode.M1] * 20, costs=costs, committed=committed)
         topo = star_topology(20, [1])
-        config = MarketConfig("C1", invited_fraction_c1=1.0)
+        config = MarketConfig("C1", invited_fraction=1.0)
         workload = 12.0
         outcome = auction(make_request(workload=workload), topo, fleet,
                           config, np.random.default_rng(trial))
@@ -417,14 +417,12 @@ def vectorized_auction(request, topo, fleet, config, rng, fallbacks):
     """(member ids, allocations) of the winning coalition, or None."""
     order = ContactOrder(topo, fleet)
     pcs = topo.periphery_known_cores[request.entry_periphery]
+    invited = rng.choice(pcs, size=int(np.ceil(config.invited_fraction * pcs.size)),
+                         replace=False)
     if config.initiation == "C1":
-        invited = rng.choice(pcs, size=int(np.ceil(config.invited_fraction_c1 * pcs.size)),
-                             replace=False)
         pool = order.sort_ids(vectorized_eligible(fleet, invited, request.mode))
         return vectorized_fill(pool, fleet.capacity - fleet.committed[pool], request.workload)
-    candidates = rng.choice(
-        pcs, size=int(np.ceil(config.leader_candidate_fraction * pcs.size)), replace=False)
-    elig = vectorized_eligible(fleet, candidates, request.mode)
+    elig = vectorized_eligible(fleet, invited, request.mode)
     if elig.size == 0:
         return None
     leader = int(order.by_rank[order.rank[elig].min()])
@@ -462,16 +460,15 @@ def test_lazy_auction_matches_the_vectorized_auction_bit_for_bit():
         topo = organize(TopologyConfig(
             n_core=n_core, n_periphery=int(rng.integers(3, 8)),
             primary_contacts_per_core=int(rng.integers(2, 12)),
-            periphery_per_core=2, seed=trial))
+            periphery_per_core=2), trial)
         modes = rng.integers(0, 4, size=n_core)
         costs = rng.uniform(1, 10, size=n_core)
         committed = np.where(modes == 0, 0.0, rng.uniform(0, 10, size=n_core))
         committed[rng.random(n_core) < 0.1] = 9.995  # below the minimum quantum
         config = MarketConfig(
             "C1" if trial % 3 == 0 else "C2",
-            leader_candidate_fraction=float(rng.uniform(0.05, 1.0)),
+            invited_fraction=float(rng.uniform(0.05, 1.0)),
             use_secondary_contacts=bool(trial % 2),
-            invited_fraction_c1=float(rng.uniform(0.05, 1.0)),
         )
         request = make_request(Mode(int(rng.integers(1, 4))),
                                workload=float(rng.uniform(0.1, 60.0)),
@@ -495,12 +492,12 @@ def test_lazy_auction_matches_the_vectorized_auction_bit_for_bit():
 def test_winner_is_invariant_under_cost_scaling():
     topo = organize(TopologyConfig(n_core=60, n_periphery=4,
                                    primary_contacts_per_core=12,
-                                   periphery_per_core=2, seed=4))
+                                   periphery_per_core=2), 4)
     rng = np.random.default_rng(9)
     modes = rng.integers(0, 4, size=60)
     costs = rng.uniform(1, 10, size=60)
     committed = rng.uniform(2, 9, size=60)
-    config = MarketConfig("C2", leader_candidate_fraction=0.2, use_secondary_contacts=True)
+    config = MarketConfig("C2", invited_fraction=0.2, use_secondary_contacts=True)
     request = make_request(Mode.M1, workload=25.0, entry=1)
     baseline = auction(request, topo, make_fleet(modes, costs, committed),
                        config, np.random.default_rng(21))
@@ -520,7 +517,7 @@ def test_secondary_reach_is_superset_of_primary_reach():
     rng = np.random.default_rng(14)
     topo = organize(TopologyConfig(n_core=40, n_periphery=6,
                                    primary_contacts_per_core=4,
-                                   periphery_per_core=2, seed=2))
+                                   periphery_per_core=2), 2)
     for trial in range(30):
         fleet = make_fleet(rng.integers(0, 4, size=40),
                            costs=rng.uniform(1, 10, size=40),
@@ -539,12 +536,12 @@ def test_secondary_reach_is_superset_of_primary_reach():
 def test_auction_is_deterministic_per_state_and_seed():
     topo = organize(TopologyConfig(n_core=100, n_periphery=5,
                                    primary_contacts_per_core=10,
-                                   periphery_per_core=2, seed=6))
+                                   periphery_per_core=2), 6)
     rng = np.random.default_rng(2)
     modes = rng.integers(0, 4, size=100)
     costs = rng.uniform(1, 10, size=100)
     committed = rng.uniform(0, 8, size=100)
-    config = MarketConfig("C2", leader_candidate_fraction=0.05)
+    config = MarketConfig("C2", invited_fraction=0.05)
     request = make_request(Mode.M2, workload=15.0, entry=3)
     results = []
     for _ in range(2):
@@ -566,11 +563,11 @@ def test_c1_never_traverses_contact_lists():
     topo.periphery_known_cores[0] = np.array([0], dtype=np.int32)
     fleet = make_fleet([Mode.M1] * 3, committed=[9.0, 0.0, 0.0])
     request = make_request(workload=5.0)
-    c1 = auction(request, topo, fleet, MarketConfig("C1", invited_fraction_c1=1.0),
+    c1 = auction(request, topo, fleet, MarketConfig("C1", invited_fraction=1.0),
                  np.random.default_rng(0))
     assert c1.bid is None
     c2 = auction(request, topo, fleet,
-                 MarketConfig("C2", leader_candidate_fraction=1.0),
+                 MarketConfig("C2", invited_fraction=1.0),
                  np.random.default_rng(0))
     assert c2.bid is not None
     assert c2.bid.coalition.size == 2
@@ -580,7 +577,7 @@ def test_c1_leader_is_cheapest_member():
     topo = star_topology(6, [1])
     fleet = make_fleet([Mode.M1] * 6, costs=[9.0, 4.0, 2.0, 7.0, 5.0, 3.0],
                        committed=[8.0] * 6)
-    config = MarketConfig("C1", invited_fraction_c1=1.0)
+    config = MarketConfig("C1", invited_fraction=1.0)
     outcome = auction(make_request(workload=5.0), topo, fleet, config,
                       np.random.default_rng(1))
     assert outcome.bid is not None
@@ -597,7 +594,7 @@ def test_contact_order_ranks_by_cost_then_id():
     # an organized topology with many tied costs, against plain Python
     topo = organize(TopologyConfig(n_core=60, n_periphery=8,
                                    primary_contacts_per_core=7,
-                                   periphery_per_core=2, seed=4))
+                                   periphery_per_core=2), 4)
     drawn = topo.core_primary_contacts.copy()
     costs = np.random.default_rng(4).integers(1, 4, size=60).astype(float)
     order = ContactOrder(topo, make_fleet([Mode.M1] * 60, costs=costs))
@@ -617,7 +614,7 @@ def test_contact_order_is_unchanged_across_chunk_boundaries(monkeypatch):
     monkeypatch.setattr(topology, "CHUNK_CELLS", 4 * 9)
     topo = organize(TopologyConfig(n_core=300, n_periphery=5,
                                    primary_contacts_per_core=9,
-                                   periphery_per_core=2, seed=8))
+                                   periphery_per_core=2), 8)
     c = topo.core_primary_contacts.copy()
     costs = np.random.default_rng(8).integers(1, 20, size=300).astype(float)
     order = ContactOrder(topo, make_fleet([Mode.M1] * 300, costs=costs))
@@ -631,7 +628,7 @@ def test_contact_order_reuses_the_topology_matrix():
     # topology's own matrix, whatever order the previous fleet left them in
     topo = organize(TopologyConfig(n_core=80, n_periphery=6,
                                    primary_contacts_per_core=9,
-                                   periphery_per_core=2, seed=6))
+                                   periphery_per_core=2), 6)
     drawn = topo.core_primary_contacts.copy()
     for seed in (6, 7):
         costs = np.random.default_rng(seed).integers(1, 4, size=80).astype(float)
@@ -650,7 +647,7 @@ def test_setup_peak_memory_stays_near_one_contact_matrix():
     try:
         topo = organize(TopologyConfig(n_core=100_000, n_periphery=1000,
                                        primary_contacts_per_core=200,
-                                       periphery_per_core=10, seed=1))
+                                       periphery_per_core=10), 1)
         organize_peak = tracemalloc.get_traced_memory()[1]
         fleet = make_fleet(np.ones(100_000, dtype=np.int8),
                            costs=np.random.default_rng(1).uniform(1, 10, 100_000))

@@ -29,8 +29,8 @@ def make(n_core, n_periphery, m, n_contacts, seed=0):
             n_periphery=n_periphery,
             primary_contacts_per_core=n_contacts,
             periphery_per_core=m,
-            seed=seed,
-        )
+        ),
+        seed,
     )
 
 
@@ -228,6 +228,9 @@ def test_stats_reject_bad_sample_size():
         compute_stats(topo, sample_size=0)
     with pytest.raises(ConfigurationError):
         compute_stats(topo, sample_size=11)
+    # a sample is drawn from the caller's generator, never a hidden one
+    with pytest.raises(ConfigurationError, match="rng"):
+        compute_stats(topo, sample_size=5)
 
 
 def test_stats_reject_empty_topology():

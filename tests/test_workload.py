@@ -26,7 +26,6 @@ def default_config(**overrides):
         workload_range=(0.1, 8.0),
         mode_probabilities=(1 / 3, 1 / 3, 1 / 3),
         n_requests=1000,
-        seed=0,
     )
     base.update(overrides)
     return WorkloadConfig(**base)
@@ -99,7 +98,7 @@ def test_config_validation():
 # -- generate_stream ---------------------------------------------------------
 
 def test_stream_is_lazy_and_sized():
-    stream = generate_stream(default_config(n_requests=50), 10)
+    stream = generate_stream(default_config(n_requests=50), 10, 0)
     assert isinstance(stream, types.GeneratorType)
     requests = list(stream)
     assert len(requests) == 50
@@ -108,17 +107,17 @@ def test_stream_is_lazy_and_sized():
 
 def test_forced_mode_probabilities():
     config = default_config(mode_probabilities=(1.0, 0.0, 0.0), n_requests=200)
-    assert all(r.mode == Mode.M1 for r in generate_stream(config, 5))
+    assert all(r.mode == Mode.M1 for r in generate_stream(config, 5, 0))
 
 
 def test_arrival_times_strictly_increase():
-    requests = list(generate_stream(default_config(n_requests=2000), 10))
+    requests = list(generate_stream(default_config(n_requests=2000), 10, 0))
     times = [r.arrival_time for r in requests]
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
 def test_fields_within_configured_ranges():
-    requests = list(generate_stream(default_config(n_requests=2000), 7))
+    requests = list(generate_stream(default_config(n_requests=2000), 7, 0))
     for r in requests:
         assert 0.1 <= r.workload <= 8.0
         assert r.duration > 0
@@ -129,9 +128,9 @@ def test_fields_within_configured_ranges():
 def test_mode_split_matches_binomial_oracle():
     # equal thirds: each mode count should land within 3 binomial sigmas
     n = 300_000
-    config = default_config(n_requests=n, seed=8)
+    config = default_config(n_requests=n)
     counts = {Mode.M1: 0, Mode.M2: 0, Mode.M3: 0}
-    for r in generate_stream(config, 10):
+    for r in generate_stream(config, 10, 8):
         counts[r.mode] += 1
     p = 1 / 3
     sigma = math.sqrt(p * (1 - p) * n)
@@ -141,9 +140,9 @@ def test_mode_split_matches_binomial_oracle():
 
 def test_entry_periphery_is_uniform():
     n = 100_000
-    config = default_config(n_requests=n, seed=9)
+    config = default_config(n_requests=n)
     counts = np.zeros(8, dtype=int)
-    for r in generate_stream(config, 8):
+    for r in generate_stream(config, 8, 9):
         counts[r.entry_periphery] += 1
     p = 1 / 8
     sigma = math.sqrt(p * (1 - p) * n)
@@ -151,9 +150,9 @@ def test_entry_periphery_is_uniform():
 
 
 def test_same_seed_regenerates_identical_stream():
-    config = default_config(n_requests=500, seed=13)
-    first = list(generate_stream(config, 10))
-    second = list(generate_stream(config, 10))
+    config = default_config(n_requests=500)
+    first = list(generate_stream(config, 10, 13))
+    second = list(generate_stream(config, 10, 13))
     assert first == second
-    shifted = list(generate_stream(default_config(n_requests=500, seed=14), 10))
+    shifted = list(generate_stream(config, 10, 14))
     assert first != shifted
