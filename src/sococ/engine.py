@@ -1,11 +1,14 @@
 """Server fleet state and the discrete-event loop.
 
-The fleet is held as parallel numpy arrays, one entry per server, so set-up
-draws and cost-orders it whole, commits write a coalition by index, and the
-ledger sweep checks every server at once; auctions read one entry at a time
-as they scan. Events are processed in
-(time, completion-before-arrival, request id) order; winning allocations are
-committed atomically and released when the service completes.
+The fleet is held as parallel numpy columns, one entry per server, so set-up
+draws and cost-orders it whole, the ledger sweeps check every server at
+once and the report reads it whole. The per-request path, which touches a
+few servers at a time, reads and writes the same buffers as Python scalars
+through memoryviews: each auction scans servers one at a time, and
+`Fleet.commit` and `Fleet.release` write one coalition's members. Events
+are processed in (time, completion-before-arrival, request id) order;
+winning allocations are committed atomically and released when the service
+completes.
 
 Every run checks the fleet ledger: `Fleet.commit` and `Fleet.release`, the
 only writers of committed load, check each server they write, and the whole
@@ -63,7 +66,14 @@ class EngineConfig:
 
 
 class Fleet:
-    """Mutable state of all core servers, stored column-wise."""
+    """Mutable state of all core servers, stored column-wise.
+
+    `committed_view`, `modes_view`, `count_view` and `recruited_view` are
+    memoryviews of `committed`, `modes`, `coalition_count` and
+    `recruited_from_sleep`: the same buffers, read and written one Python
+    scalar at a time, at half the cost of `ndarray.item`. A write through
+    either name shows through the other.
+    """
 
     def __init__(
         self,
@@ -80,6 +90,10 @@ class Fleet:
         self.unit_cost = unit_cost.astype(np.float64)
         self.coalition_count = np.zeros(self.n, dtype=np.int64)
         self.recruited_from_sleep = np.zeros(self.n, dtype=bool)
+        self.committed_view = memoryview(self.committed)
+        self.modes_view = memoryview(self.modes)
+        self.count_view = memoryview(self.coalition_count)
+        self.recruited_view = memoryview(self.recruited_from_sleep)
         # request id -> (member ids, allocations); one entry per live request
         self.live: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -90,22 +104,25 @@ class Fleet:
         allocs = coalition.allocations
         if request.id in self.live:
             raise InternalConsistencyError(f"request {request.id} committed twice")
-        # a fancy-index write would apply a repeated server's allocation once
-        if len(set(ids.tolist())) != ids.size:
+        members = ids.tolist()
+        # every load is read before the first write, so a repeated server
+        # would take only one of its allocations
+        if len(set(members)) != len(members):
             raise InternalConsistencyError(f"request {request.id}: coalition repeats a server")
-        load = self.committed[ids] + allocs
+        committed = self.committed_view
+        loads = [committed[i] + a for i, a in zip(members, allocs.tolist())]
         limit = self.capacity + CAPACITY_TOL
-        # coalitions are small, so a list reduction is cheaper than numpy's
-        if max(load.tolist()) > limit:
-            raise InternalConsistencyError(
-                f"allocation overflows capacity on servers {ids[load > limit].tolist()}"
-            )
-        self.committed[ids] = load
-        self.coalition_count[ids] += 1
-        sleepers = ids[self.modes[ids] == _SLEEP]
-        if sleepers.size:
-            self.modes[sleepers] = int(request.mode)
-            self.recruited_from_sleep[sleepers] = True
+        if max(loads) > limit:
+            over = [i for i, load in zip(members, loads) if load > limit]
+            raise InternalConsistencyError(f"allocation overflows capacity on servers {over}")
+        modes, count, recruited = self.modes_view, self.count_view, self.recruited_view
+        mode = int(request.mode)
+        for i, load in zip(members, loads):
+            committed[i] = load
+            count[i] += 1
+            if modes[i] == _SLEEP:
+                modes[i] = mode
+                recruited[i] = True
         self.live[request.id] = (ids, allocs)
 
     def release(self, request_id: int) -> None:
@@ -115,15 +132,19 @@ class Fleet:
         if entry is None:
             raise InternalConsistencyError(f"completion for unknown request {request_id}")
         ids, allocs = entry
-        load = self.committed[ids] - allocs
-        if min(load.tolist()) < -CAPACITY_TOL:
+        members = ids.tolist()
+        committed = self.committed_view
+        loads = [committed[i] - a for i, a in zip(members, allocs.tolist())]
+        if min(loads) < -CAPACITY_TOL:
             raise InternalConsistencyError(f"request {request_id} released to a negative load")
-        self.committed[ids] = load
-        drained = ids[self.recruited_from_sleep[ids] & (load <= CAPACITY_TOL)]
-        if drained.size:
-            self.committed[drained] = 0.0  # clear float residue
-            self.modes[drained] = _SLEEP
-            self.recruited_from_sleep[drained] = False
+        modes, recruited = self.modes_view, self.recruited_view
+        for i, load in zip(members, loads):
+            if recruited[i] and load <= CAPACITY_TOL:
+                committed[i] = 0.0  # clear float residue
+                modes[i] = _SLEEP
+                recruited[i] = False
+            else:
+                committed[i] = load
 
     def check_conservation(self) -> None:
         """Verify committed == background + live allocations on every server."""

@@ -30,6 +30,8 @@ MIN_ALLOCATION = 0.01
 _TRIM_EPS = 1e-9
 # Mode.SLEEP as a plain int: an enum member lookup costs more per request
 _SLEEP = int(Mode.SLEEP)
+# ids an eligibility scan converts to Python ints at a time
+_SCAN_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,24 @@ class AuctionOutcome:
     candidates_contacted: int
 
 
-def _eligible(fleet, ids: np.ndarray, mode: Mode) -> Iterator[tuple[int, float]]:
+def _eligible(fleet, ids: np.ndarray | list[int], mode: Mode) -> Iterator[tuple[int, float]]:
     """Yield (id, free capacity) for each server among `ids` that can join a
     coalition for `mode`, lazily and in input order: those running `mode` or
-    asleep, with at least MIN_ALLOCATION free."""
-    mode_of, committed = fleet.modes.item, fleet.committed.item
+    asleep, with at least MIN_ALLOCATION free.
+
+    `ids` is a list or an id array; an array is converted _SCAN_CHUNK ids at
+    a time, so a scan that stops early leaves the rest of a long row
+    unconverted."""
+    mode_of, committed = fleet.modes_view, fleet.committed_view
     capacity, wanted = fleet.capacity, int(mode)
-    for i in ids:
-        server_mode = mode_of(i)
-        if server_mode == wanted or server_mode == _SLEEP:
-            free = capacity - committed(i)
-            if free >= MIN_ALLOCATION:
-                yield i, free
+    for start in range(0, len(ids), _SCAN_CHUNK):
+        chunk = ids[start:start + _SCAN_CHUNK]
+        for i in chunk if isinstance(chunk, list) else chunk.tolist():
+            server_mode = mode_of[i]
+            if server_mode == wanted or server_mode == _SLEEP:
+                free = capacity - committed[i]
+                if free >= MIN_ALLOCATION:
+                    yield i, free
 
 
 class ContactOrder:
@@ -93,9 +101,8 @@ class ContactOrder:
 
     Unit costs are static, so the (unit cost, id) total order is computed
     once: `by_rank` lists the ids in that order and `rank` is its inverse
-    permutation. A set of ids is cost-ordered by sorting its ranks and
-    mapping them back through `by_rank`; its first member in that order is
-    the one of lowest rank.
+    permutation. A set of ids is cost-ordered by sorting it by rank; its
+    first member in that order is the one of lowest rank.
 
     The order owns the topology's primary-contact matrix: it sorts every
     row in place, and `primary_sorted` is that same array, so set-up holds
@@ -117,9 +124,13 @@ class ContactOrder:
             ranks.sort(axis=1)
             contacts[rows] = self.by_rank[ranks]
         self.primary_sorted = contacts
+        self._rank_of = memoryview(self.rank).__getitem__
 
-    def sort_ids(self, ids: np.ndarray) -> np.ndarray:
-        return self.by_rank[np.sort(self.rank[ids])]
+    def sort_ids(self, ids: np.ndarray) -> list[int]:
+        """`ids` as a list in (unit cost, id) order. Ranks are unique, so
+        this is the order of `by_rank[np.sort(rank[ids])]`; sorting a few
+        Python ints by their rank costs less than the numpy round trip."""
+        return sorted(ids.tolist(), key=self._rank_of)
 
     def secondary(self, core: int) -> np.ndarray:
         """All cores sharing a periphery server with `core`, cost-ordered."""
@@ -130,7 +141,9 @@ class ContactOrder:
 def _invite(pcs: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform random subset of ceil(fraction * |pcs|) of the cores in `pcs`;
     empty, with no draw, when `pcs` is."""
-    return rng.choice(pcs, size=math.ceil(fraction * pcs.size), replace=False)
+    # drawing positions consumes the same draws as rng.choice(pcs, ...), and
+    # skips its conversion of `pcs`
+    return pcs[rng.choice(pcs.size, size=math.ceil(fraction * pcs.size), replace=False)]
 
 
 def invite_leader_candidates(
@@ -197,7 +210,7 @@ def assemble_coalition(
     cannot cover the workload.
     """
     need = request.workload
-    leader_free = fleet.capacity - fleet.committed.item(leader)
+    leader_free = fleet.capacity - fleet.committed_view[leader]
     if leader_free + _TRIM_EPS >= need:
         return Coalition(np.array([leader], np.int32), np.array([need]))
 

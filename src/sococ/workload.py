@@ -111,7 +111,9 @@ def sample(dist: DistributionSpec, rng: np.random.Generator) -> float:
     uniform lo + u*(hi - lo), with u uniform on (0, 1)."""
     u = _unit(rng)
     if dist.kind == "exponential":
-        return -dist.param1 * np.log(u)
+        # numpy's log, not math.log: the two differ in the last bit on some
+        # hosts; float() keeps arrival times and heap keys Python floats
+        return float(-dist.param1 * np.log(u))
     if dist.kind == "pareto":
         return dist.param2 * u ** (-1.0 / dist.param1)
     return dist.param1 + u * (dist.param2 - dist.param1)
@@ -134,11 +136,17 @@ def generate_stream(
     Arrival times accumulate the inter-arrival samples; the entry periphery
     is uniform over [0, n_periphery). The draws come from a generator seeded
     with `seed`, so equal configs and seeds regenerate element-wise
-    identical streams.
+    identical streams. An invalid `n_periphery` raises here, not on the
+    first request.
     """
     if n_periphery < 1:
         raise ConfigurationError("n_periphery must be >= 1")
-    rng = np.random.default_rng(seed)
+    return _requests(config, n_periphery, np.random.default_rng(seed))
+
+
+def _requests(
+    config: WorkloadConfig, n_periphery: int, rng: np.random.Generator
+) -> Iterator[ServiceRequest]:
     workload_dist = DistributionSpec("uniform", *config.workload_range)
     t = 0.0
     for i in range(config.n_requests):

@@ -7,7 +7,7 @@ import pytest
 
 from sococ.engine import CAPACITY_TOL, EngineConfig, Fleet, init_servers, run
 from sococ.errors import ConfigurationError, InternalConsistencyError
-from sococ.market import Coalition, Market, MarketConfig
+from sococ.market import Coalition, Market, MarketConfig, _eligible
 from sococ.metrics import MetricsConfig, MetricsSink, build_report
 from sococ.topology import ContactTopology, TopologyConfig, organize
 from sococ.workload import (
@@ -163,6 +163,31 @@ def test_server_view_reflects_live_allocations():
     ids, allocs = fleet.live[4]
     assert list(fleet.live) == [4]
     assert ids.tolist() == [0] and allocs.tolist() == [2.5]
+
+
+def test_scalar_views_and_numpy_columns_share_one_ledger():
+    # the per-request path writes through memoryviews; the columns must show
+    # every write, and every numpy write must reach the next scan and check
+    fleet = make_fleet([Mode.SLEEP, Mode.M1, Mode.M1], background=[0.0, 2.0, 2.0])
+    fleet.commit(request(1, 0.0, workload=5.0),
+                 Coalition(np.array([0, 1]), np.array([3.0, 2.0])))
+    assert fleet.committed.tolist() == [3.0, 4.0, 2.0]
+    assert fleet.modes.tolist() == [Mode.M1, Mode.M1, Mode.M1]
+    assert fleet.coalition_count.tolist() == [1, 1, 0]
+    assert fleet.recruited_from_sleep.tolist() == [True, False, False]
+
+    fleet.committed[2] = 9.995  # less than the minimum allocation left free
+    fleet.modes[1] = Mode.M2
+    assert [i for i, _ in _eligible(fleet, np.arange(3), Mode.M1)] == [0]
+    assert [i for i, _ in _eligible(fleet, [0, 1, 2], Mode.M2)] == [1]
+    with pytest.raises(InternalConsistencyError, match=r"servers \[2\]"):
+        fleet.commit(request(2, 0.0), Coalition(np.array([0, 2]), np.array([1.0, 0.5])))
+
+    fleet.committed[2] = 2.0
+    fleet.recruited_from_sleep[0] = False  # server 0 now keeps its mode
+    fleet.release(1)
+    assert fleet.committed.tolist() == [0.0, 2.0, 2.0]
+    assert fleet.modes.tolist() == [Mode.M1, Mode.M2, Mode.M1]
 
 
 # -- event loop --------------------------------------------------------------------

@@ -14,7 +14,9 @@ are compared with the ones recorded here:
   coalitions with the same arrival times and durations share it.
 
 The sha256 of `summary.json` is pinned as well, in `SUMMARY`: it covers the
-totals and the config echo, which the four values above do not.
+totals and the config echo, which the four values above do not. So are the
+bid prices, in `PRICES`: the sha256 of every won bid's price as a
+little-endian double, in arrival order. No report file carries a price.
 
 The desk presets are cut from 10^5 to 10^4 requests to keep the run fast.
 exp5 and exp6 run at their published 10^3 requests.
@@ -30,6 +32,7 @@ must say which value moved and why the new behaviour is intended.
 """
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +95,16 @@ SUMMARY = {
     "exp4-desk": "d418cc075a4267c31620af2cd85ae97620d98dfbe5c4eb7a647ac448df7e8945",
 }
 
+# preset -> sha256 of the "<d" bytes of every won bid's price, in arrival order
+PRICES = {
+    "exp5": "1cb9e8de20364dca978df7320f409e882a002403bab2f61fee0f353e18a71dfc",
+    "exp6": "3cb012da1e11fa24bc086e35823e0f6d1b9df773d436ff9d698a3b8796465b01",
+    "exp1-desk": "b56f992d09fc7758684abdb40b39e99958a64326e884bcc138f9be0112025d05",
+    "exp2-desk": "54ea4c0594ddbb1ec76ee34e3e576cca0c15812ea499593723234c25ba151705",
+    "exp3-desk": "b5b35dc4a1ab972a17376fed9b9ce7c97156c36504711cfa88d022ed5f4a5ad7",
+    "exp4-desk": "d4284bcdef72fc7b17d7379ea87eeafcfa3d21f78420e2d1f7eef5d2154fd61c",
+}
+
 
 # exp2-desk with primary_contacts_per_core=10 and 5,000 requests, at SEED:
 # the four pinned values and the number of ContactOrder.secondary calls
@@ -142,8 +155,18 @@ def run_pinned(p, out_dir, monkeypatch):
     "name", ["exp5", "exp6", "exp1-desk", "exp2-desk", "exp3-desk", "exp4-desk"]
 )
 def test_preset_outputs_match_golden(name, tmp_path, monkeypatch):
+    prices = hashlib.sha256()
+    original = market.price_bid
+
+    def recording_price_bid(coalition, fleet):
+        bid = original(coalition, fleet)
+        prices.update(struct.pack("<d", bid.price))
+        return bid
+
+    monkeypatch.setattr(market, "price_bid", recording_price_bid)
     assert run_pinned(golden_preset(name), tmp_path, monkeypatch) == GOLDEN[name]
     assert file_sha256(tmp_path / "summary.json") == SUMMARY[name]
+    assert prices.hexdigest() == PRICES[name]
 
 
 def test_secondary_fallback_outputs_match_golden(tmp_path, monkeypatch):

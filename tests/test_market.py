@@ -125,6 +125,40 @@ def test_lazy_eligibility_matches_the_rule_in_input_order():
         assert 0 < len(got) < 200
 
 
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 500])
+def test_eligibility_scan_reads_arrays_and_lists_alike(length):
+    # arrays are scanned a chunk at a time; chunk edges must not show
+    rng = np.random.default_rng(length)
+    modes = rng.integers(0, 4, size=600)
+    fleet = make_fleet(modes, committed=np.where(modes == 0, 0.0, rng.uniform(0, 10, 600)))
+    ids = rng.permutation(600)[:length].astype(np.int32)
+    for mode in (Mode.M1, Mode.M2, Mode.M3):
+        from_array = list(_eligible(fleet, ids, mode))
+        assert from_array == list(_eligible(fleet, ids.tolist(), mode))
+        assert [i for i, _ in from_array] == [
+            int(i) for i in ids if eligible_by_rule(fleet, i, mode)]
+
+
+class ConversionCountingIds(np.ndarray):
+    """An id array that counts the ids its slices convert to a list."""
+
+    converted = 0
+
+    def tolist(self):
+        ConversionCountingIds.converted += self.size
+        return super().tolist()
+
+
+def test_eligibility_scan_stops_converting_when_it_stops():
+    fleet = make_fleet([Mode.M1] * 100_000)
+    row = np.arange(100_000, dtype=np.int32).view(ConversionCountingIds)
+    ConversionCountingIds.converted = 0
+    scan = _eligible(fleet, row, Mode.M1)
+    assert next(scan) == (0, 10.0)
+    assert ConversionCountingIds.converted < 100
+    assert next(scan) == (1, 10.0)  # the scan resumes where it stopped
+
+
 # -- leader invitation ---------------------------------------------------------
 
 def test_invite_count_is_ceiling_of_fraction():
@@ -420,7 +454,8 @@ def vectorized_auction(request, topo, fleet, config, rng, fallbacks):
     invited = rng.choice(pcs, size=int(np.ceil(config.invited_fraction * pcs.size)),
                          replace=False)
     if config.initiation == "C1":
-        pool = order.sort_ids(vectorized_eligible(fleet, invited, request.mode))
+        pool = np.asarray(order.sort_ids(vectorized_eligible(fleet, invited, request.mode)),
+                          dtype=np.int32)
         return vectorized_fill(pool, fleet.capacity - fleet.committed[pool], request.workload)
     elig = vectorized_eligible(fleet, invited, request.mode)
     if elig.size == 0:
@@ -589,7 +624,7 @@ def test_contact_order_ranks_by_cost_then_id():
     fleet = make_fleet([Mode.M1] * 5, costs=[3.0, 1.0, 3.0, 0.5, 1.0])
     topo = star_topology(5, [1, 2, 3, 4])
     order = ContactOrder(topo, fleet)
-    assert order.sort_ids(np.arange(5)).tolist() == [3, 1, 4, 0, 2]
+    assert np.asarray(order.sort_ids(np.arange(5))).tolist() == [3, 1, 4, 0, 2]
 
     # an organized topology with many tied costs, against plain Python
     topo = organize(TopologyConfig(n_core=60, n_periphery=8,
@@ -607,6 +642,17 @@ def test_contact_order_ranks_by_cost_then_id():
         reach = {int(i) for p in topo.core_known_periphery[c]
                  for i in topo.periphery_known_cores[p]}
         assert order.secondary(c).tolist() == by_cost(reach - {c})
+
+
+def test_sort_ids_matches_the_rank_gather_sort():
+    # the numpy statement of the order: gather ranks, sort, map back
+    rng = np.random.default_rng(5)
+    costs = rng.integers(1, 6, size=300).astype(float)  # many ties
+    order = ContactOrder(star_topology(300, [1]), make_fleet([Mode.M1] * 300, costs=costs))
+    for size in [0, 1, 1, 2, 3, 17, 60, 300]:
+        ids = rng.permutation(300)[:size].astype(np.int32)
+        want = order.by_rank[np.sort(order.rank[ids])]
+        assert order.sort_ids(ids) == want.tolist()
 
 
 def test_contact_order_is_unchanged_across_chunk_boundaries(monkeypatch):

@@ -105,6 +105,25 @@ def test_stream_is_lazy_and_sized():
     assert [r.id for r in requests] == list(range(50))
 
 
+def test_invalid_periphery_count_raises_at_the_call():
+    # the check runs before the first request is asked for
+    with pytest.raises(ConfigurationError, match="n_periphery"):
+        generate_stream(default_config(), 0, 1)
+
+
+@pytest.mark.parametrize("interarrival,service", [
+    (DistributionSpec("exponential", 1.5), DistributionSpec("exponential", 1.2)),
+    (DistributionSpec("uniform", 0.0, 2.0), DistributionSpec("pareto", 2.5, 0.5)),
+])
+def test_stream_times_and_sizes_are_python_floats(interarrival, service):
+    # numpy scalars would ride through the event heap and every auction
+    config = default_config(interarrival=interarrival, service=service, n_requests=200)
+    for r in generate_stream(config, 4, 3):
+        assert type(r.arrival_time) is float
+        assert type(r.workload) is float
+        assert type(r.duration) is float
+
+
 def test_forced_mode_probabilities():
     config = default_config(mode_probabilities=(1.0, 0.0, 0.0), n_requests=200)
     assert all(r.mode == Mode.M1 for r in generate_stream(config, 5, 0))
