@@ -1,16 +1,19 @@
 """Experiment presets, config-file loading and the end-to-end run driver.
 
 Presets exp1..exp6 reproduce the published experiment parameters at full
-scale (exp1..exp4 are guarded because they need hours and about 17 GB, for
-one N x n int32 primary-contact matrix); the -desk variants reproduce the
-same regimes at workstation scale, with every deviation recorded in the
-preset's scale_note.
+scale; exp1..exp4 are guarded because they need hours. The C2 presets
+exp1..exp3 also need about 17 GB, for one N x n int32 primary-contact
+matrix. C1 presets draw no primary contacts: exp4 cut to 10^4 requests
+peaked at 2.2 GiB. The -desk variants reproduce the same regimes at
+workstation scale, with every deviation recorded in the preset's
+scale_note.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -239,7 +242,11 @@ def derive_seeds(seed: int) -> tuple[int, int, int, int]:
 # strict config-file loading
 # ---------------------------------------------------------------------------
 
-def _require(d: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+def _section(d, path: str, required: dict, optional: dict) -> dict:
+    """Check that `d` is an object with every `required` key and no key
+    outside `required` and `optional`; return {field: converted value} for
+    each key it holds. A table maps a JSON key to its converter, or to a
+    (field, converter) pair where the dataclass names the field otherwise."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path}: expected an object, got {d!r}")
     unknown = set(d) - set(required) - set(optional)
@@ -248,23 +255,18 @@ def _require(d: dict, path: str, required: tuple[str, ...], optional: tuple[str,
     missing = [k for k in required if k not in d]
     if missing:
         raise ConfigurationError(f"{path}: missing keys {missing}")
-
-
-def _get(d: dict, path: str, key: str, convert):
-    """convert(d[key]); a value that does not convert is an error at
-    path.key."""
-    value = d[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}.{key}: invalid value {value!r}: {exc}") from None
-
-
-def _present(d: dict, path: str, **converters) -> dict:
-    """{key: convert(d[key])} for each key of `converters` that d holds; an
-    absent key is left out, so the dataclass supplies its default."""
-    return {key: _get(d, path, key, convert)
-            for key, convert in converters.items() if key in d}
+    fields = {}
+    for key, spec in {**required, **optional}.items():
+        if key in d:
+            field, convert = spec if isinstance(spec, tuple) else (key, spec)
+            try:
+                fields[field] = convert(d[key])
+            except ConfigurationError:
+                raise  # a nested object names its own path
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigurationError(
+                    f"{path}.{key}: invalid value {d[key]!r}: {exc}") from None
+    return fields
 
 
 def _build(cls, path: str, *args, **fields):
@@ -275,28 +277,32 @@ def _build(cls, path: str, *args, **fields):
         raise ConfigurationError(f"{path}: {exc}") from None
 
 
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("expected true or false")
-    return value
+def _object(cls, path: str, required: dict, optional: dict):
+    """The converter of the object at `path` into a cls."""
+    return lambda d: _build(cls, path, **_section(d, path, required, optional))
 
 
-def _int(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError("expected an integer")
-    return value
+def _typed(types: tuple, message: str):
+    """The converter that passes a value of `types` and rejects any other;
+    true and false pass only as a bool, never as an int."""
+    def convert(value):
+        if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
+            raise TypeError(message)
+        return value
+    return convert
+
+
+_bool = _typed((bool,), "expected true or false")
+_int = _typed((int,), "expected an integer")
+_str = _typed((str,), "expected a string")
+_number = _typed((int, float), "expected a number")
 
 
 def _float(value) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError("expected a number")
+    # json reads NaN and Infinity, which pass every range check
+    if not math.isfinite(_number(value)):
+        raise ValueError("expected a finite number")
     return float(value)
-
-
-def _str(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a string")
-    return value
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -311,92 +317,61 @@ def _pair(value) -> tuple[float, float]:
     return _floats(value)
 
 
-def _dist(d: dict, path: str) -> DistributionSpec:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigurationError(f"{path}: expected an object with a 'kind'")
-    kind = d["kind"]
-    if kind == "exponential":
-        _require(d, path, ("kind", "mean"))
-        return _build(DistributionSpec, path, kind, _get(d, path, "mean", _float))
-    if kind == "pareto":
-        _require(d, path, ("kind", "alpha", "scale"))
-        return _build(DistributionSpec, path, kind, _get(d, path, "alpha", _float),
-                      _get(d, path, "scale", _float))
-    if kind == "uniform":
-        _require(d, path, ("kind", "low", "high"))
-        return _build(DistributionSpec, path, kind, _get(d, path, "low", _float),
-                      _get(d, path, "high", _float))
-    raise ConfigurationError(f"{path}.kind: unknown distribution {kind!r}")
+# the parameters of each distribution kind, in DistributionSpec's order
+_DIST_PARAMS = {"exponential": ("mean",), "pareto": ("alpha", "scale"), "uniform": ("low", "high")}
+
+
+def _dist(path: str):
+    """The converter of the distribution object at `path`."""
+    def convert(d) -> DistributionSpec:
+        if not isinstance(d, dict) or "kind" not in d:
+            raise ConfigurationError(f"{path}: expected an object with a 'kind'")
+        kind = d["kind"]
+        if not isinstance(kind, str) or kind not in _DIST_PARAMS:
+            raise ConfigurationError(f"{path}.kind: unknown distribution {kind!r}")
+        params = _section(d, path, {"kind": _str, **dict.fromkeys(_DIST_PARAMS[kind], _float)}, {})
+        return _build(DistributionSpec, path, *params.values())
+    return convert
 
 
 def load_config(path: str | Path) -> ExperimentPreset:
-    """Load a run configuration from a strict-schema JSON file.
-
-    Unknown keys anywhere in the file are errors; validation failures carry
-    the offending field path.
-    """
+    """Load a run configuration from a strict-schema JSON file. Unknown keys
+    anywhere are errors, and every error names its field path."""
     path = Path(path)
     with open(path) as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")
-    _require(raw, "config", ("topology", "workload", "market", "engine"),
-             ("metrics", "name"))
+    # the market section also holds keys that parameterize fleet
+    # initialization; the engine, converted after the market, takes them
+    fleet_keys, fleet = {"cost_range": _pair}, {}
 
-    t = raw["topology"]
-    _require(t, "topology",
-             ("n_core", "n_periphery", "primary_contacts_per_core", "periphery_per_core"),
-             ("n_aux",))
-    topo = _build(
-        TopologyConfig, "topology",
-        **_present(t, "topology", n_core=_int, n_periphery=_int, n_aux=_int,
-                   primary_contacts_per_core=_int, periphery_per_core=_int),
-    )
+    def market(m) -> MarketConfig:
+        fields = _section(m, "market", {"initiation": lambda value: value}, {
+            "invited_fraction": _float, "use_secondary": ("use_secondary_contacts", _bool),
+            **fleet_keys})
+        fleet.update((key, fields.pop(key)) for key in fleet_keys if key in fields)
+        return _build(MarketConfig, "market", **fields)
 
-    w = raw["workload"]
-    _require(w, "workload",
-             ("interarrival", "service", "workload_scu", "mode_probs", "n_requests"))
-    workload = _build(
-        WorkloadConfig, "workload",
-        interarrival=_dist(w["interarrival"], "workload.interarrival"),
-        service=_dist(w["service"], "workload.service"),
-        workload_range=_get(w, "workload", "workload_scu", _pair),
-        mode_probabilities=_get(w, "workload", "mode_probs", _floats),
-        n_requests=_get(w, "workload", "n_requests", _int),
-    )
+    def engine(e) -> EngineConfig:
+        return _build(EngineConfig, "engine", **fleet, **_section(e, "engine", {}, {
+            "capacity_scu": _float, "initial_state_mix": _floats, "initial_load_range": _pair}))
 
-    m = raw["market"]
-    _require(m, "market", ("initiation",),
-             ("invited_fraction", "use_secondary", "cost_range"))
-    market_fields = _present(m, "market", invited_fraction=_float, use_secondary=_bool)
-    if "use_secondary" in market_fields:
-        market_fields["use_secondary_contacts"] = market_fields.pop("use_secondary")
-    market = _build(MarketConfig, "market", initiation=m["initiation"], **market_fields)
-
-    e = raw["engine"]
-    _require(e, "engine", (),
-             ("capacity_scu", "initial_state_mix", "initial_load_range"))
-    eng = _build(
-        EngineConfig, "engine",
-        **_present(e, "engine", capacity_scu=_float, initial_state_mix=_floats,
-                   initial_load_range=_pair),
-        # cost_range rides in the market section but parameterizes
-        # fleet initialization
-        **_present(m, "market", cost_range=_pair),
-    )
-
-    mc = raw.get("metrics", {})
-    _require(mc, "metrics", (), ("bin_size", "n_subsets", "coalition_buckets"))
-    metrics = _build(
-        MetricsConfig, "metrics",
-        **_present(mc, "metrics", bin_size=_int, n_subsets=_int, coalition_buckets=_int),
-    )
-
-    return ExperimentPreset(
-        name=_present(raw, "config", name=_str).get("name", path.stem),
-        topology=topo, engine=eng, workload=workload, market=market,
-        metrics=metrics, scale_note="loaded from config file",
-    )
+    sections = _section(raw, "config", {
+        "topology": _object(TopologyConfig, "topology", {
+            "n_core": _int, "n_periphery": _int,
+            "primary_contacts_per_core": _int, "periphery_per_core": _int}, {"n_aux": _int}),
+        "workload": _object(WorkloadConfig, "workload", {
+            "interarrival": _dist("workload.interarrival"),
+            "service": _dist("workload.service"),
+            "workload_scu": ("workload_range", _pair),
+            "mode_probs": ("mode_probabilities", _floats),
+            "n_requests": _int}, {}),
+        "market": market, "engine": engine,
+    }, {"metrics": _object(MetricsConfig, "metrics", {}, {
+        "bin_size": _int, "n_subsets": _int, "coalition_buckets": _int}), "name": _str})
+    return ExperimentPreset(**{"name": path.stem, "metrics": MetricsConfig(), **sections},
+                            scale_note="loaded from config file")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +409,10 @@ def run_experiment(
         p = replace(p, metrics=replace(p.metrics, n_subsets=n_subsets))
 
     t0 = time.perf_counter()
-    topo = organize(p.topology, seeds[0])
+    # C1 never reads primary contacts. Their draw is organize's last, so
+    # skipping it leaves every other draw, and the config echo, as they are.
+    topo = organize(p.topology if p.market.initiation == "C2"
+                    else replace(p.topology, primary_contacts_per_core=0), seeds[0])
     t1 = time.perf_counter()
     log.info("%s: organized %d cores / %d periphery in %.2fs",
              p.name, topo.n_core, topo.n_periphery, t1 - t0)

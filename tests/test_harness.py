@@ -22,8 +22,8 @@ from sococ.harness import (
 )
 from sococ.market import MarketConfig
 from sococ.metrics import MetricsConfig
-from sococ.topology import TopologyConfig
-from sococ.workload import Mode
+from sococ.topology import TopologyConfig, organize
+from sococ.workload import DistributionSpec, Mode, WorkloadConfig
 
 
 # -- presets ---------------------------------------------------------------------
@@ -225,6 +225,263 @@ def test_config_rejects_bad_values_with_section(tmp_path):
     assert "config.name" in str(err.value)
 
 
+def set_at(*keys, value):
+    def mutate(raw):
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return raw
+    return mutate
+
+
+def drop_at(*keys):
+    def mutate(raw):
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return raw
+    return mutate
+
+
+# CONFIG as load_config reads it from run.json
+LOADED = ExperimentPreset(
+    name="run",
+    topology=TopologyConfig(n_core=500, n_periphery=10, n_aux=1,
+                            primary_contacts_per_core=20, periphery_per_core=3),
+    engine=EngineConfig(10.0, (0.2, 0.4, 0.15, 0.25), (0.3, 0.8), (1.0, 10.0)),
+    workload=WorkloadConfig(
+        interarrival=DistributionSpec("exponential", 1.5),
+        service=DistributionSpec("pareto", 2.0, 1.0),
+        workload_range=(0.1, 40.0),
+        mode_probabilities=(0.3333, 0.3333, 0.3334),
+        n_requests=1000,
+    ),
+    market=MarketConfig("C2", 0.01, True),
+    metrics=MetricsConfig(bin_size=100, n_subsets=10),
+    scale_note="loaded from config file",
+)
+
+
+def loaded_with(**sections):
+    """LOADED with some fields of its sections replaced:
+    loaded_with(topology={"n_aux": 0})."""
+    return replace(LOADED, **{
+        section: replace(getattr(LOADED, section), **fields) if isinstance(fields, dict)
+        else fields
+        for section, fields in sections.items()
+    })
+
+
+# One mutation of CONFIG each, with the exact message of the rejected file or
+# the preset of the accepted one: the loader's output, whatever its code.
+LOADER_CASES = [
+    # the root
+    ("root-list", lambda raw: [], "config root must be a JSON object"),
+    ("root-unknown", set_at("seed", value=1), "config: unknown keys ['seed']"),
+    ("root-missing-topology", drop_at("topology"), "config: missing keys ['topology']"),
+    ("root-missing-workload", drop_at("workload"), "config: missing keys ['workload']"),
+    ("root-missing-market", drop_at("market"), "config: missing keys ['market']"),
+    ("root-missing-engine", drop_at("engine"), "config: missing keys ['engine']"),
+    ("root-name-int", set_at("name", value=5), "config.name: invalid value 5: expected a string"),
+    ("root-name", set_at("name", value="custom"), loaded_with(name="custom")),
+    ("root-no-metrics", drop_at("metrics"), loaded_with(metrics=MetricsConfig())),
+    # sections that are not objects
+    ("topology-int", set_at("topology", value=5), "topology: expected an object, got 5"),
+    ("workload-list", set_at("workload", value=[]), "workload: expected an object, got []"),
+    ("market-str", set_at("market", value="C2"), "market: expected an object, got 'C2'"),
+    ("engine-null", set_at("engine", value=None), "engine: expected an object, got None"),
+    ("metrics-list", set_at("metrics", value=[["bin_size", 100]]),
+     "metrics: expected an object, got [['bin_size', 100]]"),
+    # topology
+    ("topology-unknown", set_at("topology", "n_contacts", value=5),
+     "topology: unknown keys ['n_contacts']"),
+    ("topology-missing", drop_at("topology", "n_core"), "topology: missing keys ['n_core']"),
+    ("topology-n_core-str", set_at("topology", "n_core", value="500"),
+     "topology.n_core: invalid value '500': expected an integer"),
+    ("topology-n_core-frac", set_at("topology", "n_core", value=500.7),
+     "topology.n_core: invalid value 500.7: expected an integer"),
+    ("topology-n_core-bool", set_at("topology", "n_core", value=True),
+     "topology.n_core: invalid value True: expected an integer"),
+    ("topology-n_core-zero", set_at("topology", "n_core", value=0),
+     "topology: n_core must be >= 1"),
+    ("topology-n_aux-negative", set_at("topology", "n_aux", value=-1),
+     "topology: n_aux must be >= 0"),
+    ("topology-m-above-M", set_at("topology", "periphery_per_core", value=11),
+     "topology: periphery_per_core must be in [1, n_periphery] (got m=11, M=10)"),
+    ("topology-n-above-N", set_at("topology", "primary_contacts_per_core", value=500),
+     "topology: primary_contacts_per_core must be in [0, n_core - 1] (got n=500, N=500)"),
+    ("topology-no-n_aux", drop_at("topology", "n_aux"), loaded_with(topology={"n_aux": 0})),
+    # workload
+    ("workload-unknown", set_at("workload", "burstiness", value=2),
+     "workload: unknown keys ['burstiness']"),
+    ("workload-missing", drop_at("workload", "n_requests"),
+     "workload: missing keys ['n_requests']"),
+    ("workload-scu-scalar", set_at("workload", "workload_scu", value=40.0),
+     "workload.workload_scu: invalid value 40.0: expected [lo, hi]"),
+    ("workload-scu-short", set_at("workload", "workload_scu", value=[0.1]),
+     "workload.workload_scu: invalid value [0.1]: expected [lo, hi]"),
+    ("workload-scu-str", set_at("workload", "workload_scu", value=["0.1", 40]),
+     "workload.workload_scu: invalid value ['0.1', 40]: expected a number"),
+    ("workload-scu-zero", set_at("workload", "workload_scu", value=[0, 40]),
+     "workload: workload_range must satisfy 0 < lo <= hi"),
+    ("workload-scu-reversed", set_at("workload", "workload_scu", value=[40, 0.1]),
+     "workload: workload_range must satisfy 0 < lo <= hi"),
+    ("workload-probs-scalar", set_at("workload", "mode_probs", value=0.5),
+     "workload.mode_probs: invalid value 0.5: expected a list of numbers"),
+    ("workload-probs-str", set_at("workload", "mode_probs", value=[0.3333, 0.3333, "0.3334"]),
+     "workload.mode_probs: invalid value [0.3333, 0.3333, '0.3334']: expected a number"),
+    ("workload-probs-two", set_at("workload", "mode_probs", value=[0.5, 0.5]),
+     "workload: mode_probabilities must be three non-negative values"),
+    ("workload-probs-sum", set_at("workload", "mode_probs", value=[0.5, 0.5, 0.5]),
+     "workload: mode_probabilities must sum to 1"),
+    ("workload-n_requests-null", set_at("workload", "n_requests", value=None),
+     "workload.n_requests: invalid value None: expected an integer"),
+    ("workload-n_requests-zero", set_at("workload", "n_requests", value=0),
+     "workload: n_requests must be >= 1"),
+    ("workload-n_requests-big", set_at("workload", "n_requests", value=10**7),
+     loaded_with(workload={"n_requests": 10**7})),
+    # distributions
+    ("dist-int", set_at("workload", "interarrival", value=5),
+     "workload.interarrival: expected an object with a 'kind'"),
+    ("dist-no-kind", drop_at("workload", "interarrival", "kind"),
+     "workload.interarrival: expected an object with a 'kind'"),
+    ("dist-kind-unknown", set_at("workload", "interarrival", "kind", value="gamma"),
+     "workload.interarrival.kind: unknown distribution 'gamma'"),
+    ("dist-kind-int", set_at("workload", "interarrival", "kind", value=5),
+     "workload.interarrival.kind: unknown distribution 5"),
+    ("dist-kind-list", set_at("workload", "interarrival", "kind", value=["exponential"]),
+     "workload.interarrival.kind: unknown distribution ['exponential']"),
+    ("dist-unknown", set_at("workload", "interarrival", "scale", value=1.0),
+     "workload.interarrival: unknown keys ['scale']"),
+    ("dist-missing", drop_at("workload", "service", "scale"),
+     "workload.service: missing keys ['scale']"),
+    ("dist-mean-str", set_at("workload", "interarrival", "mean", value="1.5"),
+     "workload.interarrival.mean: invalid value '1.5': expected a number"),
+    ("dist-mean-zero", set_at("workload", "interarrival", "mean", value=0),
+     "workload.interarrival: exponential mean must be > 0"),
+    ("dist-alpha-one", set_at("workload", "service", "alpha", value=1.0),
+     "workload.service: pareto shape alpha must be > 1"),
+    ("dist-scale-zero", set_at("workload", "service", "scale", value=0),
+     "workload.service: pareto scale must be > 0"),
+    ("dist-uniform-reversed", set_at("workload", "interarrival",
+                                     value={"kind": "uniform", "low": 2, "high": 1}),
+     "workload.interarrival: uniform lower bound exceeds upper bound"),
+    ("dist-uniform-service-zero", set_at("workload", "service",
+                                         value={"kind": "uniform", "low": 0, "high": 1}),
+     "workload: uniform service durations must be > 0"),
+    ("dist-uniform", set_at("workload", "interarrival",
+                            value={"kind": "uniform", "low": 0.5, "high": 1.5}),
+     loaded_with(workload={"interarrival": DistributionSpec("uniform", 0.5, 1.5)})),
+    # market
+    ("market-unknown", set_at("market", "leader_candidate_fraction", value=0.01),
+     "market: unknown keys ['leader_candidate_fraction']"),
+    ("market-missing", drop_at("market", "initiation"), "market: missing keys ['initiation']"),
+    ("market-initiation-C3", set_at("market", "initiation", value="C3"),
+     "market: initiation must be 'C1' or 'C2'"),
+    ("market-initiation-int", set_at("market", "initiation", value=1),
+     "market: initiation must be 'C1' or 'C2'"),
+    ("market-fraction-zero", set_at("market", "invited_fraction", value=0),
+     "market: invited_fraction must be in (0, 1]"),
+    ("market-fraction-big", set_at("market", "invited_fraction", value=1.5),
+     "market: invited_fraction must be in (0, 1]"),
+    ("market-fraction-bool", set_at("market", "invited_fraction", value=True),
+     "market.invited_fraction: invalid value True: expected a number"),
+    ("market-secondary-str", set_at("market", "use_secondary", value="false"),
+     "market.use_secondary: invalid value 'false': expected true or false"),
+    ("market-secondary-int", set_at("market", "use_secondary", value=0),
+     "market.use_secondary: invalid value 0: expected true or false"),
+    ("market-cost-short", set_at("market", "cost_range", value=[1.0]),
+     "market.cost_range: invalid value [1.0]: expected [lo, hi]"),
+    ("market-cost-zero", set_at("market", "cost_range", value=[0, 10]),
+     "engine: cost_range must satisfy 0 < lo <= hi"),
+    ("market-only-initiation", set_at("market", value={"initiation": "C1"}),
+     loaded_with(market=MarketConfig("C1"))),
+    ("market-cost", set_at("market", "cost_range", value=[2, 3]),
+     loaded_with(engine={"cost_range": (2.0, 3.0)})),
+    # engine
+    ("engine-unknown", set_at("engine", "seed", value=1), "engine: unknown keys ['seed']"),
+    ("engine-capacity-str", set_at("engine", "capacity_scu", value="10"),
+     "engine.capacity_scu: invalid value '10': expected a number"),
+    ("engine-capacity-zero", set_at("engine", "capacity_scu", value=0),
+     "engine: capacity_scu must be > 0"),
+    ("engine-mix-sum", set_at("engine", "initial_state_mix", value=[0.5, 0.5, 0.5, 0.5]),
+     "engine: initial_state_mix must sum to 1"),
+    ("engine-mix-three", set_at("engine", "initial_state_mix", value=[0.5, 0.25, 0.25]),
+     "engine: initial_state_mix must be four non-negative fractions"),
+    ("engine-load-str", set_at("engine", "initial_load_range", value=["low", 0.8]),
+     "engine.initial_load_range: invalid value ['low', 0.8]: expected a number"),
+    ("engine-load-reversed", set_at("engine", "initial_load_range", value=[0.9, 0.1]),
+     "engine: initial_load_range must satisfy 0 <= lo <= hi <= 1"),
+    ("engine-capacity-int", set_at("engine", "capacity_scu", value=12),
+     loaded_with(engine={"capacity_scu": 12.0})),
+    ("engine-empty", set_at("engine", value={}), loaded_with(engine=EngineConfig())),
+    # metrics
+    ("metrics-unknown", set_at("metrics", "bins", value=5), "metrics: unknown keys ['bins']"),
+    ("metrics-bin-float", set_at("metrics", "bin_size", value=100.0),
+     "metrics.bin_size: invalid value 100.0: expected an integer"),
+    ("metrics-bin-zero", set_at("metrics", "bin_size", value=0), "metrics: bin_size must be >= 1"),
+    ("metrics-subsets-zero", set_at("metrics", "n_subsets", value=0),
+     "metrics: n_subsets must be >= 1"),
+    ("metrics-buckets-zero", set_at("metrics", "coalition_buckets", value=0),
+     "metrics: coalition_buckets must be >= 1"),
+    ("metrics-buckets", set_at("metrics", "coalition_buckets", value=5),
+     loaded_with(metrics={"coalition_buckets": 5})),
+]
+
+
+@pytest.mark.parametrize("mutate, expected", [case[1:] for case in LOADER_CASES],
+                         ids=[case[0] for case in LOADER_CASES])
+def test_config_loader_messages_and_presets_are_pinned(tmp_path, mutate, expected):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(mutate(json.loads(json.dumps(CONFIG)))))
+    if isinstance(expected, str):
+        with pytest.raises(ConfigurationError) as err:
+            load_config(path)
+        assert str(err.value) == expected
+    else:
+        # repr tells 12 from 12.0, which == does not
+        assert repr(load_config(path)) == repr(expected)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("workload", "interarrival", "mean"), NAN,
+     "workload.interarrival.mean: invalid value nan: expected a finite number"),
+    (("workload", "service", "alpha"), NAN,
+     "workload.service.alpha: invalid value nan: expected a finite number"),
+    (("workload", "mode_probs"), [NAN, 0.5, 0.5],
+     "workload.mode_probs: invalid value [nan, 0.5, 0.5]: expected a finite number"),
+    (("workload", "workload_scu"), [0.1, NAN],
+     "workload.workload_scu: invalid value [0.1, nan]: expected a finite number"),
+    (("engine", "capacity_scu"), INF,
+     "engine.capacity_scu: invalid value inf: expected a finite number"),
+    (("market", "cost_range"), [1.0, NAN],
+     "market.cost_range: invalid value [1.0, nan]: expected a finite number"),
+    (("market", "cost_range"), [-INF, 10.0],
+     "market.cost_range: invalid value [-inf, 10.0]: expected a finite number"),
+    (("market", "cost_range"), [1.0, INF],
+     "market.cost_range: invalid value [1.0, inf]: expected a finite number"),
+    # an integer too large for a float
+    (("engine", "capacity_scu"), 10**400,
+     f"engine.capacity_scu: invalid value {10**400}: int too large to convert to float"),
+], ids=["mean-nan", "alpha-nan", "mode_probs-nan", "workload_scu-nan", "capacity-inf",
+        "cost-nan", "cost-minus-inf", "cost-inf", "capacity-huge-int"])
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, keys, value, message):
+    # json writes and reads NaN, Infinity and -Infinity
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(set_at(*keys, value=value)(json.loads(json.dumps(CONFIG)))))
+    with pytest.raises(ConfigurationError) as err:
+        load_config(path)
+    assert str(err.value) == message
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_rejects_missing_section(tmp_path):
     def drop(raw):
         del raw["market"]
@@ -284,6 +541,24 @@ def test_config_echo_is_the_preset_as_it_ran(tmp_path):
     assert config["workload"]["n_requests"] == 1_000
     assert config["seed"] == 1
     assert config["derived_seeds"] == list(derive_seeds(1))
+
+
+def test_only_c2_runs_draw_primary_contacts(monkeypatch):
+    from sococ import harness
+
+    drawn = []
+
+    def recording_organize(config, seed):
+        topology = organize(config, seed)
+        drawn.append(topology.core_primary_contacts.shape)
+        return topology
+
+    monkeypatch.setattr(harness, "organize", recording_organize)
+    c1 = preset("exp5")
+    assert c1.market.initiation == "C1" and c1.topology.primary_contacts_per_core == 10
+    run_experiment(c1, 1)
+    run_experiment(replace(c1, market=replace(c1.market, initiation="C2")), 1)
+    assert drawn == [(100, 0), (100, 10)]
 
 
 def test_metrics_overrides_apply(tmp_path):
