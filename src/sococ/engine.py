@@ -205,6 +205,8 @@ def run(
     Every auction outcome is forwarded to the metrics sink in arrival order.
     After the stream ends, remaining completions are drained so the fleet
     returns to its background load; the ledger is swept before and after.
+    The market takes over `rng` for its invitations: nothing else may draw
+    from it during or after the run.
     """
     mkt = market.Market(topology, fleet, market_config, rng)
     stats = RunStats()

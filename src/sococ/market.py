@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .draws import Draws
 from .errors import ConfigurationError, InternalConsistencyError
 from .topology import ContactTopology, row_chunks, secondary_mask
 from .workload import Mode, ServiceRequest
@@ -126,11 +127,11 @@ class ContactOrder:
         self.primary_sorted = contacts
         self._rank_of = memoryview(self.rank).__getitem__
 
-    def sort_ids(self, ids: np.ndarray) -> list[int]:
-        """`ids` as a list in (unit cost, id) order. Ranks are unique, so
-        this is the order of `by_rank[np.sort(rank[ids])]`; sorting a few
-        Python ints by their rank costs less than the numpy round trip."""
-        return sorted(ids.tolist(), key=self._rank_of)
+    def sort_ids(self, ids: list[int]) -> list[int]:
+        """`ids` in (unit cost, id) order. Ranks are unique, so this is the
+        order of `by_rank[np.sort(rank[ids])]`; sorting a few Python ints by
+        their rank costs less than the numpy round trip."""
+        return sorted(ids, key=self._rank_of)
 
     def secondary(self, core: int) -> np.ndarray:
         """All cores sharing a periphery server with `core`, cost-ordered."""
@@ -138,28 +139,27 @@ class ContactOrder:
         return self.by_rank[mask[self.by_rank]]
 
 
-def _invite(pcs: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random subset of ceil(fraction * |pcs|) of the cores in `pcs`;
-    empty, with no draw, when `pcs` is."""
-    # drawing positions consumes the same draws as rng.choice(pcs, ...), and
-    # skips its conversion of `pcs`
-    return pcs[rng.choice(pcs.size, size=math.ceil(fraction * pcs.size), replace=False)]
+def _invite(pcs: np.ndarray, fraction: float, draws: Draws) -> list[int]:
+    """Uniform random subset of ceil(fraction * |pcs|) of the cores in `pcs`,
+    as `rng.choice(pcs, ..., replace=False)` draws it; empty, with no draw,
+    when `pcs` is."""
+    return draws.sample(pcs, math.ceil(fraction * len(pcs)))
 
 
 def invite_leader_candidates(
     periphery: int,
     topology: ContactTopology,
     config: MarketConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
+    draws: Draws,
+) -> list[int]:
     """Uniform random subset of ceil(fraction * |pcs|) leader candidates."""
     return _invite(
-        topology.periphery_known_cores[periphery], config.invited_fraction, rng
+        topology.periphery_known_cores[periphery], config.invited_fraction, draws
     )
 
 
 def elect_leader(
-    candidates: np.ndarray, fleet, request: ServiceRequest, order: ContactOrder
+    candidates: list[int], fleet, request: ServiceRequest, order: ContactOrder
 ) -> int | None:
     """Cheapest eligible candidate, ties broken by lowest id: the first
     eligible candidate in `order`. Sorting the candidates first and scanning
@@ -242,7 +242,12 @@ def price_bid(coalition: Coalition, fleet) -> Bid:
 
 
 class Market:
-    """Per-run auction coordinator holding the cost order and rng."""
+    """Per-run auction coordinator holding the cost order and the run's
+    invitation draws.
+
+    The market takes over `rng`: its draws are served in blocks through a
+    `Draws`, so nothing else may draw from `rng` once the market is built.
+    """
 
     def __init__(
         self,
@@ -254,7 +259,7 @@ class Market:
         self.topology = topology
         self.fleet = fleet
         self.config = config
-        self.rng = rng
+        self.draws = Draws(rng)
         self.order = ContactOrder(topology, fleet)
 
     def run_auction(self, request: ServiceRequest) -> AuctionOutcome:
@@ -271,20 +276,20 @@ class Market:
         invited = _invite(
             self.topology.periphery_known_cores[request.entry_periphery],
             self.config.invited_fraction,
-            self.rng,
+            self.draws,
         )
         ids, allocs = [], []
         pool = _eligible(self.fleet, self.order.sort_ids(invited), request.mode)
         if not _fill(pool, request.workload, ids, allocs):
-            return AuctionOutcome(request.id, None, invited.size)
+            return AuctionOutcome(request.id, None, len(invited))
         coalition = Coalition(np.array(ids, np.int32), np.array(allocs))
-        return AuctionOutcome(request.id, price_bid(coalition, self.fleet), invited.size)
+        return AuctionOutcome(request.id, price_bid(coalition, self.fleet), len(invited))
 
     def _run_c2(self, request: ServiceRequest) -> AuctionOutcome:
         candidates = invite_leader_candidates(
-            request.entry_periphery, self.topology, self.config, self.rng
+            request.entry_periphery, self.topology, self.config, self.draws
         )
-        k = candidates.size
+        k = len(candidates)
         leader = elect_leader(candidates, self.fleet, request, self.order)
         if leader is None:
             return AuctionOutcome(request.id, None, k)

@@ -113,10 +113,9 @@ def subset_stddev(outcomes, n_subsets: int) -> float:
 
     The outcomes are split in arrival order into n_subsets equal sets; a
     trailing remainder is dropped. Returns 0.0 when fewer outcomes than
-    subsets are available (everything would be remainder).
+    subsets are available (everything would be remainder). `n_subsets` is
+    positive, as `MetricsConfig` checks.
     """
-    if n_subsets <= 0:
-        raise ConfigurationError("n_subsets must be >= 1")
     arr = np.asarray(outcomes, dtype=np.float64)
     set_size = arr.size // n_subsets
     if set_size == 0:

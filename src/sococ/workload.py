@@ -3,7 +3,8 @@
 Requests carry a mode, a workload in SCU and a service duration. Per request
 the generator consumes random draws in a fixed order (inter-arrival, mode,
 workload, duration, entry periphery) so streams stay reproducible across
-refactors.
+refactors. The draws are those of numpy's scalar `random()` and `integers()`
+calls on the stream's generator, served from bulk blocks by `Draws`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .draws import Draws
 from .errors import ConfigurationError
 
 MODE_PROB_TOL = 1e-12
@@ -98,18 +100,10 @@ class WorkloadConfig:
             raise ConfigurationError("uniform inter-arrival times must be >= 0")
 
 
-def _unit(rng: np.random.Generator) -> float:
-    """Uniform draw from the open interval (0, 1)."""
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return u
-
-
-def sample(dist: DistributionSpec, rng: np.random.Generator) -> float:
+def sample(dist: DistributionSpec, draws: Draws) -> float:
     """Draw one value: exponential -mean*ln(u), pareto x_m*u^(-1/alpha),
     uniform lo + u*(hi - lo), with u uniform on (0, 1)."""
-    u = _unit(rng)
+    u = draws.unit()
     if dist.kind == "exponential":
         # numpy's log, not math.log: the two differ in the last bit on some
         # hosts; float() keeps arrival times and heap keys Python floats
@@ -119,8 +113,8 @@ def sample(dist: DistributionSpec, rng: np.random.Generator) -> float:
     return dist.param1 + u * (dist.param2 - dist.param1)
 
 
-def _draw_mode(rng: np.random.Generator, probs: tuple[float, float, float]) -> Mode:
-    u = _unit(rng)
+def _draw_mode(draws: Draws, probs: tuple[float, float, float]) -> Mode:
+    u = draws.unit()
     if u < probs[0]:
         return REQUEST_MODES[0]
     if u < probs[0] + probs[1]:
@@ -141,20 +135,20 @@ def generate_stream(
     """
     if n_periphery < 1:
         raise ConfigurationError("n_periphery must be >= 1")
-    return _requests(config, n_periphery, np.random.default_rng(seed))
+    return _requests(config, n_periphery, Draws(np.random.default_rng(seed)))
 
 
 def _requests(
-    config: WorkloadConfig, n_periphery: int, rng: np.random.Generator
+    config: WorkloadConfig, n_periphery: int, draws: Draws
 ) -> Iterator[ServiceRequest]:
     workload_dist = DistributionSpec("uniform", *config.workload_range)
     t = 0.0
     for i in range(config.n_requests):
-        t += sample(config.interarrival, rng)
-        mode = _draw_mode(rng, config.mode_probabilities)
-        workload = sample(workload_dist, rng)
-        duration = sample(config.service, rng)
-        entry = int(rng.integers(n_periphery))
+        t += sample(config.interarrival, draws)
+        mode = _draw_mode(draws, config.mode_probabilities)
+        workload = sample(workload_dist, draws)
+        duration = sample(config.service, draws)
+        entry = draws.bounded(n_periphery - 1)
         yield ServiceRequest(
             id=i,
             arrival_time=t,

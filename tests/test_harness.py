@@ -151,21 +151,6 @@ def test_config_omitting_optional_keys_loads_dataclass_defaults(tmp_path):
     assert p.metrics == MetricsConfig()
 
 
-def test_config_rejects_unknown_keys_with_field_path(tmp_path):
-    def add_key(raw):
-        raw["workload"]["burstiness"] = 2
-
-    with pytest.raises(ConfigurationError) as err:
-        load_config(write_config(tmp_path, add_key))
-    assert "workload" in str(err.value) and "burstiness" in str(err.value)
-
-    # the two per-protocol fractions became one invited_fraction
-    for old_key in ("leader_candidate_fraction", "invited_fraction_c1"):
-        path = write_config(tmp_path, lambda raw: raw["market"].update({old_key: 0.01}))
-        with pytest.raises(ConfigurationError, match=old_key):
-            load_config(path)
-
-
 def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Run configuration files", 1)[1]
@@ -175,54 +160,6 @@ def test_readme_config_example_loads(tmp_path):
     p = load_config(path)
     assert isinstance(p, ExperimentPreset)
     assert p.market.invited_fraction == 0.001
-
-
-def test_config_rejects_bad_values_with_section(tmp_path):
-    def break_alpha(raw):
-        raw["workload"]["service"]["alpha"] = 1.0
-
-    with pytest.raises(ConfigurationError) as err:
-        load_config(write_config(tmp_path, break_alpha))
-    assert "workload" in str(err.value)
-
-    def break_mix(raw):
-        raw["engine"]["initial_state_mix"] = [0.5, 0.5, 0.5, 0.5]
-
-    with pytest.raises(ConfigurationError) as err:
-        load_config(write_config(tmp_path, break_mix))
-    assert "engine" in str(err.value)
-
-    # wrong JSON types are errors at their field path, never coerced
-    for section, key, value in (
-        ("topology", "n_core", "many"),
-        ("market", "use_secondary", "false"),
-        ("workload", "mode_probs", 0.5),
-        ("engine", "initial_load_range", ["low", 0.8]),
-        ("workload", "n_requests", None),
-        ("topology", "n_core", 500.7),
-        ("topology", "n_core", "500"),
-        ("workload", "n_requests", True),
-        ("metrics", "bin_size", 100.0),
-        ("market", "invited_fraction", True),
-        ("engine", "capacity_scu", "10"),
-        ("workload", "workload_scu", ["0.1", 40]),
-        ("workload", "mode_probs", [0.3333, 0.3333, "0.3334"]),
-    ):
-        path = write_config(tmp_path, lambda raw: raw[section].update({key: value}))
-        with pytest.raises(ConfigurationError) as err:
-            load_config(path)
-        assert f"{section}.{key}" in str(err.value)
-
-    def string_mean(raw):
-        raw["workload"]["interarrival"]["mean"] = "1.5"
-
-    with pytest.raises(ConfigurationError) as err:
-        load_config(write_config(tmp_path, string_mean))
-    assert "workload.interarrival.mean" in str(err.value)
-
-    with pytest.raises(ConfigurationError) as err:
-        load_config(write_config(tmp_path, lambda raw: raw.update(name=5)))
-    assert "config.name" in str(err.value)
 
 
 def set_at(*keys, value):
@@ -291,6 +228,7 @@ LOADER_CASES = [
     ("topology-int", set_at("topology", value=5), "topology: expected an object, got 5"),
     ("workload-list", set_at("workload", value=[]), "workload: expected an object, got []"),
     ("market-str", set_at("market", value="C2"), "market: expected an object, got 'C2'"),
+    ("market-int", set_at("market", value=5), "market: expected an object, got 5"),
     ("engine-null", set_at("engine", value=None), "engine: expected an object, got None"),
     ("metrics-list", set_at("metrics", value=[["bin_size", 100]]),
      "metrics: expected an object, got [['bin_size', 100]]"),
@@ -300,6 +238,8 @@ LOADER_CASES = [
     ("topology-missing", drop_at("topology", "n_core"), "topology: missing keys ['n_core']"),
     ("topology-n_core-str", set_at("topology", "n_core", value="500"),
      "topology.n_core: invalid value '500': expected an integer"),
+    ("topology-n_core-word", set_at("topology", "n_core", value="many"),
+     "topology.n_core: invalid value 'many': expected an integer"),
     ("topology-n_core-frac", set_at("topology", "n_core", value=500.7),
      "topology.n_core: invalid value 500.7: expected an integer"),
     ("topology-n_core-bool", set_at("topology", "n_core", value=True),
@@ -338,6 +278,8 @@ LOADER_CASES = [
      "workload: mode_probabilities must sum to 1"),
     ("workload-n_requests-null", set_at("workload", "n_requests", value=None),
      "workload.n_requests: invalid value None: expected an integer"),
+    ("workload-n_requests-bool", set_at("workload", "n_requests", value=True),
+     "workload.n_requests: invalid value True: expected an integer"),
     ("workload-n_requests-zero", set_at("workload", "n_requests", value=0),
      "workload: n_requests must be >= 1"),
     ("workload-n_requests-big", set_at("workload", "n_requests", value=10**7),
@@ -375,8 +317,11 @@ LOADER_CASES = [
                             value={"kind": "uniform", "low": 0.5, "high": 1.5}),
      loaded_with(workload={"interarrival": DistributionSpec("uniform", 0.5, 1.5)})),
     # market
+    # the two per-protocol fractions became one invited_fraction
     ("market-unknown", set_at("market", "leader_candidate_fraction", value=0.01),
      "market: unknown keys ['leader_candidate_fraction']"),
+    ("market-unknown-c1", set_at("market", "invited_fraction_c1", value=0.01),
+     "market: unknown keys ['invited_fraction_c1']"),
     ("market-missing", drop_at("market", "initiation"), "market: missing keys ['initiation']"),
     ("market-initiation-C3", set_at("market", "initiation", value="C3"),
      "market: initiation must be 'C1' or 'C2'"),
@@ -480,20 +425,6 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, keys, value, messag
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_config_rejects_missing_section(tmp_path):
-    def drop(raw):
-        del raw["market"]
-
-    with pytest.raises(ConfigurationError) as err:
-        load_config(write_config(tmp_path, drop))
-    assert "market" in str(err.value)
-
-    # a section that is not an object is as good as missing
-    with pytest.raises(ConfigurationError) as err:
-        load_config(write_config(tmp_path, lambda raw: raw.update(market=5)))
-    assert "market" in str(err.value)
 
 
 # -- run driver ---------------------------------------------------------------------

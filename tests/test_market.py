@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sococ import topology
+from sococ.draws import Draws
 from sococ.engine import Fleet
 from sococ.market import (
     MIN_ALLOCATION,
@@ -69,7 +70,7 @@ def elect(candidates, fleet, request, topo=None):
     """elect_leader over the fleet's (unit cost, id) order; the topology
     defaults to a star over the fleet, since an election reads no contacts."""
     topo = star_topology(fleet.n, [1]) if topo is None else topo
-    return elect_leader(np.asarray(candidates), fleet, request, ContactOrder(topo, fleet))
+    return elect_leader(list(candidates), fleet, request, ContactOrder(topo, fleet))
 
 
 def auction(request, topo, fleet, config, rng):
@@ -164,10 +165,9 @@ def test_eligibility_scan_stops_converting_when_it_stops():
 def test_invite_count_is_ceiling_of_fraction():
     topo = star_topology(2000, [1])
     config = MarketConfig("C2", invited_fraction=0.001)
-    rng = np.random.default_rng(0)
-    got = invite_leader_candidates(0, topo, config, rng)
+    got = invite_leader_candidates(0, topo, config, Draws(np.random.default_rng(0)))
     assert len(got) == 2  # ceil(0.001 * 2000)
-    assert set(got.tolist()) <= set(range(2000))
+    assert len(set(got)) == 2 and set(got) <= set(range(2000))
     # at the published scale a periphery knows ~83,593 cores and the same
     # 0.1% rule invites 84 leader candidates
     import math
@@ -177,16 +177,23 @@ def test_invite_count_is_ceiling_of_fraction():
 def test_invite_single_known_core():
     topo = star_topology(1, [])
     config = MarketConfig("C2", invited_fraction=0.001)
-    got = invite_leader_candidates(0, topo, config, np.random.default_rng(0))
-    assert got.tolist() == [0]
+    got = invite_leader_candidates(0, topo, config, Draws(np.random.default_rng(0)))
+    assert got == [0]
 
 
 def test_invite_is_reproducible_per_seed():
+    # and draw for draw what rng.choice over the known cores picks, so the
+    # invitations of a run match those of numpy's own call
     topo = star_topology(2000, [1])
-    config = MarketConfig("C2", invited_fraction=0.001)
-    a = invite_leader_candidates(0, topo, config, np.random.default_rng(5))
-    b = invite_leader_candidates(0, topo, config, np.random.default_rng(5))
-    assert a.tolist() == b.tolist()
+    topo.periphery_known_cores[0] = np.arange(0, 4000, 2, dtype=np.int32)
+    config = MarketConfig("C2", invited_fraction=0.03)
+    a, b = Draws(np.random.default_rng(5)), Draws(np.random.default_rng(5))
+    reference = np.random.default_rng(5)
+    for _ in range(20):
+        got = invite_leader_candidates(0, topo, config, a)
+        assert got == invite_leader_candidates(0, topo, config, b)
+        want = reference.choice(topo.periphery_known_cores[0], size=60, replace=False)
+        assert got == want.tolist()
 
 
 def test_invite_empty_pcs_yields_no_candidates():
@@ -194,9 +201,12 @@ def test_invite_empty_pcs_yields_no_candidates():
     topo.periphery_known_cores[0] = np.zeros(0, dtype=np.int32)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    got = invite_leader_candidates(0, topo, MarketConfig("C2"), rng)
-    assert len(got) == 0
-    assert rng.bit_generator.state == state  # no draw
+    draws = Draws(rng)
+    got = invite_leader_candidates(0, topo, MarketConfig("C2"), draws)
+    assert got == []
+    assert rng.bit_generator.state == state  # the generator gave no word
+    # and the Draws took none: its next draw is the generator's first
+    assert draws.unit() == np.random.default_rng(0).random()
 
 
 # -- leader election -----------------------------------------------------------
@@ -454,8 +464,8 @@ def vectorized_auction(request, topo, fleet, config, rng, fallbacks):
     invited = rng.choice(pcs, size=int(np.ceil(config.invited_fraction * pcs.size)),
                          replace=False)
     if config.initiation == "C1":
-        pool = np.asarray(order.sort_ids(vectorized_eligible(fleet, invited, request.mode)),
-                          dtype=np.int32)
+        eligible = vectorized_eligible(fleet, invited, request.mode).tolist()
+        pool = np.asarray(order.sort_ids(eligible), dtype=np.int32)
         return vectorized_fill(pool, fleet.capacity - fleet.committed[pool], request.workload)
     elig = vectorized_eligible(fleet, invited, request.mode)
     if elig.size == 0:
@@ -624,7 +634,7 @@ def test_contact_order_ranks_by_cost_then_id():
     fleet = make_fleet([Mode.M1] * 5, costs=[3.0, 1.0, 3.0, 0.5, 1.0])
     topo = star_topology(5, [1, 2, 3, 4])
     order = ContactOrder(topo, fleet)
-    assert np.asarray(order.sort_ids(np.arange(5))).tolist() == [3, 1, 4, 0, 2]
+    assert order.sort_ids(list(range(5))) == [3, 1, 4, 0, 2]
 
     # an organized topology with many tied costs, against plain Python
     topo = organize(TopologyConfig(n_core=60, n_periphery=8,
@@ -652,7 +662,7 @@ def test_sort_ids_matches_the_rank_gather_sort():
     for size in [0, 1, 1, 2, 3, 17, 60, 300]:
         ids = rng.permutation(300)[:size].astype(np.int32)
         want = order.by_rank[np.sort(order.rank[ids])]
-        assert order.sort_ids(ids) == want.tolist()
+        assert order.sort_ids(ids.tolist()) == want.tolist()
 
 
 def test_contact_order_is_unchanged_across_chunk_boundaries(monkeypatch):

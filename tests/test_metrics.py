@@ -145,8 +145,8 @@ def test_bins_are_per_mode_and_ordered():
 def test_subset_stddev_trivial_cases():
     assert subset_stddev([True] * 100, 10) == 0.0
     assert subset_stddev([False, True], 2) == 0.5
-    with pytest.raises(ConfigurationError):
-        subset_stddev([True], 0)
+    with pytest.raises(ConfigurationError, match="n_subsets"):
+        MetricsConfig(n_subsets=0)
 
 
 def test_subset_stddev_drops_remainder():

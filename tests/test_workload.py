@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+from sococ.draws import Draws
 from sococ.errors import ConfigurationError
 from sococ.workload import (
     DistributionSpec,
@@ -47,34 +48,34 @@ def test_spec_validation():
 
 
 def test_exponential_sample_mean():
-    rng = np.random.default_rng(1)
+    draws = Draws(np.random.default_rng(1))
     dist = DistributionSpec("exponential", 1.2)
-    draws = np.array([sample(dist, rng) for _ in range(1_000_000)])
-    assert abs(draws.mean() - 1.2) < 0.01
-    assert (draws > 0).all()
+    values = np.array([sample(dist, draws) for _ in range(1_000_000)])
+    assert abs(values.mean() - 1.2) < 0.01
+    assert (values > 0).all()
 
 
 def test_uniform_degenerate_range():
-    rng = np.random.default_rng(2)
+    draws = Draws(np.random.default_rng(2))
     dist = DistributionSpec("uniform", 0.1, 0.1)
-    assert all(sample(dist, rng) == 0.1 for _ in range(100))
+    assert all(sample(dist, draws) == 0.1 for _ in range(100))
 
 
 def test_pareto_sample_mean_matches_closed_form():
     # mean = alpha * x_m / (alpha - 1) = 2.0 for alpha=2, x_m=1
-    rng = np.random.default_rng(3)
+    draws = Draws(np.random.default_rng(3))
     dist = DistributionSpec("pareto", 2.0, 1.0)
-    draws = np.array([sample(dist, rng) for _ in range(1_000_000)])
-    assert abs(draws.mean() - 2.0) < 0.05
-    assert draws.min() >= 1.0
+    values = np.array([sample(dist, draws) for _ in range(1_000_000)])
+    assert abs(values.mean() - 2.0) < 0.05
+    assert values.min() >= 1.0
 
 
 def test_exponential_passes_kolmogorov_smirnov():
-    rng = np.random.default_rng(4)
+    draws = Draws(np.random.default_rng(4))
     dist = DistributionSpec("exponential", 1.5)
     n = 100_000
-    draws = np.sort([sample(dist, rng) for _ in range(n)])
-    cdf = 1.0 - np.exp(-draws / 1.5)
+    values = np.sort([sample(dist, draws) for _ in range(n)])
+    cdf = 1.0 - np.exp(-values / 1.5)
     grid = np.arange(1, n + 1) / n
     d_stat = max(np.abs(cdf - grid).max(), np.abs(cdf - (grid - 1 / n)).max())
     assert d_stat <= KS_CRIT_0001 / math.sqrt(n)
