@@ -12,12 +12,10 @@ order numpy's calls would:
   method on 32-bit draws (Lemire, "Fast random integer generation in an
   interval", ACM TOMS 2019);
 - `sample(population, k)` is
-  `rng.choice(population, size=k, replace=False).tolist()`: for a small
-  sample, Floyd's algorithm (Bentley & Floyd, CACM 1987) then a Fisher-Yates
-  shuffle, as numpy runs them. A sample of _NUMPY_DRAWS draws or more is
-  left to `rng.choice` itself, whose compiled loops then cost less than one
-  Python step per draw; the generator is first put back in step with the
-  draws served.
+  `rng.choice(population, size=k, replace=False).tolist()` wherever numpy
+  runs Floyd's algorithm (Bentley & Floyd, CACM 1987) then a Fisher-Yates
+  shuffle. Whether a run's invitations are worth replaying in Python at all
+  is the market's choice, made once per run.
 
 A 32-bit draw takes the low half of a fresh word and keeps the high half for
 the next 32-bit draw; a double takes a whole word and leaves a kept half
@@ -33,12 +31,9 @@ from .errors import ConfigurationError
 
 # Words fetched per refill. A refill costs ~25 ns per 32-bit draw, almost
 # all of it the conversion to Python ints, so larger blocks save little;
-# each of a run's two Draws holds a block as 2 * BLOCK_WORDS such ints, and
-# 512 words raised c1-pool's peak RSS by ~0.3 MB where 256 raise it ~0.15 MB.
+# each Draws holds a block as 2 * BLOCK_WORDS such ints, and 512 words
+# raised c1-pool's peak RSS by ~0.3 MB where 256 raise it ~0.15 MB.
 BLOCK_WORDS = 256
-# 32-bit draws from which a sample is left to rng.choice: numpy's fixed
-# ~7 us per call against ~0.25 us per draw in Python (k = 13 on a 2-CPU host)
-_NUMPY_DRAWS = 25
 
 _LOW32 = 0xFFFFFFFF
 # numpy's double: the top 53 bits of a word, scaled to [0, 1)
@@ -52,10 +47,10 @@ class Draws:
     `Draws` exists. A `Draws` that serves nothing takes no word.
 
     The fetched words are held in `_halves` as 32-bit Python ints, low half
-    first. `_at` indexes the next unread half, so an odd `_at` points at the
-    kept high half of a word whose low half was served. While doubles are
-    drawn, a kept half waits in `_kept`. While `_in_step`, nothing is
-    fetched and the generator's own state is the next draw.
+    first, and `_at` indexes the next unread half. An odd `_at` points at a
+    kept high half: a double drawn meanwhile reads the word after it and
+    then moves the kept half into that word's high slot, so the two always
+    hold the whole state.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -63,20 +58,14 @@ class Draws:
             raise ConfigurationError(
                 f"Draws replays PCG64 only, not {type(rng.bit_generator).__name__}")
         self._rng = rng
-        self._halves: list[int] = []
-        self._at = 0
-        self._kept: int | None = None
-        self._in_step = True
+        # take over the half the generator holds, as a kept half
+        state = rng.bit_generator.state
+        self._halves = [0, state["uinteger"]] if state["has_uint32"] else []
+        self._at = len(self._halves) // 2
 
     def _refill(self, need: int) -> int:
         """Drop the read words and fetch blocks until `need` halves are
         unread; returns the new `_at`, of the same parity."""
-        if self._in_step:
-            # take over the half the generator holds, as a kept half
-            state = self._rng.bit_generator.state
-            self._halves = [0, state["uinteger"]] if state["has_uint32"] else []
-            self._at = len(self._halves) // 2
-            self._in_step = False
         keep = self._at & ~1
         halves = self._halves[keep:]
         while len(halves) < need + self._at - keep:
@@ -86,30 +75,8 @@ class Draws:
         self._at -= keep
         return self._at
 
-    def _hand_back(self) -> None:
-        """Rewind the generator over the unread words and give it the kept
-        half, so that its own calls continue where the draws served stop."""
-        at, kept = self._at, self._kept
-        if at & 1:
-            kept, at = self._halves[at], at + 1
-        bit_generator = self._rng.bit_generator
-        bit_generator.advance(-((len(self._halves) - at) // 2))
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = (0, 0) if kept is None else (1, kept)
-        bit_generator.state = state
-        self._halves, self._at, self._kept = [], 0, None
-        self._in_step = True
-
-    def _unpark(self) -> None:
-        """Put the kept half back in front of the unread halves. A double
-        was drawn since it was parked, so the slot before `_at` holds a
-        served high half."""
-        at = self._at - 1
-        self._halves[at] = self._kept
-        self._at, self._kept = at, None
-
     def _half(self) -> int:
-        """One 32-bit draw, with no half parked."""
+        """One 32-bit draw."""
         at = self._at
         if at == len(self._halves):
             at = self._refill(1)
@@ -132,16 +99,14 @@ class Draws:
         """`rng.random()` redrawn while it is 0.0: uniform on (0, 1)."""
         at = self._at
         halves = self._halves
-        if at & 1 or len(halves) - at < 2:
-            if len(halves) - at < 3:
-                at = self._refill(3)
-                halves = self._halves
-            if at & 1:
-                # a double takes the next whole word; park the kept half
-                self._kept = halves[at]
-                at += 1
+        if len(halves) - at < 3:
+            at = self._refill(3)
+            halves = self._halves
+        odd = at & 1
+        u = (halves[at + odd + 1] << 21 | halves[at + odd] >> 11) * _DOUBLE_SCALE
+        if odd:
+            halves[at + 2] = halves[at]
         self._at = at + 2
-        u = (halves[at + 1] << 21 | halves[at] >> 11) * _DOUBLE_SCALE
         return u if u != 0.0 else self.unit()
 
     def bounded(self, hi: int) -> int:
@@ -154,8 +119,6 @@ class Draws:
             raise ConfigurationError(f"bounded(hi) needs 0 <= hi < 2**32, got {hi}")
         if hi == 0:
             return 0
-        if self._kept is not None:
-            self._unpark()
         m = self._half() * (hi + 1)
         if m & _LOW32 <= hi:
             m = self._reject(m, hi)
@@ -163,36 +126,31 @@ class Draws:
 
     def sample(self, population: np.ndarray, k: int) -> list[int]:
         """`rng.choice(population, size=k, replace=False).tolist()`: k
-        distinct elements of a 1-d array, in random order."""
+        distinct elements of a 1-d array, in random order.
+
+        Only numpy's Floyd samples are replayed. numpy draws 64-bit integers
+        for slots past 2**32 - 1, and takes every sample with k > 200 from a
+        shuffle of the population's tail when pop > 10,000 and
+        k > pop // 50: such a sample raises ConfigurationError."""
         pop = len(population)
         if not 0 <= k <= pop:
             raise ConfigurationError(f"cannot sample {k} of {pop} without replacement")
-        # Floyd's algorithm draws once per slot above max(pop - k, 1), the
-        # shuffle once per position above 0. numpy draws 64-bit integers for
-        # slots past 2**32 - 1, and takes every sample with k > 200 from a
-        # shuffle of the population's tail when pop > 10,000 and k > pop // 50.
-        if pop > _LOW32 or pop - max(pop - k, 1) + k - 1 >= _NUMPY_DRAWS:
-            if not self._in_step:
-                self._hand_back()
-            # drawing positions draws what drawing elements does, and
-            # leaves `population` unconverted
-            return population[self._rng.choice(pop, size=k, replace=False)].tolist()
+        if pop > _LOW32 or (pop > 10_000 and k > pop // 50):
+            raise ConfigurationError(
+                f"Draws replays numpy's 32-bit Floyd samples only, not {k} of {pop}")
         at = memoryview(population)
         return [at[i] for i in self._floyd(pop, k)]
 
     def _floyd(self, pop: int, k: int) -> list[int]:
-        """`rng.choice(pop, size=k, replace=False).tolist()` for a sample of
-        fewer than _NUMPY_DRAWS draws, as numpy draws it. Floyd: slot j
-        draws bounded(j) and takes j itself when that is taken already;
-        bounded(0) takes no draw. The shuffle then swaps each position
-        i > 0 with bounded(i)."""
+        """`rng.choice(pop, size=k, replace=False).tolist()` as numpy's
+        Floyd sample draws it. Floyd: slot j draws bounded(j) and takes j
+        itself when that is taken already; bounded(0) takes no draw. The
+        shuffle then swaps each position i > 0 with bounded(i)."""
         floyd, swaps = range(max(pop - k, 1), pop), range(k - 1, 0, -1)
         n = len(floyd) + len(swaps)
         out = [0] if pop == k > 0 else []
         if n == 0:
             return out
-        if self._kept is not None:
-            self._unpark()
         at = self._at
         if len(self._halves) - at < n:
             at = self._refill(n)

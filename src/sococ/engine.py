@@ -94,23 +94,23 @@ class Fleet:
         self.modes_view = memoryview(self.modes)
         self.count_view = memoryview(self.coalition_count)
         self.recruited_view = memoryview(self.recruited_from_sleep)
-        # request id -> (member ids, allocations); one entry per live request
-        self.live: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # request id -> (member ids, allocations), the lists `commit` built;
+        # one entry per live request
+        self.live: dict[int, tuple[list[int], list[float]]] = {}
 
     def commit(self, request: ServiceRequest, coalition: "market.Coalition") -> None:
         """Apply a winning coalition's allocations atomically, after checking
         that it lists each server once and overflows none."""
-        ids = coalition.member_ids
-        allocs = coalition.allocations
         if request.id in self.live:
             raise InternalConsistencyError(f"request {request.id} committed twice")
-        members = ids.tolist()
+        members = coalition.member_ids.tolist()
+        allocs = coalition.allocations.tolist()
         # every load is read before the first write, so a repeated server
         # would take only one of its allocations
         if len(set(members)) != len(members):
             raise InternalConsistencyError(f"request {request.id}: coalition repeats a server")
         committed = self.committed_view
-        loads = [committed[i] + a for i, a in zip(members, allocs.tolist())]
+        loads = [committed[i] + a for i, a in zip(members, allocs)]
         limit = self.capacity + CAPACITY_TOL
         if max(loads) > limit:
             over = [i for i, load in zip(members, loads) if load > limit]
@@ -123,7 +123,7 @@ class Fleet:
             if modes[i] == _SLEEP:
                 modes[i] = mode
                 recruited[i] = True
-        self.live[request.id] = (ids, allocs)
+        self.live[request.id] = (members, allocs)
 
     def release(self, request_id: int) -> None:
         """Return a completed request's allocations, after checking that no
@@ -131,10 +131,9 @@ class Fleet:
         entry = self.live.pop(request_id, None)
         if entry is None:
             raise InternalConsistencyError(f"completion for unknown request {request_id}")
-        ids, allocs = entry
-        members = ids.tolist()
+        members, allocs = entry
         committed = self.committed_view
-        loads = [committed[i] - a for i, a in zip(members, allocs.tolist())]
+        loads = [committed[i] - a for i, a in zip(members, allocs)]
         if min(loads) < -CAPACITY_TOL:
             raise InternalConsistencyError(f"request {request_id} released to a negative load")
         modes, recruited = self.modes_view, self.recruited_view

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +34,11 @@ _TRIM_EPS = 1e-9
 _SLEEP = int(Mode.SLEEP)
 # ids an eligibility scan converts to Python ints at a time
 _SCAN_CHUNK = 32
+# 32-bit draws per invitation from which a run leaves its invitations to
+# rng.choice: numpy's fixed ~7 us per call against ~0.25 us per draw in
+# Python (k = 13 on a 2-CPU host)
+_NUMPY_DRAWS = 25
+Sampler = Callable[[np.ndarray, int], list[int]]  # (pcs, k) -> k of pcs
 
 
 @dataclass(frozen=True)
@@ -139,23 +145,38 @@ class ContactOrder:
         return self.by_rank[mask[self.by_rank]]
 
 
-def _invite(pcs: np.ndarray, fraction: float, draws: Draws) -> list[int]:
+def _invitation_sampler(rng: np.random.Generator, pop: int, k: int) -> Sampler:
+    """The sampler of every invitation of a run whose largest draws k of
+    pop cores: a `Draws` replay below _NUMPY_DRAWS draws (Floyd's one per
+    slot above max(pop - k, 1), the shuffle's one per position above 0),
+    `rng.choice` itself from there. Either takes over `rng`."""
+    if pop - max(pop - k, 1) + k - 1 < _NUMPY_DRAWS:
+        return Draws(rng).sample
+    return partial(_choice, rng)
+
+
+def _choice(rng: np.random.Generator, pcs: np.ndarray, k: int) -> list[int]:
+    # drawing positions draws what drawing elements does, and leaves `pcs`
+    # unconverted
+    return pcs[rng.choice(len(pcs), size=k, replace=False)].tolist()
+
+
+def _invite(pcs: np.ndarray, fraction: float, sample: Sampler) -> list[int]:
     """Uniform random subset of ceil(fraction * |pcs|) of the cores in `pcs`,
     as `rng.choice(pcs, ..., replace=False)` draws it; empty, with no draw,
     when `pcs` is."""
-    return draws.sample(pcs, math.ceil(fraction * len(pcs)))
+    return sample(pcs, math.ceil(fraction * len(pcs)))
 
 
 def invite_leader_candidates(
     periphery: int,
     topology: ContactTopology,
     config: MarketConfig,
-    draws: Draws,
+    sample: Sampler,
 ) -> list[int]:
     """Uniform random subset of ceil(fraction * |pcs|) leader candidates."""
-    return _invite(
-        topology.periphery_known_cores[periphery], config.invited_fraction, draws
-    )
+    pcs = topology.periphery_known_cores[periphery]
+    return _invite(pcs, config.invited_fraction, sample)
 
 
 def elect_leader(
@@ -243,10 +264,14 @@ def price_bid(coalition: Coalition, fleet) -> Bid:
 
 class Market:
     """Per-run auction coordinator holding the cost order and the run's
-    invitation draws.
+    invitation sampler. It takes over `rng`: nothing else may draw from it.
 
-    The market takes over `rng`: its draws are served in blocks through a
-    `Draws`, so nothing else may draw from `rng` once the market is built.
+    Both samplers return what `rng.choice` does, so the market picks one per
+    run, by its largest known-core list, for speed alone. No preset
+    straddles the line: exp5 and exp6 draw once per sample, `scale` (exp3 at
+    N=200,000) 3-5 times and exp3/exp4-desk 5-9 times, all replayed;
+    exp1/exp2-desk draw 115-125 times and the published exp1-exp4 167
+    times, all left to `rng.choice`.
     """
 
     def __init__(
@@ -259,7 +284,9 @@ class Market:
         self.topology = topology
         self.fleet = fleet
         self.config = config
-        self.draws = Draws(rng)
+        pop = max(map(len, topology.periphery_known_cores), default=0)
+        self.sample = _invitation_sampler(
+            rng, pop, math.ceil(config.invited_fraction * pop))
         self.order = ContactOrder(topology, fleet)
 
     def run_auction(self, request: ServiceRequest) -> AuctionOutcome:
@@ -273,11 +300,8 @@ class Market:
         return self._run_c1(request)
 
     def _run_c1(self, request: ServiceRequest) -> AuctionOutcome:
-        invited = _invite(
-            self.topology.periphery_known_cores[request.entry_periphery],
-            self.config.invited_fraction,
-            self.draws,
-        )
+        pcs = self.topology.periphery_known_cores[request.entry_periphery]
+        invited = _invite(pcs, self.config.invited_fraction, self.sample)
         ids, allocs = [], []
         pool = _eligible(self.fleet, self.order.sort_ids(invited), request.mode)
         if not _fill(pool, request.workload, ids, allocs):
@@ -287,7 +311,7 @@ class Market:
 
     def _run_c2(self, request: ServiceRequest) -> AuctionOutcome:
         candidates = invite_leader_candidates(
-            request.entry_periphery, self.topology, self.config, self.draws
+            request.entry_periphery, self.topology, self.config, self.sample
         )
         k = len(candidates)
         leader = elect_leader(candidates, self.fleet, request, self.order)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ class DistributionSpec:
             raise ConfigurationError(f"unknown distribution kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ServiceRequest:
+class ServiceRequest(NamedTuple):
     id: int
     arrival_time: float
     mode: Mode
@@ -149,11 +148,4 @@ def _requests(
         workload = sample(workload_dist, draws)
         duration = sample(config.service, draws)
         entry = draws.bounded(n_periphery - 1)
-        yield ServiceRequest(
-            id=i,
-            arrival_time=t,
-            mode=mode,
-            workload=workload,
-            duration=duration,
-            entry_periphery=entry,
-        )
+        yield ServiceRequest(i, t, mode, workload, duration, entry)

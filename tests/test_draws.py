@@ -3,14 +3,15 @@ every value and every consumed word must match, so runs stay byte-identical."""
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from sococ import draws as draws_mod
 from sococ.draws import BLOCK_WORDS, Draws
 from sococ.errors import ConfigurationError
 from sococ.harness import PRESET_NAMES, derive_seeds, preset
+from sococ.market import _choice, _invitation_sampler
 from sococ.workload import (
     REQUEST_MODES,
     DistributionSpec,
@@ -54,51 +55,78 @@ def is_tail_shuffle(pop, k):
     return pop > 10000 and k > pop // 50
 
 
-SPLITS = {"default": draws_mod._NUMPY_DRAWS, "python": 10**9, "numpy": 1}
+# The samplers a run's invitations can be served by: `python` replays them
+# with Draws.sample, `numpy` leaves them to rng.choice, and `default` is the
+# one the market picks for a run whose largest invitation draws k of pop.
+SIDES = ("default", "python", "numpy")
 
 
-@pytest.fixture(params=list(SPLITS))
-def split(request, monkeypatch):
-    """Run a test with the default split between samples served in Python
-    and samples left to rng.choice, and with each side forced: `python`
-    serves every Floyd sample, `numpy` hands back every sample that draws."""
-    monkeypatch.setattr(draws_mod, "_NUMPY_DRAWS", SPLITS[request.param])
+def sampler(side, rng, pop, k):
+    if side == "python":
+        return Draws(rng).sample
+    if side == "numpy":
+        return partial(_choice, rng)
+    return _invitation_sampler(rng, pop, k)
 
 
-# Python runs Floyd's algorithm only: a tail shuffle draws k > 200 times,
-# so it is left to rng.choice
+def assert_same_stream(rng, twin, sample):
+    """`sample`, over `twin`, consumed the words rng's own calls did."""
+    draws = getattr(sample, "__self__", None)
+    if isinstance(draws, Draws):
+        assert_in_step(rng, draws)
+    else:
+        assert twin.bit_generator.state == rng.bit_generator.state
+
+
+# Draws replays Floyd's algorithm only: a tail shuffle draws k > 200 times,
+# so the market leaves it to rng.choice
 @pytest.mark.parametrize("side,pop,k", [
-    (side, pop, k) for side in SPLITS for pop, k in SAMPLE_TABLE
+    (side, pop, k) for side in SIDES for pop, k in SAMPLE_TABLE
     if side != "python" or not is_tail_shuffle(pop, k)])
-def test_sample_matches_rng_choice_on_the_table(side, pop, k, monkeypatch):
-    monkeypatch.setattr(draws_mod, "_NUMPY_DRAWS", SPLITS[side])
+def test_sample_matches_rng_choice_on_the_table(side, pop, k):
     ids = population(pop)
     for seed in range(3):
-        rng, draws = pair(seed)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        sample = sampler(side, twin, pop, k)
         for _ in range(3):
-            got = draws.sample(ids, k)
+            got = sample(ids, k)
             assert got == rng.choice(ids, size=k, replace=False).tolist(), (seed, pop, k)
-        assert_in_step(rng, draws)
+        assert_same_stream(rng, twin, sample)
+
+
+@pytest.mark.parametrize("pop,k", [row for row in SAMPLE_TABLE if is_tail_shuffle(*row)])
+def test_sample_refuses_a_tail_shuffle(pop, k):
+    rng, draws = pair(0)
+    with pytest.raises(ConfigurationError, match="Floyd samples only"):
+        draws.sample(population(pop), k)
+    assert_in_step(rng, draws)  # and took no draw
 
 
 def test_sample_past_32_bits_is_left_to_numpy():
     # numpy draws 64-bit integers for slots past 2**32 - 1; a zero-stride
-    # array stands in for so large a population
+    # array stands in for so large a population. Draws refuses it, and the
+    # market's rng.choice sampler serves it
     ids = np.broadcast_to(np.int64(5), (2**32 + 5,))
     rng, draws = pair(9)
-    assert draws.sample(ids, 2) == [5, 5]
-    rng.choice(len(ids), size=2, replace=False)
+    with pytest.raises(ConfigurationError, match="Floyd samples only"):
+        draws.sample(ids, 2)
     assert_in_step(rng, draws)
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    assert sampler("numpy", twin, len(ids), 2)(ids, 2) == [5, 5]
+    rng.choice(len(ids), size=2, replace=False)
+    assert twin.bit_generator.state == rng.bit_generator.state
 
 
-def test_sample_matches_rng_choice_on_random_sizes(split):
+@pytest.mark.parametrize("side", SIDES)
+def test_sample_matches_rng_choice_on_random_sizes(side):
     sizes = random.Random(15)
-    rng, draws = pair(15)
+    rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+    sample = sampler(side, twin, 3000, 80)
     for _ in range(1000):
         ids = population(sizes.randint(1, 3000))
         k = sizes.randint(0, min(80, len(ids)))
-        assert draws.sample(ids, k) == rng.choice(ids, size=k, replace=False).tolist()
-    assert_in_step(rng, draws)
+        assert sample(ids, k) == rng.choice(ids, size=k, replace=False).tolist()
+    assert_same_stream(rng, twin, sample)
 
 
 @pytest.mark.parametrize("hi", [0, 1, 999, 2**31 + 1, 2**32 - 2, 2**32 - 1])
@@ -115,29 +143,41 @@ def test_bounded_zero_takes_no_draw():
     assert_in_step(rng, draws)
 
 
-@pytest.mark.parametrize("first", ["unit", "bounded", "sample", "large sample"])
-def test_a_half_held_by_the_generator_is_served_first(first, split):
+@pytest.mark.parametrize("side,first", [
+    (side, first) for side in SIDES for first in ("unit", "bounded", "sample", "large sample")])
+def test_a_half_held_by_the_generator_is_served_first(side, first):
+    # doubles and integers are always a Draws's: only samples have sides
     rng, twin = np.random.default_rng(8), np.random.default_rng(8)
     for g in (rng, twin):
         g.integers(2**32, dtype=np.uint32)  # leaves the high half held
-    draws = Draws(twin)
     if first == "unit":
+        draws = Draws(twin)
         assert draws.unit() == rng.random()
+        assert_in_step(rng, draws)
     elif first == "bounded":
+        draws = Draws(twin)
         assert draws.bounded(999) == int(rng.integers(1000))
-    elif first == "sample":
-        ids = population(100)
-        assert draws.sample(ids, 3) == rng.choice(ids, size=3, replace=False).tolist()
+        assert_in_step(rng, draws)
     else:
-        ids = population(2000)
-        assert draws.sample(ids, 60) == rng.choice(ids, size=60, replace=False).tolist()
-    assert_in_step(rng, draws)
+        pop, k = (100, 3) if first == "sample" else (2000, 60)
+        ids = population(pop)
+        sample = sampler(side, twin, pop, k)
+        assert sample(ids, k) == rng.choice(ids, size=k, replace=False).tolist()
+        assert_same_stream(rng, twin, sample)
 
 
-def test_interleaved_doubles_and_integers_match(split):
+@pytest.mark.parametrize("side", SIDES)
+def test_interleaved_doubles_and_integers_match(side):
     # a 32-bit draw keeps a word's high half; doubles drawn meanwhile take
-    # whole words and leave it kept, across block boundaries
+    # whole words and leave it kept, across block boundaries. On the python
+    # side the same Draws serves the samples; on the others, as in a run,
+    # they come from a generator of their own
     rng, draws = pair(21)
+    if side == "python":
+        picks, sample = rng, draws.sample
+    else:
+        picks, twin = np.random.default_rng(22), np.random.default_rng(22)
+        sample = sampler(side, twin, 1900, 57)
     steps = random.Random(21)
     small, large = population(105), population(1900)
     for _ in range(20 * BLOCK_WORDS):
@@ -148,10 +188,12 @@ def test_interleaved_doubles_and_integers_match(split):
             hi = steps.choice([1, 6, 999, 2**31 + 1])
             assert draws.bounded(hi) == int(rng.integers(hi + 1))
         elif step == 2:
-            assert draws.sample(small, 4) == rng.choice(small, size=4, replace=False).tolist()
+            assert sample(small, 4) == picks.choice(small, size=4, replace=False).tolist()
         else:
-            assert draws.sample(large, 57) == rng.choice(large, size=57, replace=False).tolist()
+            assert sample(large, 57) == picks.choice(large, size=57, replace=False).tolist()
     assert_in_step(rng, draws)
+    if side != "python":
+        assert_same_stream(picks, twin, sample)
 
 
 class ZeroWord(np.random.PCG64):

@@ -162,7 +162,7 @@ def test_server_view_reflects_live_allocations():
     assert fleet.capacity - fleet.committed[0] == pytest.approx(4.5)
     ids, allocs = fleet.live[4]
     assert list(fleet.live) == [4]
-    assert ids.tolist() == [0] and allocs.tolist() == [2.5]
+    assert ids == [0] and allocs == [2.5]
 
 
 def test_scalar_views_and_numpy_columns_share_one_ledger():
@@ -361,7 +361,8 @@ def test_run_catches_allocations_mutated_before_release():
 
     def commit_then_corrupt(req, coalition):
         commit(req, coalition)
-        coalition.allocations *= 0.5  # the live entry holds this same array
+        allocs = fleet.live[req.id][1]
+        allocs[:] = [a * 0.5 for a in allocs]
 
     fleet.commit = commit_then_corrupt
     with pytest.raises(InternalConsistencyError, match="allocation-sum mismatch"):

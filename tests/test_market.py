@@ -1,13 +1,16 @@
 """Auction mechanics: eligibility, election, greedy assembly, pricing."""
 
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sococ import topology
 from sococ.draws import Draws
-from sococ.engine import Fleet
+from sococ.engine import Fleet, init_servers
+from sococ.harness import derive_seeds, preset
 from sococ.market import (
     MIN_ALLOCATION,
     Coalition,
@@ -16,6 +19,7 @@ from sococ.market import (
     MarketConfig,
     _eligible,
     _fill,
+    _invitation_sampler,
     assemble_coalition,
     elect_leader,
     invite_leader_candidates,
@@ -165,19 +169,18 @@ def test_eligibility_scan_stops_converting_when_it_stops():
 def test_invite_count_is_ceiling_of_fraction():
     topo = star_topology(2000, [1])
     config = MarketConfig("C2", invited_fraction=0.001)
-    got = invite_leader_candidates(0, topo, config, Draws(np.random.default_rng(0)))
+    got = invite_leader_candidates(0, topo, config, Draws(np.random.default_rng(0)).sample)
     assert len(got) == 2  # ceil(0.001 * 2000)
     assert len(set(got)) == 2 and set(got) <= set(range(2000))
     # at the published scale a periphery knows ~83,593 cores and the same
     # 0.1% rule invites 84 leader candidates
-    import math
     assert math.ceil(config.invited_fraction * 83_593) == 84
 
 
 def test_invite_single_known_core():
     topo = star_topology(1, [])
     config = MarketConfig("C2", invited_fraction=0.001)
-    got = invite_leader_candidates(0, topo, config, Draws(np.random.default_rng(0)))
+    got = invite_leader_candidates(0, topo, config, Draws(np.random.default_rng(0)).sample)
     assert got == [0]
 
 
@@ -187,7 +190,7 @@ def test_invite_is_reproducible_per_seed():
     topo = star_topology(2000, [1])
     topo.periphery_known_cores[0] = np.arange(0, 4000, 2, dtype=np.int32)
     config = MarketConfig("C2", invited_fraction=0.03)
-    a, b = Draws(np.random.default_rng(5)), Draws(np.random.default_rng(5))
+    a, b = Draws(np.random.default_rng(5)).sample, Draws(np.random.default_rng(5)).sample
     reference = np.random.default_rng(5)
     for _ in range(20):
         got = invite_leader_candidates(0, topo, config, a)
@@ -199,14 +202,73 @@ def test_invite_is_reproducible_per_seed():
 def test_invite_empty_pcs_yields_no_candidates():
     topo = star_topology(4, [1])
     topo.periphery_known_cores[0] = np.zeros(0, dtype=np.int32)
+    # a run with small invitations replays them, one with large ones leaves
+    # them to rng.choice
+    for pop, k in ((100, 3), (2000, 60)):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        sample = _invitation_sampler(rng, pop, k)
+        got = invite_leader_candidates(0, topo, MarketConfig("C2"), sample)
+        assert got == []
+        assert rng.bit_generator.state == state  # the generator gave no word
+        if replays(sample):
+            # and the Draws took none: its next draw is the generator's first
+            assert sample.__self__.unit() == np.random.default_rng(0).random()
+
+
+def replays(sample):
+    """Whether `sample` is a Draws replay, not rng.choice."""
+    return isinstance(getattr(sample, "__self__", None), Draws)
+
+
+def preset_market(name, seed):
+    """The market a run of preset `name` at `seed` builds; `scale` is exp3
+    at N=200,000, as the benchmark runs it. No sampler reads primary
+    contacts, whose draw comes last, so none are drawn."""
+    p = preset("exp3" if name == "scale" else name)
+    config = replace(p.topology, primary_contacts_per_core=0)
+    if name == "scale":
+        config = replace(config, n_core=200_000)
+    seeds = derive_seeds(seed)
+    topo = organize(config, seeds[0])
+    fleet = init_servers(topo, p.engine, seeds[1])
+    return Market(topo, fleet, p.market, np.random.default_rng(seeds[3]))
+
+
+REPLAYED_PRESETS = ("exp3-desk", "exp4-desk", "exp5", "exp6", "scale")
+
+
+@pytest.mark.parametrize("name", REPLAYED_PRESETS + ("exp1-desk", "exp2-desk"))
+def test_each_preset_market_picks_its_sampler(name):
+    # Both samplers return the same samples, so no output shows a preset
+    # moving to its slow side: exp5 and exp6 draw once per sample, scale
+    # 3-5 times and exp3/exp4-desk 5-9 times, where exp1/exp2-desk draw
+    # 115-125 times
+    for seed in (1, 3, 11):
+        assert replays(preset_market(name, seed).sample) == (name in REPLAYED_PRESETS)
+
+
+def test_published_scale_invitations_are_left_to_rng_choice():
+    # a periphery of the published exp1-exp4 knows ~83,886 cores and invites
+    # 84 of them: 84 Floyd draws and 83 swaps
     rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    draws = Draws(rng)
-    got = invite_leader_candidates(0, topo, MarketConfig("C2"), draws)
-    assert got == []
-    assert rng.bit_generator.state == state  # the generator gave no word
-    # and the Draws took none: its next draw is the generator's first
-    assert draws.unit() == np.random.default_rng(0).random()
+    assert not replays(_invitation_sampler(rng, 83_886, math.ceil(0.001 * 83_886)))
+    assert replays(_invitation_sampler(rng, 83_886, 12))  # 23 draws
+
+
+def test_a_run_straddling_the_threshold_leaves_every_invitation_to_rng_choice():
+    # at 3%, the 100-core list invites 3 (5 draws), the 2,000-core list 60
+    # (119 draws): the largest list decides for the whole run
+    lists = [np.arange(0, 300, 3, dtype=np.int32), np.arange(2000, dtype=np.int32)]
+    topo = replace(star_topology(2000, [1]), n_periphery=2, periphery_known_cores=lists)
+    config = MarketConfig("C2", invited_fraction=0.03)
+    mkt = Market(topo, make_fleet([Mode.M1] * 2000), config, np.random.default_rng(4))
+    assert not replays(mkt.sample)
+    twin = np.random.default_rng(4)
+    for periphery in [0, 1, 0, 0, 1, 1, 0] * 5:
+        pcs = lists[periphery]
+        want = twin.choice(pcs, size=math.ceil(0.03 * len(pcs)), replace=False).tolist()
+        assert invite_leader_candidates(periphery, topo, config, mkt.sample) == want
 
 
 # -- leader election -----------------------------------------------------------
