@@ -19,7 +19,9 @@ bid prices, in `PRICES`: the sha256 of every won bid's price as a
 little-endian double, in arrival order. No report file carries a price.
 
 The desk presets are cut from 10^5 to 10^4 requests to keep the run fast.
-exp5 and exp6 run at their published 10^3 requests.
+exp5 and exp6 run at their published 10^3 requests. `scale` is exp3 at
+N=200,000, cut to 2,000 requests: the only pin whose leaders scan 500-wide
+primary rows, and whose contacts come from the rejection sampler.
 
 No preset reaches the secondary-contact fallback: with 100 primary contacts
 per core a leader never exhausts its primary list. One more pin covers it:
@@ -43,6 +45,8 @@ from sococ.harness import preset, run_experiment
 
 SEED = 1
 DESK_REQUESTS = 10_000
+SCALE_N_CORE = 200_000
+SCALE_REQUESTS = 2_000
 
 # preset -> (event_digest, sha256(bins.csv), sha256(coalitions.csv),
 #            commit digest)
@@ -83,6 +87,12 @@ GOLDEN = {
         "4c1fcc1fa7843e70fa18b28adba996c3c4b8c8727efc04b20df02cf375f75112",
         "ec0350584e734f178941bd76453ca346ce42de7d5d8830cf892ee93afd981a45",
     ),
+    "scale": (
+        "80ffa5ffd8f44d2f73c5f3a3f8f7bcf0",
+        "5ee3bbb74e163bdfd25fc899a31e08397a0bdf27aa472de75bd70aae548de7ac",
+        "6579880db92b2f32672cc8097274ccfb5e5d7c1da60c277c9bad72a55b134bf2",
+        "cf937789c96d7050a93aa07f5c5f21beab17b9cf1555672b105f1c078d8c2269",
+    ),
 }
 
 # preset -> sha256(summary.json)
@@ -93,6 +103,7 @@ SUMMARY = {
     "exp2-desk": "cfa9b38a05e62cb5d0097bcba6f02665f814dcff042eaa1c72f155b80a9cf27b",
     "exp3-desk": "01c287373e2bccf518782050894a9fb83112506483d35d75213ffa411d49d56e",
     "exp4-desk": "d418cc075a4267c31620af2cd85ae97620d98dfbe5c4eb7a647ac448df7e8945",
+    "scale": "4c228d262c3688e987522ffc12e87b91f1381965065f7c1d71be86fb8b964caa",
 }
 
 # preset -> sha256 of the "<d" bytes of every won bid's price, in arrival order
@@ -103,6 +114,7 @@ PRICES = {
     "exp2-desk": "54ea4c0594ddbb1ec76ee34e3e576cca0c15812ea499593723234c25ba151705",
     "exp3-desk": "b5b35dc4a1ab972a17376fed9b9ce7c97156c36504711cfa88d022ed5f4a5ad7",
     "exp4-desk": "d4284bcdef72fc7b17d7379ea87eeafcfa3d21f78420e2d1f7eef5d2154fd61c",
+    "scale": "1531ff2b016cd5254bf6011b15c8b2ab5ce74fb046e388b1e93f04080d19518a",
 }
 
 
@@ -119,6 +131,13 @@ FALLBACK_SUMMARY = "24f491c1424e6a03c60f7b0bcdf8d70514666c676f1ee9893e51d6e6afcb
 
 
 def golden_preset(name):
+    if name == "scale":
+        p = preset("exp3")
+        return replace(
+            p, name="scale", scale_note="exp3 at N=200,000",
+            topology=replace(p.topology, n_core=SCALE_N_CORE),
+            workload=replace(p.workload, n_requests=SCALE_REQUESTS),
+        )
     p = preset(name)
     if name.endswith("-desk"):
         p = replace(p, workload=replace(p.workload, n_requests=DESK_REQUESTS))
@@ -152,7 +171,7 @@ def run_pinned(p, out_dir, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", ["exp5", "exp6", "exp1-desk", "exp2-desk", "exp3-desk", "exp4-desk"]
+    "name", ["exp5", "exp6", "exp1-desk", "exp2-desk", "exp3-desk", "exp4-desk", "scale"]
 )
 def test_preset_outputs_match_golden(name, tmp_path, monkeypatch):
     prices = hashlib.sha256()
