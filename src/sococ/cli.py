@@ -80,7 +80,9 @@ def _cmd_organize(args: argparse.Namespace) -> int:
     if sample is None:
         sample = config.n_core if config.n_core <= EXACT_STATS_LIMIT \
             else min(DEFAULT_STATS_SAMPLE, config.n_core)
-    stats = compute_stats(topo, sample, np.random.default_rng(args.seed))
+    # a child stream: default_rng(seed) would replay the topology's own draws
+    rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
+    stats = compute_stats(topo, sample, rng)
 
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)

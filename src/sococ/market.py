@@ -32,8 +32,6 @@ MIN_ALLOCATION = 0.01
 _TRIM_EPS = 1e-9
 # Mode.SLEEP as a plain int: an enum member lookup costs more per request
 _SLEEP = int(Mode.SLEEP)
-# ids an eligibility scan converts to Python ints at a time
-_SCAN_CHUNK = 32
 # 32-bit draws per invitation from which a run leaves its invitations to
 # rng.choice: numpy's fixed ~7 us per call against ~0.25 us per draw in
 # Python (k = 13 on a 2-CPU host)
@@ -83,38 +81,38 @@ class AuctionOutcome:
     candidates_contacted: int
 
 
-def _eligible(fleet, ids: np.ndarray | list[int], mode: Mode) -> Iterator[tuple[int, float]]:
+def _eligible(fleet, ids: Iterable[int], mode: Mode) -> Iterator[tuple[int, float]]:
     """Yield (id, free capacity) for each server among `ids` that can join a
     coalition for `mode`, lazily and in input order: those running `mode` or
     asleep, with at least MIN_ALLOCATION free.
 
-    `ids` is a list or an id array; an array is converted _SCAN_CHUNK ids at
-    a time, so a scan that stops early leaves the rest of a long row
-    unconverted."""
+    `ids` is a list or a memoryview of an id array: either yields Python
+    ints one at a time, so a scan that stops early reads nothing past its
+    stop."""
     mode_of, committed = fleet.modes_view, fleet.committed_view
     capacity, wanted = fleet.capacity, int(mode)
-    for start in range(0, len(ids), _SCAN_CHUNK):
-        chunk = ids[start:start + _SCAN_CHUNK]
-        for i in chunk if isinstance(chunk, list) else chunk.tolist():
-            server_mode = mode_of[i]
-            if server_mode == wanted or server_mode == _SLEEP:
-                free = capacity - committed[i]
-                if free >= MIN_ALLOCATION:
-                    yield i, free
+    for i in ids:
+        server_mode = mode_of[i]
+        if server_mode == wanted or server_mode == _SLEEP:
+            free = capacity - committed[i]
+            if free >= MIN_ALLOCATION:
+                yield i, free
 
 
 class ContactOrder:
     """Cost-ordered views of the contact lists for one (topology, fleet).
 
     Unit costs are static, so the (unit cost, id) total order is computed
-    once: `by_rank` lists the ids in that order and `rank` is its inverse
-    permutation. A set of ids is cost-ordered by sorting it by rank; its
-    first member in that order is the one of lowest rank.
+    once: `by_rank` lists the ids in that order (a stable sort by cost
+    breaks ties by id) and `rank` is its inverse permutation. A set of ids
+    is cost-ordered by sorting it by rank; its first member in that order is
+    the one of lowest rank.
 
     The order owns the topology's primary-contact matrix: it sorts every
     row in place, and `primary_sorted` is that same array, so set-up holds
     one N x n matrix. A row's sorted order does not depend on its starting
     order, so a topology reused with another fleet is re-sorted correctly.
+    Assembly reads a row through a memoryview, one Python int at a time.
     Secondary contacts are recomputed from the topology on every call
     (`topology.secondary_mask`); the order keeps no per-core state.
     """
@@ -122,7 +120,7 @@ class ContactOrder:
     def __init__(self, topology: ContactTopology, fleet):
         self.topology = topology
         n = topology.n_core
-        self.by_rank = np.lexsort((np.arange(n), fleet.unit_cost)).astype(np.int32)
+        self.by_rank = np.argsort(fleet.unit_cost, kind="stable").astype(np.int32)
         self.rank = np.empty(n, dtype=np.int32)
         self.rank[self.by_rank] = np.arange(n, dtype=np.int32)
         contacts = topology.core_primary_contacts
@@ -186,7 +184,7 @@ def elect_leader(
     eligible candidate in `order`. Sorting the candidates first and scanning
     until one is eligible is cheaper than testing them all."""
     for leader, _ in _eligible(fleet, order.sort_ids(candidates), request.mode):
-        return int(leader)
+        return leader
     return None
 
 
@@ -237,14 +235,14 @@ def assemble_coalition(
 
     ids, allocs = [leader], [leader_free]
     remaining = need - leader_free
-    covered = _fill(_eligible(fleet, order.primary_sorted[leader], request.mode),
-                    remaining, ids, allocs)
+    row = memoryview(order.primary_sorted[leader])
+    covered = _fill(_eligible(fleet, row, request.mode), remaining, ids, allocs)
     if not covered and use_secondary:
         # all eligible primaries joined in full; the tail comes from
         # secondary contacts not already recruited
         remaining -= float(np.sum(allocs[1:]))
         taken = set(ids)
-        secondaries = _eligible(fleet, order.secondary(leader), request.mode)
+        secondaries = _eligible(fleet, memoryview(order.secondary(leader)), request.mode)
         covered = _fill((s for s in secondaries if s[0] not in taken), remaining, ids, allocs)
     if not covered:
         return None

@@ -222,14 +222,13 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
 
 def _invert_selection(known_periphery: np.ndarray, n_periphery: int) -> list[np.ndarray]:
     """Build periphery_known_cores as the exact inverse relation."""
-    n, m = known_periphery.shape
+    m = known_periphery.shape[1]
     flat = known_periphery.ravel()
-    owners = np.repeat(np.arange(n, dtype=np.int32), m)
-    order = np.argsort(flat, kind="stable")  # stable keeps owners ascending
-    grouped = owners[order]
+    # entry j of the flat matrix belongs to core j // m; stable keeps owners
+    # ascending within each periphery server
+    owners = (np.argsort(flat, kind="stable") // m).astype(np.int32)
     counts = np.bincount(flat, minlength=n_periphery)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    return [grouped[bounds[p] : bounds[p + 1]] for p in range(n_periphery)]
+    return np.split(owners, np.cumsum(counts)[:-1])
 
 
 def secondary_mask(topology: ContactTopology, core: int) -> np.ndarray:

@@ -178,7 +178,7 @@ def test_scalar_views_and_numpy_columns_share_one_ledger():
 
     fleet.committed[2] = 9.995  # less than the minimum allocation left free
     fleet.modes[1] = Mode.M2
-    assert [i for i, _ in _eligible(fleet, np.arange(3), Mode.M1)] == [0]
+    assert [i for i, _ in _eligible(fleet, memoryview(np.arange(3)), Mode.M1)] == [0]
     assert [i for i, _ in _eligible(fleet, [0, 1, 2], Mode.M2)] == [1]
     with pytest.raises(InternalConsistencyError, match=r"servers \[2\]"):
         fleet.commit(request(2, 0.0), Coalition(np.array([0, 2]), np.array([1.0, 0.5])))

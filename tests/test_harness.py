@@ -5,8 +5,10 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sococ import cli
 from sococ.cli import main
 from sococ.engine import EngineConfig
 from sococ.errors import ConfigurationError
@@ -584,6 +586,27 @@ def test_cli_organize_emits_stats(tmp_path):
     hist = (tmp_path / "secondary_histogram.csv").read_text().splitlines()
     assert hist[0] == "bucket_lo,bucket_hi,count"
     assert sum(int(line.split(",")[2]) for line in hist[1:]) == 2000
+
+
+def test_cli_organize_samples_from_a_stream_of_its_own(tmp_path, monkeypatch):
+    # default_rng(seed) would replay the topology's draws: the cores sampled
+    # would track the first cores' periphery choices
+    seen = []
+    original = cli.compute_stats
+
+    def recording_compute_stats(topology, sample_size, rng):
+        seen.append((sample_size, rng.bit_generator.state))
+        return original(topology, sample_size, rng)
+
+    monkeypatch.setattr(cli, "compute_stats", recording_compute_stats)
+    code = main(["organize", "--n-core", "2000", "--n-periphery", "100", "--m", "10",
+                 "--seed", "7", "--stats-sample", "50", "--out", str(tmp_path)])
+    assert code == 0
+    [(sample_size, state)] = seen
+    assert sample_size == 50
+    assert state != np.random.default_rng(7).bit_generator.state
+    assert state == np.random.default_rng(
+        np.random.SeedSequence(7).spawn(1)[0]).bit_generator.state
 
 
 def test_cli_out_defaults_to_env_dir(tmp_path, monkeypatch):
