@@ -21,6 +21,6 @@ from .topology import (
     expected_secondary_fraction,
     organize,
 )
-from .workload import DistributionSpec, Mode, ServiceRequest, WorkloadConfig, generate_stream, sample
+from .workload import DistributionSpec, Mode, ServiceRequest, WorkloadConfig, generate_stream
 
 __version__ = "0.1.0"

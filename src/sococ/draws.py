@@ -20,7 +20,9 @@ order numpy's calls would:
 A 32-bit draw takes the low half of a fresh word and keeps the high half for
 the next 32-bit draw; a double takes a whole word and leaves a kept half
 where it is. This is PCG64's own buffering, so a half the generator holds
-(`bit_generator.state["has_uint32"]`) is served first.
+(`bit_generator.state["has_uint32"]`) is served first. `resume` and `unread`
+hand fetched words and a kept half to and from code that decodes words
+itself, as the request stream does.
 """
 
 from __future__ import annotations
@@ -62,6 +64,25 @@ class Draws:
         state = rng.bit_generator.state
         self._halves = [0, state["uinteger"]] if state["has_uint32"] else []
         self._at = len(self._halves) // 2
+
+    @classmethod
+    def resume(cls, rng: np.random.Generator, kept: int | None, words: np.ndarray) -> "Draws":
+        """A `Draws` whose first draws are ones already fetched from `rng`'s
+        generator: a kept high half (None for none), then `words`. The
+        generator must hold no half of its own: one that only ever served
+        `random_raw` holds none."""
+        draws = cls(rng)
+        draws._halves = [0, kept] if kept is not None else []
+        draws._at = len(draws._halves) // 2
+        draws._halves += words.astype("<u8", copy=False).view("<u4").tolist()
+        return draws
+
+    def unread(self) -> tuple[int | None, np.ndarray]:
+        """The fetched draws not yet served, as `resume` takes them: a kept
+        high half (None for none) and whole words."""
+        halves = self._halves[self._at:]
+        kept = halves.pop(0) if self._at & 1 else None
+        return kept, np.array(halves, dtype="<u4").view("<u8")
 
     def _refill(self, need: int) -> int:
         """Drop the read words and fetch blocks until `need` halves are

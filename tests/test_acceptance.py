@@ -109,7 +109,10 @@ def test_criterion_2_secondary_contact_match():
             n_core=2000, n_periphery=1000,
             primary_contacts_per_core=5, periphery_per_core=m,
         ), seed)
-        stats = compute_stats(topo, 1000, np.random.default_rng(seed))
+        # the sample's own stream, as `sococ organize` draws it: not the
+        # one the topology was drawn from
+        sample_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        stats = compute_stats(topo, 1000, sample_rng)
         frac = stats.secondary_counts / 1999
         oracle = expected_secondary_fraction(1000, m)
         se = frac.std() / math.sqrt(frac.size)

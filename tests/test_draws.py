@@ -7,7 +7,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sococ import workload
 from sococ.draws import BLOCK_WORDS, Draws
 from sococ.errors import ConfigurationError
 from sococ.harness import PRESET_NAMES, derive_seeds, preset
@@ -16,6 +19,7 @@ from sococ.workload import (
     REQUEST_MODES,
     DistributionSpec,
     ServiceRequest,
+    WorkloadConfig,
     generate_stream,
 )
 
@@ -310,15 +314,9 @@ def test_rejects_other_generators_and_out_of_range_arguments():
 
 # -- the request stream --------------------------------------------------------
 
-def reference_requests(config, n_periphery, seed):
-    """The request stream drawn with numpy's scalar calls, one per draw."""
-    rng = np.random.default_rng(seed)
-
-    def unit():
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        return u
+def scalar_requests(config, n_periphery, unit, entry):
+    """The request stream drawn one scalar at a time: `unit()` is a double
+    on (0, 1), `entry()` an entry periphery."""
 
     def draw(dist):
         u = unit()
@@ -337,8 +335,27 @@ def reference_requests(config, n_periphery, seed):
         mode = REQUEST_MODES[0 if u < p1 else 1 if u < p1 + p2 else 2]
         size = draw(workload)
         duration = draw(config.service)
-        entry = int(rng.integers(n_periphery))
-        yield ServiceRequest(i, t, mode, size, duration, entry)
+        yield ServiceRequest(i, t, mode, size, duration, entry())
+
+
+def reference_requests(config, n_periphery, seed):
+    """The request stream drawn with numpy's scalar calls, one per draw."""
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        return u
+
+    return scalar_requests(config, n_periphery, unit, lambda: int(rng.integers(n_periphery)))
+
+
+def draws_requests(config, n_periphery, rng):
+    """The request stream drawn scalar by scalar from a Draws over `rng`,
+    which reads the words numpy's scalar calls would."""
+    draws = Draws(rng)
+    return scalar_requests(config, n_periphery, draws.unit, partial(draws.bounded, n_periphery - 1))
 
 
 STREAM_REQUESTS = 3000
@@ -356,6 +373,7 @@ def stream_cases():
         mode_probabilities=(0.5, 0.2, 0.3),
     ), 7
     yield "one-periphery", base, 1
+    yield "widest-periphery", base, 2**32
 
 
 @pytest.mark.parametrize("name,config,n_periphery", list(stream_cases()),
@@ -363,5 +381,153 @@ def stream_cases():
 def test_stream_matches_the_scalar_reference(name, config, n_periphery):
     config = replace(config, n_requests=STREAM_REQUESTS)
     seed = derive_seeds(len(name))[2]
+    got = list(generate_stream(config, n_periphery, seed))
+    assert got == list(reference_requests(config, n_periphery, seed))
+
+
+# -- blocks that meet a rare draw ----------------------------------------------
+
+LOW_HALF, HIGH_HALF = 0xFFFFFFFF, 0xFFFFFFFF << 32
+
+
+class MaskedWords(np.random.PCG64):
+    """PCG64 whose words at given positions of its `random_raw` output are
+    ANDed with a mask, {position: mask}, however the words are fetched."""
+
+    masks = {}
+    fetched = 0
+
+    def random_raw(self, size=None):
+        words = super().random_raw(size)
+        for at, mask in self.masks.items():
+            if self.fetched <= at < self.fetched + size:
+                words[at - self.fetched] &= mask
+        self.fetched += size
+        return words
+
+
+def masked(seed, masks):
+    bit_generator = MaskedWords(seed)
+    bit_generator.masks = masks
+    return np.random.Generator(bit_generator)
+
+
+def word_of(request, slot, n_periphery):
+    """The word a request's draw reads while no rare draw came before it:
+    slots 0-3 are its doubles, slot 4 its 32-bit periphery draw, the low
+    half of that word for an even request and the high half for an odd one."""
+    if n_periphery == 1:
+        return 4 * request + slot
+    pair, odd = divmod(request, 2)
+    return 9 * pair + (4 if slot == 4 else 5 * odd + slot)
+
+
+def counting_draws(monkeypatch):
+    """Patch the stream's Draws to count the requests it draws."""
+    drawn = []
+
+    class CountingDraws(Draws):
+        @classmethod
+        def resume(cls, rng, kept, words):
+            drawn.append(1)
+            return super().resume(rng, kept, words)
+
+    monkeypatch.setattr(workload, "Draws", CountingDraws)
+    return drawn
+
+
+HANDOFF_WORKLOAD = replace(preset("exp4-desk").workload, n_requests=600)
+
+
+def handoff_cases():
+    """(request, slot, mask, n_periphery, n_requests, requests Draws draws)."""
+    # a zero double in each slot and a redrawn periphery draw, for an even
+    # and an odd request; M = 50 redraws a low word below 2**32 % 50 = 46
+    for request in (2, 3):
+        for slot in range(4):
+            yield request, slot, 0, 50, 600, 1
+        yield request, 4, HIGH_HALF if request % 2 == 0 else LOW_HALF, 50, 600, 1
+    yield 2, 4, 0, 50, 600, 1  # both halves of the word are redrawn
+    # the first and last request of the first block, the second's first
+    last = workload.BLOCK_REQUESTS - 1
+    for request in (0, last, last + 1):
+        yield request, 0, 0, 50, 600, 1
+        yield request, 4, HIGH_HALF if request % 2 == 0 else LOW_HALF, 50, 600, 1
+    # a stream shorter than one block, and the rare draw as its last request
+    yield 50, 1, 0, 50, 100, 1
+    yield 99, 4, LOW_HALF, 50, 100, 1
+    # M = 1 takes no periphery draw; M = 2 redraws no low word
+    for request in (2, 3, last):
+        yield request, 2, 0, 1, 600, 1
+        yield request, 3, 0, 2, 600, 1
+    yield 3, 4, LOW_HALF, 2, 600, 0
+
+
+@pytest.mark.parametrize("request_at,slot,mask,n_periphery,n_requests,drawn",
+                         list(handoff_cases()))
+def test_a_rare_draw_hands_the_block_over_to_draws_and_back(
+        monkeypatch, request_at, slot, mask, n_periphery, n_requests, drawn):
+    config = replace(HANDOFF_WORKLOAD, n_requests=n_requests)
+    masks = {word_of(request_at, slot, n_periphery): mask}
+    count = counting_draws(monkeypatch)
+    got = list(workload._requests(config, n_periphery, masked(5, masks)))
+    assert got == list(draws_requests(config, n_periphery, masked(5, masks)))
+    assert len(count) == drawn
+
+
+@pytest.mark.parametrize("n_periphery", [1, 50])
+def test_rare_draws_in_a_row_and_after_a_shifted_half(monkeypatch, n_periphery):
+    # requests 0 and 1 are rare in a row, each redrawing a zero double, which
+    # moves the words after it on by one; at M = 50 request 3's redraw then
+    # moves every later periphery draw to the other half of a word (at M = 1
+    # request 4 redraws a double). The zero words after that land wherever
+    # the shifts put them, each on the draws of one request
+    masks = {word_of(0, 0, n_periphery): 0, word_of(1, 0, n_periphery) + 1: 0,
+             word_of(3, 4, n_periphery) + 2: LOW_HALF if n_periphery > 1 else 0}
+    masks.update({word: 0 for word in (700, 1_400, 2_000, 2_600)})
+    config = replace(HANDOFF_WORKLOAD, n_requests=700)
+    count = counting_draws(monkeypatch)
+    got = list(workload._requests(config, n_periphery, masked(9, masks)))
+    assert got == list(draws_requests(config, n_periphery, masked(9, masks)))
+    assert len(count) == len(masks)
+
+
+@pytest.mark.parametrize("name", ["exp1-desk", "exp4-desk"])
+def test_a_preset_stream_draws_no_request_through_draws(monkeypatch, name):
+    p = preset(name)
+    count = counting_draws(monkeypatch)
+    config = replace(p.workload, n_requests=STREAM_REQUESTS)
+    assert len(list(generate_stream(config, p.topology.n_periphery, 1))) == STREAM_REQUESTS
+    assert count == []
+
+
+def distributions(low):
+    """DistributionSpecs of every kind; uniform bounds are at least `low`."""
+    scale = st.floats(1e-3, 1e3)
+    return st.one_of(
+        st.builds(DistributionSpec, st.just("exponential"), scale),
+        st.builds(DistributionSpec, st.just("pareto"), st.floats(1.01, 10.0), scale),
+        st.lists(st.floats(low, 1e3), min_size=2, max_size=2).map(
+            lambda bounds: DistributionSpec("uniform", *sorted(bounds))),
+    )
+
+
+@st.composite
+def workloads(draw):
+    p1 = draw(st.floats(0.0, 1.0))
+    p2 = draw(st.floats(0.0, 1.0 - p1))
+    lo, hi = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2)))
+    return WorkloadConfig(
+        interarrival=draw(distributions(0.0)),
+        service=draw(distributions(1e-3)),
+        workload_range=(lo, hi),
+        mode_probabilities=(p1, p2, 1.0 - p1 - p2),
+        n_requests=draw(st.integers(1, 600)),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(config=workloads(), n_periphery=st.integers(1, 2**16), seed=st.integers(0, 2**64))
+def test_stream_matches_the_scalar_reference_on_any_workload(config, n_periphery, seed):
     got = list(generate_stream(config, n_periphery, seed))
     assert got == list(reference_requests(config, n_periphery, seed))

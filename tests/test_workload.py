@@ -13,7 +13,7 @@ from sococ.workload import (
     Mode,
     WorkloadConfig,
     generate_stream,
-    sample,
+    transform,
 )
 
 # asymptotic Kolmogorov-Smirnov critical value at significance 0.001
@@ -30,6 +30,11 @@ def default_config(**overrides):
     )
     base.update(overrides)
     return WorkloadConfig(**base)
+
+
+def units(draws, n):
+    """n uniform draws on (0, 1)."""
+    return np.array([draws.unit() for _ in range(n)])
 
 
 # -- DistributionSpec --------------------------------------------------------
@@ -50,7 +55,7 @@ def test_spec_validation():
 def test_exponential_sample_mean():
     draws = Draws(np.random.default_rng(1))
     dist = DistributionSpec("exponential", 1.2)
-    values = np.array([sample(dist, draws) for _ in range(1_000_000)])
+    values = transform(dist, units(draws, 1_000_000))
     assert abs(values.mean() - 1.2) < 0.01
     assert (values > 0).all()
 
@@ -58,14 +63,14 @@ def test_exponential_sample_mean():
 def test_uniform_degenerate_range():
     draws = Draws(np.random.default_rng(2))
     dist = DistributionSpec("uniform", 0.1, 0.1)
-    assert all(sample(dist, draws) == 0.1 for _ in range(100))
+    assert all(transform(dist, units(draws, 100)) == 0.1)
 
 
 def test_pareto_sample_mean_matches_closed_form():
     # mean = alpha * x_m / (alpha - 1) = 2.0 for alpha=2, x_m=1
     draws = Draws(np.random.default_rng(3))
     dist = DistributionSpec("pareto", 2.0, 1.0)
-    values = np.array([sample(dist, draws) for _ in range(1_000_000)])
+    values = transform(dist, units(draws, 1_000_000))
     assert abs(values.mean() - 2.0) < 0.05
     assert values.min() >= 1.0
 
@@ -74,7 +79,7 @@ def test_exponential_passes_kolmogorov_smirnov():
     draws = Draws(np.random.default_rng(4))
     dist = DistributionSpec("exponential", 1.5)
     n = 100_000
-    values = np.sort([sample(dist, draws) for _ in range(n)])
+    values = np.sort(transform(dist, units(draws, n)))
     cdf = 1.0 - np.exp(-values / 1.5)
     grid = np.arange(1, n + 1) / n
     d_stat = max(np.abs(cdf - grid).max(), np.abs(cdf - (grid - 1 / n)).max())
@@ -110,6 +115,9 @@ def test_invalid_periphery_count_raises_at_the_call():
     # the check runs before the first request is asked for
     with pytest.raises(ConfigurationError, match="n_periphery"):
         generate_stream(default_config(), 0, 1)
+    # a 32-bit periphery draw reaches 2**32 entries, no more
+    with pytest.raises(ConfigurationError, match="n_periphery"):
+        generate_stream(default_config(), 2**32 + 1, 1)
 
 
 @pytest.mark.parametrize("interarrival,service", [
