@@ -14,8 +14,7 @@ order numpy's calls would:
 - `sample(population, k)` is
   `rng.choice(population, size=k, replace=False).tolist()` wherever numpy
   runs Floyd's algorithm (Bentley & Floyd, CACM 1987) then a Fisher-Yates
-  shuffle. Whether a run's invitations are worth replaying in Python at all
-  is the market's choice, made once per run.
+  shuffle.
 
 A 32-bit draw takes the low half of a fresh word and keeps the high half for
 the next 32-bit draw; a double takes a whole word and leaves a kept half
@@ -23,6 +22,13 @@ where it is. This is PCG64's own buffering, so a half the generator holds
 (`bit_generator.state["has_uint32"]`) is served first. `resume` and `unread`
 hand fetched words and a kept half to and from code that decodes words
 itself, as the request stream does.
+
+`FloydSamples` is such code: it decodes the Floyd samples of a whole block
+of invitations in one numpy pass. A sample there that meets a Lemire redraw
+(p < bound / 2**32 per draw, ~3e-8 at exp4-desk's bounds of ~100) is drawn
+by `Draws.sample`'s Floyd loop, which is that decoder's fallback and its
+test oracle. Whether a run's invitations are decoded at all, rather than
+left to `rng.choice`, is the market's choice, made once per run.
 """
 
 from __future__ import annotations
@@ -42,6 +48,16 @@ _LOW32 = 0xFFFFFFFF
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0
 
 
+def _take_over(rng: np.random.Generator) -> int | None:
+    """The half `rng`'s generator holds (None for none), which a replay of
+    its draws serves first; a generator other than PCG64 raises."""
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ConfigurationError(
+            f"Draws replays PCG64 only, not {type(rng.bit_generator).__name__}")
+    state = rng.bit_generator.state
+    return state["uinteger"] if state["has_uint32"] else None
+
+
 class Draws:
     """The draws of a PCG64 `Generator`, served from blocks.
 
@@ -56,13 +72,9 @@ class Draws:
     """
 
     def __init__(self, rng: np.random.Generator):
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            raise ConfigurationError(
-                f"Draws replays PCG64 only, not {type(rng.bit_generator).__name__}")
         self._rng = rng
-        # take over the half the generator holds, as a kept half
-        state = rng.bit_generator.state
-        self._halves = [0, state["uinteger"]] if state["has_uint32"] else []
+        kept = _take_over(rng)
+        self._halves = [0, kept] if kept is not None else []
         self._at = len(self._halves) // 2
 
     @classmethod
@@ -201,4 +213,117 @@ class Draws:
             j = m >> 32
             out[i], out[j] = out[j], out[i]
         self._at = at
+        return out
+
+
+class FloydSamples:
+    """numpy's Floyd samples of many populations, a block per numpy pass.
+
+    `positions(pops, ks)` draws what `rng.choice(pop, size=k, replace=False)`
+    draws for each (pop, k) in turn, reading the 32-bit halves `Draws._floyd`
+    reads: per sample, one per Floyd slot j in range(max(pop - k, 1), pop),
+    then one per shuffle position i = k - 1 ... 1. Every half's Lemire
+    product is formed at once; then Floyd's "taken -> j" rule and the
+    shuffle's swaps run one column at a time across the block's samples. A
+    sample whose draws meet a Lemire redraw (a low word below
+    2**32 % bound, p < bound / 2**32 per draw) is drawn by `Draws` from the
+    same words, and block decoding resumes after it at either half.
+
+    Like `Draws`, it takes the generator over and serves a half the
+    generator holds first. Every sample must be one that numpy draws by
+    Floyd's algorithm with 32-bit draws, as `Draws.sample` requires.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._hold(_take_over(rng), np.empty(0, np.uint64))
+
+    def _hold(self, kept: int | None, words: np.ndarray) -> None:
+        """Hold fetched draws not yet served, as `Draws.unread` gives them,
+        as words whose first `_skip` halves are read: a kept half is the
+        high half of a word whose low half is read."""
+        if kept is None:
+            self._words, self._skip = words, 0
+        else:
+            self._words = np.concatenate((np.array([kept << 32], np.uint64), words))
+            self._skip = 1
+
+    def positions(self, pops: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """A (len(pops), max(ks)) int64 matrix whose row r begins with
+        `rng.choice(pops[r], size=ks[r], replace=False)`, the samples drawn
+        in row order; entries past ks[r] are unspecified."""
+        pops = np.asarray(pops, np.int64)
+        ks = np.asarray(ks, np.int64)
+        # sample r is column r: a column of the matrix is one row in memory
+        out = np.zeros((int(ks.max(initial=0)), len(ks)), np.int64)
+        done = 0
+        while done < len(ks):
+            done += self._decode(pops[done:], ks[done:], out[:, done:])
+        return out.T
+
+    def _decode(self, pops: np.ndarray, ks: np.ndarray, out: np.ndarray) -> int:
+        """Fill the samples (columns) of `out` up to and including the first
+        that meets a redraw, or all of them; returns how many were filled."""
+        first = np.maximum(pops - ks, 1)  # the first Floyd slot
+        n_floyd = np.maximum(pops - first, 0)
+        n = n_floyd + np.maximum(ks - 1, 0)
+        ends = np.cumsum(n)
+        total = int(ends[-1])
+        words, skip = self._words, self._skip
+        need = (skip + total + 1) // 2
+        if len(words) < need:
+            words = np.concatenate((words, self._rng.bit_generator.random_raw(need - len(words))))
+        halves = words.astype("<u8", copy=False).view("<u4")[skip:skip + total]
+        # per half: its sample, its place in the sample's draws and the
+        # draw's bound, j + 1 in slot j and i + 1 at position i
+        row = np.repeat(np.arange(len(n)), n)
+        at = np.arange(total) - (ends - n)[row]
+        floyd = at < n_floyd[row]
+        bound = np.where(floyd, first[row] + at + 1, ks[row] + n_floyd[row] - at)
+        wide = bound.astype(np.uint64)
+        m = halves * wide
+        rare = (m & _LOW32) < (_LOW32 + 1) % wide
+        ready = int(row[rare.argmax()]) if rare.any() else len(n)
+        read = total if ready == len(n) else int(ends[ready] - n[ready])
+        if ready:
+            out[:, :ready] = self._resolve(
+                pops[:ready], ks[:ready], len(out), row[:read],
+                (m[:read] >> 32).astype(np.int64), bound[:read] - 1, floyd[:read])
+        if ready == len(n):
+            self._words, self._skip = words[(skip + total) // 2:], (skip + total) & 1
+            return ready
+        # sample `ready` meets a redraw: Draws draws it from the same words
+        start = skip + read
+        kept = int(words[start // 2] >> 32) if start & 1 else None
+        draws = Draws.resume(self._rng, kept, words[(start + 1) // 2:])
+        k = int(ks[ready])
+        out[:k, ready] = draws._floyd(int(pops[ready]), k)
+        self._hold(*draws.unread())
+        return ready + 1
+
+    @staticmethod
+    def _resolve(pops, ks, width, row, values, slot, floyd) -> np.ndarray:
+        """The (width, samples) positions of whole samples from their draws'
+        values, by Floyd's rule then the shuffle, one column at a time. Slot
+        j of Floyd's loop fills column j - (pop - k); a value already taken
+        in the columns before it gives j instead. When pop == k, column 0
+        holds 0, which Floyd's slot 0 takes without a draw."""
+        n = len(ks)
+        drawn = np.zeros((2, width, n), np.int64)
+        offset = pops - ks
+        column = np.where(floyd, slot - offset[row], slot)
+        drawn[(~floyd).astype(np.intp), column, row] = values
+        out, swaps = drawn
+        for c in range(1, width):
+            v = out[c]
+            np.copyto(v, offset + c, where=(out[:c] == v).any(axis=0))
+        # swap each position i with the drawn j, through flat indices
+        flat = out.reshape(-1)
+        samples = np.arange(n)
+        for i in range(width - 1, 0, -1):
+            live = samples[ks > i]
+            at, to = i * n + live, swaps[i, live] * n + live
+            held = flat[at]
+            flat[at] = flat[to]
+            flat[to] = held
         return out

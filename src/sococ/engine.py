@@ -21,6 +21,7 @@ import hashlib
 import heapq
 import struct
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import ConfigurationError, InternalConsistencyError
 from .market import _SLEEP
 from .metrics import MetricsSink
 from .topology import ContactTopology
-from .workload import ServiceRequest
+from .workload import BLOCK_REQUESTS, ServiceRequest
 
 CAPACITY_TOL = 1e-9
 STATE_MIX_TOL = 1e-12
@@ -205,7 +206,9 @@ def run(
     After the stream ends, remaining completions are drained so the fleet
     returns to its background load; the ledger is swept before and after.
     The market takes over `rng` for its invitations: nothing else may draw
-    from it during or after the run.
+    from it during or after the run. The stream is read BLOCK_REQUESTS
+    requests at a time, and each block is handed to the market
+    (`Market.invite`) before its first auction.
     """
     mkt = market.Market(topology, fleet, market_config, rng)
     stats = RunStats()
@@ -226,15 +229,18 @@ def run(
         stats.completed += 1
         on_event(time, EV_COMPLETION, rid)
 
-    for request in requests:
-        while heap and heap[0][0] <= request.arrival_time:
-            complete_one()
-        outcome = mkt.run_auction(request)
-        if outcome.bid is not None:
-            fleet.commit(request, outcome.bid.coalition)
-            heapq.heappush(heap, (request.arrival_time + request.duration, request.id))
-        sink.record_outcome(outcome, request.mode)
-        on_event(request.arrival_time, EV_ARRIVAL, request.id)
+    stream = iter(requests)
+    for block in iter(lambda: list(islice(stream, BLOCK_REQUESTS)), []):
+        mkt.invite(block)
+        for request in block:
+            while heap and heap[0][0] <= request.arrival_time:
+                complete_one()
+            outcome = mkt.run_auction(request)
+            if outcome.bid is not None:
+                fleet.commit(request, outcome.bid.coalition)
+                heapq.heappush(heap, (request.arrival_time + request.duration, request.id))
+            sink.record_outcome(outcome, request.mode)
+            on_event(request.arrival_time, EV_ARRIVAL, request.id)
 
     # the completion queue and the live ledger each hold the won requests
     # not yet released

@@ -11,18 +11,26 @@ engine commits it.
 
 Every phase scans a cost-ordered list one server at a time through one
 eligibility rule, `_eligible`, and stops as soon as the request is served:
-coalitions take a few servers out of hundreds of contacts."""
+coalitions take a few servers out of hundreds of contacts.
+
+An invitation depends only on the entry periphery and the market's
+generator, never on fleet state. So the engine hands the market each block
+of upcoming requests before auctioning them (`Market.invite`), and
+`Invitations` draws the block's invitations in one pass: numpy's Floyd
+samples decoded from raw words (`draws.FloydSamples`) in runs with small
+invitations, `rng.choice` once per request in runs with large ones."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .draws import Draws
+from .draws import FloydSamples
 from .errors import ConfigurationError, InternalConsistencyError
 from .topology import ContactTopology, row_chunks, secondary_mask
 from .workload import Mode, ServiceRequest
@@ -33,8 +41,13 @@ _TRIM_EPS = 1e-9
 # Mode.SLEEP as a plain int: an enum member lookup costs more per request
 _SLEEP = int(Mode.SLEEP)
 # 32-bit draws per invitation from which a run leaves its invitations to
-# rng.choice: numpy's fixed ~7 us per call against ~0.25 us per draw in
-# Python (k = 13 on a 2-CPU host)
+# rng.choice. Invitations of k of ~2,000 cores cost, decoded in blocks of
+# 512, 2.0-2.1 / 2.2-2.3 / 3.5-3.7 / 11.6-11.7 us at k = 12 / 13 / 20 / 60
+# against 7.1-8.3 / 7.6 / 7.6-8.0 / 9.3-9.4 us through rng.choice (best of
+# 5, two runs, 2-CPU host). Floyd's rule compares each slot with those
+# before it, so the decoder's cost grows with k**2 and loses at
+# exp1/exp2-desk's k ~ 60. No preset draws between 25 and 115 times, so
+# the line stays here.
 _NUMPY_DRAWS = 25
 Sampler = Callable[[np.ndarray, int], list[int]]  # (pcs, k) -> k of pcs
 
@@ -143,14 +156,12 @@ class ContactOrder:
         return self.by_rank[mask[self.by_rank]]
 
 
-def _invitation_sampler(rng: np.random.Generator, pop: int, k: int) -> Sampler:
-    """The sampler of every invitation of a run whose largest draws k of
-    pop cores: a `Draws` replay below _NUMPY_DRAWS draws (Floyd's one per
-    slot above max(pop - k, 1), the shuffle's one per position above 0),
-    `rng.choice` itself from there. Either takes over `rng`."""
-    if pop - max(pop - k, 1) + k - 1 < _NUMPY_DRAWS:
-        return Draws(rng).sample
-    return partial(_choice, rng)
+def _replays(pop: int, k: int) -> bool:
+    """Whether a run whose largest invitation draws k of pop cores decodes
+    its invitations from raw words: below _NUMPY_DRAWS draws (Floyd's one
+    per slot above max(pop - k, 1), the shuffle's one per position above
+    0). Runs from there on leave them to rng.choice."""
+    return pop - max(pop - k, 1) + k - 1 < _NUMPY_DRAWS
 
 
 def _choice(rng: np.random.Generator, pcs: np.ndarray, k: int) -> list[int]:
@@ -159,11 +170,48 @@ def _choice(rng: np.random.Generator, pcs: np.ndarray, k: int) -> list[int]:
     return pcs[rng.choice(len(pcs), size=k, replace=False)].tolist()
 
 
-def _invite(pcs: np.ndarray, fraction: float, sample: Sampler) -> list[int]:
-    """Uniform random subset of ceil(fraction * |pcs|) of the cores in `pcs`,
-    as `rng.choice(pcs, ..., replace=False)` draws it; empty, with no draw,
-    when `pcs` is."""
-    return sample(pcs, math.ceil(fraction * len(pcs)))
+class Invitations:
+    """The invitations of one run. A request entering at periphery p
+    invites ceil(fraction * |pcs|) of the cores p knows, as
+    `rng.choice(pcs, ..., replace=False)` draws them request after request;
+    none, with no draw, when p knows none. It takes over `rng`.
+
+    Both ways of drawing return what `rng.choice` does, so the run picks
+    one, by its largest known-core list, for speed alone (`replayed`). No
+    preset straddles the line: exp5 and exp6 draw once per sample, `scale`
+    (exp3 at N=200,000) 3-5 times and exp3/exp4-desk 5-9 times, all
+    decoded in blocks; exp1/exp2-desk draw 115-125 times and the published
+    exp1-exp4 167 times, all left to `rng.choice`.
+    """
+
+    def __init__(self, topology: ContactTopology, fraction: float, rng: np.random.Generator):
+        self._ids, self._starts = topology.known_core_table()
+        self._pops = np.diff(self._starts)
+        # math.ceil(fraction * len(pcs)) for every list at once
+        self._ks = np.ceil(fraction * self._pops).astype(np.int64)
+        pop = int(self._pops.max(initial=0))
+        self.replayed = _replays(pop, math.ceil(fraction * pop))
+        if self.replayed:
+            self._floyd = FloydSamples(rng)
+        else:
+            self._choice = partial(_choice, rng)
+            self._pcs = topology.periphery_known_cores
+            self._k_of = self._ks.tolist()
+
+    def draw(self, peripheries: list[int]) -> Iterable[list[int]]:
+        """The invitations of requests entering at `peripheries`, in turn:
+        decoded at once, or left to rng.choice one at a time as they are
+        read, so that a block holds no large invitations."""
+        if not self.replayed:
+            pcs, k_of, choice = self._pcs, self._k_of, self._choice
+            return (choice(pcs[p], k_of[p]) for p in peripheries)
+        at = np.array(peripheries, np.intp)
+        ks = self._ks[at]
+        drawn = self._floyd.positions(self._pops[at], ks)
+        taken = np.arange(drawn.shape[1]) < ks[:, None]
+        ids = self._ids[(drawn + self._starts[at, None])[taken]].tolist()
+        ends = np.cumsum(ks).tolist()
+        return [ids[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def invite_leader_candidates(
@@ -172,9 +220,10 @@ def invite_leader_candidates(
     config: MarketConfig,
     sample: Sampler,
 ) -> list[int]:
-    """Uniform random subset of ceil(fraction * |pcs|) leader candidates."""
+    """Uniform random subset of ceil(fraction * |pcs|) leader candidates,
+    drawn by `sample`; a run draws them through `Invitations` instead."""
     pcs = topology.periphery_known_cores[periphery]
-    return _invite(pcs, config.invited_fraction, sample)
+    return sample(pcs, math.ceil(config.invited_fraction * len(pcs)))
 
 
 def elect_leader(
@@ -262,14 +311,12 @@ def price_bid(coalition: Coalition, fleet) -> Bid:
 
 class Market:
     """Per-run auction coordinator holding the cost order and the run's
-    invitation sampler. It takes over `rng`: nothing else may draw from it.
+    invitations. It takes over `rng`: nothing else may draw from it.
 
-    Both samplers return what `rng.choice` does, so the market picks one per
-    run, by its largest known-core list, for speed alone. No preset
-    straddles the line: exp5 and exp6 draw once per sample, `scale` (exp3 at
-    N=200,000) 3-5 times and exp3/exp4-desk 5-9 times, all replayed;
-    exp1/exp2-desk draw 115-125 times and the published exp1-exp4 167
-    times, all left to `rng.choice`.
+    `invite` queues the invitations of a block of requests, the next ones
+    to be auctioned, and `run_auction` serves the queue's head to its
+    request. A request auctioned with nothing queued, as a test may do, has
+    its invitation drawn alone, as a block of one.
     """
 
     def __init__(
@@ -282,10 +329,16 @@ class Market:
         self.topology = topology
         self.fleet = fleet
         self.config = config
-        pop = max(map(len, topology.periphery_known_cores), default=0)
-        self.sample = _invitation_sampler(
-            rng, pop, math.ceil(config.invited_fraction * pop))
+        self.invitations = Invitations(topology, config.invited_fraction, rng)
         self.order = ContactOrder(topology, fleet)
+        # (request id, invited cores) of the requests invited, not yet auctioned
+        self._queue: Iterator[tuple[int, list[int]]] = iter(())
+
+    def invite(self, requests: Sequence[ServiceRequest]) -> None:
+        """Queue the invitations of the next requests to be auctioned, in
+        auction order (`Invitations.draw`)."""
+        invited = self.invitations.draw([r.entry_periphery for r in requests])
+        self._queue = chain(self._queue, zip([r.id for r in requests], invited))
 
     def run_auction(self, request: ServiceRequest) -> AuctionOutcome:
         """Run one auction against the current fleet state.
@@ -293,13 +346,17 @@ class Market:
         Winning allocations are NOT applied here; the engine commits them so
         the commit stays atomic with completion scheduling.
         """
+        queued, invited = next(self._queue, (request.id, None))
+        if queued != request.id:
+            raise InternalConsistencyError(
+                f"request {request.id} was auctioned with the invitation of request {queued}")
+        if invited is None:
+            [invited] = self.invitations.draw([request.entry_periphery])
         if self.config.initiation == "C2":
-            return self._run_c2(request)
-        return self._run_c1(request)
+            return self._run_c2(request, invited)
+        return self._run_c1(request, invited)
 
-    def _run_c1(self, request: ServiceRequest) -> AuctionOutcome:
-        pcs = self.topology.periphery_known_cores[request.entry_periphery]
-        invited = _invite(pcs, self.config.invited_fraction, self.sample)
+    def _run_c1(self, request: ServiceRequest, invited: list[int]) -> AuctionOutcome:
         ids, allocs = [], []
         pool = _eligible(self.fleet, self.order.sort_ids(invited), request.mode)
         if not _fill(pool, request.workload, ids, allocs):
@@ -307,10 +364,7 @@ class Market:
         coalition = Coalition(np.array(ids, np.int32), np.array(allocs))
         return AuctionOutcome(request.id, price_bid(coalition, self.fleet), len(invited))
 
-    def _run_c2(self, request: ServiceRequest) -> AuctionOutcome:
-        candidates = invite_leader_candidates(
-            request.entry_periphery, self.topology, self.config, self.sample
-        )
+    def _run_c2(self, request: ServiceRequest, candidates: list[int]) -> AuctionOutcome:
         k = len(candidates)
         leader = elect_leader(candidates, self.fleet, request, self.order)
         if leader is None:

@@ -78,6 +78,10 @@ class ContactTopology:
     core_known_periphery[c] holds the m periphery ids core c selected;
     core_primary_contacts[c] holds its n primary core contacts; and
     periphery_known_cores[p] is the exact inverse of the first relation.
+    `organize` builds those M lists as views of one int32 array, kept as
+    `known_cores` with the M + 1 offsets `known_core_starts`: list p is
+    known_cores[known_core_starts[p]:known_core_starts[p + 1]]. A topology
+    built by hand leaves both None.
 
     A row of core_primary_contacts is an unordered set: `market.ContactOrder`
     takes the matrix over and re-orders every row in place by (unit cost, id).
@@ -89,9 +93,19 @@ class ContactTopology:
     core_primary_contacts: np.ndarray       # shape (N, n), int32
     periphery_known_cores: list[np.ndarray]  # M arrays of core ids, ascending
     aux_roster: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+    known_cores: np.ndarray | None = None        # shape (N * m,), int32
+    known_core_starts: np.ndarray | None = None  # shape (M + 1,), int64
 
     def pcs_sizes(self) -> np.ndarray:
         return np.array([len(p) for p in self.periphery_known_cores], dtype=np.int64)
+
+    def known_core_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The known-core lists as one id array and M + 1 offsets into it:
+        `organize`'s own, or a copy of hand-built lists."""
+        if self.known_cores is not None:
+            return self.known_cores, self.known_core_starts
+        starts = np.concatenate(([0], np.cumsum(self.pcs_sizes())))
+        return np.concatenate(self.periphery_known_cores), starts
 
 
 @dataclass
@@ -200,7 +214,7 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
     known_periphery = _sample_rows(rng, n, m, config.n_periphery)
     # Inverted before the contact draw (no rng involved), so the inversion's
     # temporaries are freed before the N x n contact matrix exists.
-    periphery_known = _invert_selection(known_periphery, config.n_periphery)
+    known_cores, starts = _invert_selection(known_periphery, config.n_periphery)
 
     # Contacts are drawn from N-1 slots and shifted past the owner so the
     # owner can never appear in its own list.
@@ -215,20 +229,25 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
         n_periphery=config.n_periphery,
         core_known_periphery=known_periphery,
         core_primary_contacts=contacts,
-        periphery_known_cores=periphery_known,
+        periphery_known_cores=np.split(known_cores, starts[1:-1]),
         aux_roster=np.arange(config.n_aux, dtype=np.int32),
+        known_cores=known_cores,
+        known_core_starts=starts,
     )
 
 
-def _invert_selection(known_periphery: np.ndarray, n_periphery: int) -> list[np.ndarray]:
-    """Build periphery_known_cores as the exact inverse relation."""
+def _invert_selection(
+    known_periphery: np.ndarray, n_periphery: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact inverse relation: the cores knowing each periphery server,
+    all in one array, and the M + 1 offsets of each server's list in it."""
     m = known_periphery.shape[1]
     flat = known_periphery.ravel()
     # entry j of the flat matrix belongs to core j // m; stable keeps owners
     # ascending within each periphery server
     owners = (np.argsort(flat, kind="stable") // m).astype(np.int32)
     counts = np.bincount(flat, minlength=n_periphery)
-    return np.split(owners, np.cumsum(counts)[:-1])
+    return owners, np.concatenate(([0], np.cumsum(counts)))
 
 
 def secondary_mask(topology: ContactTopology, core: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Block-served draws against numpy's own scalar calls, which are the oracle:
 every value and every consumed word must match, so runs stay byte-identical."""
 
+import math
 import random
 from dataclasses import replace
 from functools import partial
@@ -10,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sococ import draws as draws_module
 from sococ import workload
-from sococ.draws import BLOCK_WORDS, Draws
+from sococ.draws import BLOCK_WORDS, Draws, FloydSamples
 from sococ.errors import ConfigurationError
 from sococ.harness import PRESET_NAMES, derive_seeds, preset
-from sococ.market import _choice, _invitation_sampler
+from sococ.market import Invitations, _choice, _replays
+from sococ.topology import ContactTopology, organize
 from sococ.workload import (
     REQUEST_MODES,
     DistributionSpec,
+    Mode,
     ServiceRequest,
     WorkloadConfig,
     generate_stream,
@@ -59,18 +63,34 @@ def is_tail_shuffle(pop, k):
     return pop > 10000 and k > pop // 50
 
 
-# The samplers a run's invitations can be served by: `python` replays them
-# with Draws.sample, `numpy` leaves them to rng.choice, and `default` is the
-# one the market picks for a run whose largest invitation draws k of pop.
+class BlockSampler:
+    """FloydSamples as a (population, k) sampler: one sample per block."""
+
+    def __init__(self, rng):
+        self.floyd = FloydSamples(rng)
+
+    def __call__(self, population, k):
+        return population[self.floyd.positions([len(population)], [k])[0, :k]].tolist()
+
+
+# The samplers a sample can be drawn by: `python` replays it with
+# Draws.sample, `numpy` leaves it to rng.choice, and `default` is the way
+# the market picks for a run whose largest invitation draws k of pop: a
+# FloydSamples block decoder or rng.choice.
 SIDES = ("default", "python", "numpy")
 
 
 def sampler(side, rng, pop, k):
     if side == "python":
         return Draws(rng).sample
-    if side == "numpy":
+    if side == "numpy" or not _replays(pop, k):
         return partial(_choice, rng)
-    return _invitation_sampler(rng, pop, k)
+    return BlockSampler(rng)
+
+
+# a Floyd sample of 3 whose draws have bounds near 2**31, so no two
+# misaligned draws agree by chance
+WIDE = 2**31 + 1
 
 
 def assert_same_stream(rng, twin, sample):
@@ -78,6 +98,11 @@ def assert_same_stream(rng, twin, sample):
     draws = getattr(sample, "__self__", None)
     if isinstance(draws, Draws):
         assert_in_step(rng, draws)
+    elif isinstance(sample, BlockSampler):
+        # it holds fetched words, so only its next draws can show it
+        for _ in range(3):
+            got = sample.floyd.positions([WIDE], [3])[0].tolist()
+            assert got == rng.choice(WIDE, size=3, replace=False).tolist()
     else:
         assert twin.bit_generator.state == rng.bit_generator.state
 
@@ -501,6 +526,16 @@ def test_a_preset_stream_draws_no_request_through_draws(monkeypatch, name):
     assert count == []
 
 
+def test_a_mode_draw_on_a_threshold_takes_the_next_mode():
+    # the scalar rule is u < p1 for M1 and u < p1 + p2 for M2: a draw equal
+    # to a threshold is not below it
+    config = preset("exp1-desk").workload
+    p1, p2, _ = config.mode_probabilities
+    units = np.array([[0.5, p1, 0.5, 0.5], [0.5, p1 + p2, 0.5, 0.5]])
+    requests, _ = workload._requests_from(config, 0, 0.0, units, [0, 0])
+    assert [r.mode for r in requests] == [Mode.M2, Mode.M3]
+
+
 def distributions(low):
     """DistributionSpecs of every kind; uniform bounds are at least `low`."""
     scale = st.floats(1e-3, 1e3)
@@ -531,3 +566,163 @@ def workloads(draw):
 def test_stream_matches_the_scalar_reference_on_any_workload(config, n_periphery, seed):
     got = list(generate_stream(config, n_periphery, seed))
     assert got == list(reference_requests(config, n_periphery, seed))
+
+
+# -- invitations decoded in blocks ---------------------------------------------
+
+def flat_topology(sizes):
+    """A topology whose known-core lists have `sizes`, laid out as
+    `organize` lays them out: views of one int32 array of distinct ids."""
+    starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    known = np.arange(0, 3 * starts[-1], 3, dtype=np.int32)
+    return ContactTopology(
+        n_core=max(1, 3 * int(starts[-1])), n_periphery=len(sizes),
+        core_known_periphery=np.zeros((0, 1), np.int32),
+        core_primary_contacts=np.zeros((0, 0), np.int32),
+        periphery_known_cores=np.split(known, starts[1:-1]),
+        known_cores=known, known_core_starts=starts)
+
+
+def in_blocks(items, lengths):
+    """`items` cut into consecutive blocks of the given lengths, in turn."""
+    at, turn = 0, 0
+    while at < len(items):
+        length = lengths[turn % len(lengths)]
+        yield items[at:at + length]
+        at, turn = at + length, turn + 1
+
+
+@st.composite
+def invitation_runs(draw):
+    """(list sizes, fraction, entry peripheries, block lengths) of a run
+    whose invitations are decoded in blocks."""
+    fraction = draw(st.one_of(st.sampled_from([1.0, 0.5, 0.03, 0.001]), st.floats(0.001, 1.0)))
+    cap = min(3000, int(12 / fraction) + 1)
+    while not _replays(cap, math.ceil(fraction * cap)):
+        cap -= 1
+    sizes = draw(st.lists(st.one_of(st.sampled_from([0, 1, cap]), st.integers(0, cap)),
+                          min_size=1, max_size=8))
+    # hypothesis keeps drawn lists short, so long runs come from a seed
+    n_requests = draw(st.one_of(st.sampled_from([1, 1200]), st.integers(1, 1200)))
+    picks = random.Random(draw(st.integers(0, 2**32)))
+    entries = [picks.randrange(len(sizes)) for _ in range(n_requests)]
+    lengths = draw(st.lists(st.one_of(st.sampled_from([1, 512]), st.integers(1, 700)),
+                            min_size=1, max_size=4))
+    return sizes, fraction, entries, lengths
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(run=invitation_runs(), seed=st.integers(0, 2**64), held=st.booleans())
+def test_block_invitations_match_rng_choice(run, seed, held):
+    sizes, fraction, entries, lengths = run
+    topo = flat_topology(sizes)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if held:  # the generator holds a half, which is served first
+        for g in (rng, twin):
+            g.integers(2**32, dtype=np.uint32)
+    invitations = Invitations(topo, fraction, twin)
+    assert invitations.replayed
+    for block in in_blocks(entries, lengths):
+        want = [rng.choice(topo.periphery_known_cores[p], size=math.ceil(fraction * sizes[p]),
+                           replace=False).tolist() for p in block]
+        assert invitations.draw(block) == want
+    for _ in range(3):
+        got = invitations._floyd.positions([WIDE], [3])[0].tolist()
+        assert got == rng.choice(WIDE, size=3, replace=False).tolist()
+
+
+def draw_bounds(pop, k):
+    """The bounds of a Floyd sample's 32-bit draws, in the order numpy
+    reads them: j + 1 per slot j in range(max(pop - k, 1), pop), then i + 1
+    per shuffle position i = k - 1 ... 1."""
+    return [j + 1 for j in range(max(pop - k, 1), pop)] + list(range(k, 1, -1))
+
+
+def counting_fallback(monkeypatch):
+    """Patch the Draws that FloydSamples hands a redraw to, to count the
+    samples it draws."""
+    drawn = []
+
+    class CountingDraws(Draws):
+        @classmethod
+        def resume(cls, rng, kept, words):
+            drawn.append(1)
+            return super().resume(rng, kept, words)
+
+    monkeypatch.setattr(draws_module, "Draws", CountingDraws)
+    return drawn
+
+
+# (pop, k) of the samples in turn: draws in Floyd slots and in the shuffle,
+# samples that draw nothing, and one of 24 draws
+SPOT_SAMPLES = [(100, 4), (37, 3), (60, 5), (2, 2), (0, 0), (13, 13), (1, 1)]
+SPOT_BLOCKS = [16, 16, 8]
+
+
+def planted_zeros(spots):
+    """Masks that zero the 32-bit draw at each (sample, draw) of `spots`.
+    A zero draw is redrawn (its bound is no power of two), which moves the
+    draws after it on by one half."""
+    n = [len(draw_bounds(*SPOT_SAMPLES[r % len(SPOT_SAMPLES)])) for r in range(40)]
+    masks = {}
+    for shift, (r, d) in enumerate(sorted(spots)):
+        bound = draw_bounds(*SPOT_SAMPLES[r % len(SPOT_SAMPLES)])[d]
+        assert 2**32 % bound, "a power-of-two bound takes no redraw"
+        half = sum(n[:r]) + d + shift
+        masks[half // 2] = masks.get(half // 2, ~0) & (HIGH_HALF if half % 2 == 0 else LOW_HALF)
+    return masks
+
+
+SPOTS = {
+    "floyd slot": [(0, 1)],
+    "swap slot": [(0, 5)],
+    "last of a block": [(15, 2)],
+    "first of a block": [(16, 0)],
+    "on a kept high half": [(1, 0)],  # sample 0 draws 7 halves
+    "two in a row": [(7, 0), (8, 0)],
+    "both halves of a word": [(2, 1), (2, 2)],
+}
+
+
+@pytest.mark.parametrize("spot", list(SPOTS))
+def test_a_redraw_sends_exactly_its_sample_through_draws(monkeypatch, spot):
+    samples = [SPOT_SAMPLES[r % len(SPOT_SAMPLES)] for r in range(40)]
+    masks = planted_zeros(SPOTS[spot])
+    oracle = Draws(masked(31, masks))
+    want = [oracle.sample(np.arange(pop), k) for pop, k in samples]
+    drawn = counting_fallback(monkeypatch)
+    floyd = FloydSamples(masked(31, masks))
+    got = []
+    for block in in_blocks(samples, SPOT_BLOCKS):
+        pops, ks = zip(*block)
+        rows = floyd.positions(pops, ks).tolist()
+        got += [row[:k] for row, k in zip(rows, ks)]
+    assert got == want
+    assert len(drawn) == len({r for r, _ in SPOTS[spot]})
+    for _ in range(3):
+        assert floyd.positions([WIDE], [3])[0].tolist() == oracle._floyd(WIDE, 3)
+
+
+def test_a_planted_redraw_sends_exactly_its_invitation_through_draws(monkeypatch):
+    # exp4-desk's market, seed 1: a zero half in word 40, the 81st or 82nd
+    # 32-bit draw, falls in one invitation's 5-9 draws, at a bound (Floyd's
+    # ~100 or the shuffle's 2-5) that the test checks is no power of two
+    p = preset("exp4-desk")
+    seeds = derive_seeds(1)
+    topo = organize(replace(p.topology, primary_contacts_per_core=0), seeds[0])
+    config = replace(p.workload, n_requests=600)
+    entries = [r.entry_periphery for r in generate_stream(config, p.topology.n_periphery, seeds[2])]
+    lists = topo.periphery_known_cores
+    ks = [math.ceil(p.market.invited_fraction * len(lists[e])) for e in entries]
+    bounds = [b for e, k in zip(entries, ks) for b in draw_bounds(len(lists[e]), k)]
+    word = 40
+    half = 2 * word if 2**32 % bounds[2 * word] else 2 * word + 1
+    assert 2**32 % bounds[half]
+    masks = {word: HIGH_HALF if half % 2 == 0 else LOW_HALF}
+    oracle = Draws(masked(seeds[3], masks))
+    want = [oracle.sample(lists[e], k) for e, k in zip(entries, ks)]
+    drawn = counting_fallback(monkeypatch)
+    invitations = Invitations(topo, p.market.invited_fraction, masked(seeds[3], masks))
+    assert invitations.replayed
+    assert invitations.draw(entries) == want
+    assert len(drawn) == 1

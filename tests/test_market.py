@@ -3,30 +3,34 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 
-from sococ import topology
-from sococ.draws import Draws
+from sococ import draws, engine, market, topology
+from sococ.draws import Draws, FloydSamples
 from sococ.engine import Fleet, init_servers
+from sococ.errors import InternalConsistencyError
 from sococ.harness import derive_seeds, preset
 from sococ.market import (
     MIN_ALLOCATION,
     Coalition,
     ContactOrder,
+    Invitations,
     Market,
     MarketConfig,
     _eligible,
     _fill,
-    _invitation_sampler,
+    _replays,
     assemble_coalition,
     elect_leader,
     invite_leader_candidates,
     price_bid,
 )
+from sococ.metrics import MetricsConfig, MetricsSink
 from sococ.topology import ContactTopology, TopologyConfig, organize
-from sococ.workload import Mode, ServiceRequest
+from sococ.workload import BLOCK_REQUESTS, Mode, ServiceRequest, generate_stream
 
 
 def make_fleet(modes, costs=None, committed=None, capacity=10.0):
@@ -198,39 +202,46 @@ def test_invite_is_reproducible_per_seed():
 
 
 def test_invite_empty_pcs_yields_no_candidates():
-    topo = star_topology(4, [1])
-    topo.periphery_known_cores[0] = np.zeros(0, dtype=np.int32)
-    # a run with small invitations replays them, one with large ones leaves
-    # them to rng.choice
-    for pop, k in ((100, 3), (2000, 60)):
+    # a run with small invitations decodes them in blocks, one with large
+    # ones leaves them to rng.choice
+    for pop, fraction in ((100, 0.03), (2000, 0.03)):
+        lists = [np.zeros(0, dtype=np.int32), np.arange(pop, dtype=np.int32)]
+        topo = replace(star_topology(pop, [1]), n_periphery=2, periphery_known_cores=lists)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        sample = _invitation_sampler(rng, pop, k)
-        got = invite_leader_candidates(0, topo, MarketConfig("C2"), sample)
-        assert got == []
+        invitations = Invitations(topo, fraction, rng)
+        assert invitations.replayed == (pop == 100)
+        assert list(invitations.draw([0, 0])) == [[], []]
         assert rng.bit_generator.state == state  # the generator gave no word
-        if replays(sample):
-            # and the Draws took none: its next draw is the generator's first
-            assert sample.__self__.unit() == np.random.default_rng(0).random()
+        # and none was taken: the next invitation is the generator's first
+        want = np.random.default_rng(0).choice(lists[1], size=math.ceil(fraction * pop),
+                                               replace=False)
+        assert list(invitations.draw([1])) == [want.tolist()]
 
 
-def replays(sample):
-    """Whether `sample` is a Draws replay, not rng.choice."""
-    return isinstance(getattr(sample, "__self__", None), Draws)
-
-
-def preset_market(name, seed):
-    """The market a run of preset `name` at `seed` builds; `scale` is exp3
-    at N=200,000, as the benchmark runs it. No sampler reads primary
+@cache
+def preset_topology(name, seed):
+    """The topology of a run of preset `name` at `seed`; `scale` is exp3 at
+    N=200,000, as the benchmark runs it. Invitations read no primary
     contacts, whose draw comes last, so none are drawn."""
     p = preset("exp3" if name == "scale" else name)
     config = replace(p.topology, primary_contacts_per_core=0)
     if name == "scale":
         config = replace(config, n_core=200_000)
-    seeds = derive_seeds(seed)
-    topo = organize(config, seeds[0])
-    fleet = init_servers(topo, p.engine, seeds[1])
-    return Market(topo, fleet, p.market, np.random.default_rng(seeds[3]))
+    return organize(config, derive_seeds(seed)[0])
+
+
+def preset_fleet(name, seed):
+    p = preset("exp3" if name == "scale" else name)
+    topo = preset_topology(name, seed)
+    return topo, init_servers(topo, p.engine, derive_seeds(seed)[1])
+
+
+def preset_market(name, seed):
+    """The market a run of preset `name` at `seed` builds."""
+    p = preset("exp3" if name == "scale" else name)
+    rng = np.random.default_rng(derive_seeds(seed)[3])
+    return Market(*preset_fleet(name, seed), p.market, rng)
 
 
 REPLAYED_PRESETS = ("exp3-desk", "exp4-desk", "exp5", "exp6", "scale")
@@ -238,20 +249,70 @@ REPLAYED_PRESETS = ("exp3-desk", "exp4-desk", "exp5", "exp6", "scale")
 
 @pytest.mark.parametrize("name", REPLAYED_PRESETS + ("exp1-desk", "exp2-desk"))
 def test_each_preset_market_picks_its_sampler(name):
-    # Both samplers return the same samples, so no output shows a preset
+    # Both ways return the same samples, so no output shows a preset
     # moving to its slow side: exp5 and exp6 draw once per sample, scale
     # 3-5 times and exp3/exp4-desk 5-9 times, where exp1/exp2-desk draw
     # 115-125 times
     for seed in (1, 3, 11):
-        assert replays(preset_market(name, seed).sample) == (name in REPLAYED_PRESETS)
+        replayed = preset_market(name, seed).invitations.replayed
+        assert replayed == (name in REPLAYED_PRESETS)
+
+
+def preset_stream(name, seed, n_requests):
+    p = preset("exp3" if name == "scale" else name)
+    config = replace(p.workload, n_requests=n_requests)
+    return generate_stream(config, p.topology.n_periphery, derive_seeds(seed)[2])
+
+
+def counting_blocks(monkeypatch):
+    """Count the samples FloydSamples decodes per call, and those it hands
+    to Draws for a redraw."""
+    blocks, redrawn = [], []
+    positions = FloydSamples.positions
+
+    def counted(self, pops, ks):
+        blocks.append(len(ks))
+        return positions(self, pops, ks)
+
+    class CountingDraws(Draws):
+        @classmethod
+        def resume(cls, rng, kept, words):
+            redrawn.append(1)
+            return super().resume(rng, kept, words)
+
+    monkeypatch.setattr(FloydSamples, "positions", counted)
+    monkeypatch.setattr(draws, "Draws", CountingDraws)
+    return blocks, redrawn
+
+
+PRESET_RUN_REQUESTS = 1500
+
+
+@pytest.mark.parametrize("name", REPLAYED_PRESETS)
+def test_a_replayed_preset_run_decodes_every_invitation_in_blocks(monkeypatch, name):
+    # the engine hands the market one block per BLOCK_REQUESTS requests,
+    # each decoded in one pass, and no invitation meets a redraw
+    for seed in (1, 3, 11):
+        p = preset("exp3" if name == "scale" else name)
+        topo, fleet = preset_fleet(name, seed)
+        blocks, redrawn = counting_blocks(monkeypatch)
+        sink = MetricsSink(MetricsConfig(bin_size=500, n_subsets=10))
+        # with no primary contacts drawn, secondary fallbacks would scan the
+        # whole fleet; they read no invitation
+        config = replace(p.market, use_secondary_contacts=False)
+        engine.run(topo, fleet, preset_stream(name, seed, PRESET_RUN_REQUESTS), config,
+                   sink, np.random.default_rng(derive_seeds(seed)[3]))
+        n_blocks = -(-PRESET_RUN_REQUESTS // BLOCK_REQUESTS)
+        assert blocks == [BLOCK_REQUESTS] * (n_blocks - 1) + [
+            PRESET_RUN_REQUESTS - BLOCK_REQUESTS * (n_blocks - 1)]
+        assert redrawn == []
 
 
 def test_published_scale_invitations_are_left_to_rng_choice():
     # a periphery of the published exp1-exp4 knows ~83,886 cores and invites
     # 84 of them: 84 Floyd draws and 83 swaps
-    rng = np.random.default_rng(0)
-    assert not replays(_invitation_sampler(rng, 83_886, math.ceil(0.001 * 83_886)))
-    assert replays(_invitation_sampler(rng, 83_886, 12))  # 23 draws
+    assert not _replays(83_886, math.ceil(0.001 * 83_886))
+    assert _replays(83_886, 12)  # 23 draws
 
 
 def test_a_run_straddling_the_threshold_leaves_every_invitation_to_rng_choice():
@@ -261,12 +322,60 @@ def test_a_run_straddling_the_threshold_leaves_every_invitation_to_rng_choice():
     topo = replace(star_topology(2000, [1]), n_periphery=2, periphery_known_cores=lists)
     config = MarketConfig("C2", invited_fraction=0.03)
     mkt = Market(topo, make_fleet([Mode.M1] * 2000), config, np.random.default_rng(4))
-    assert not replays(mkt.sample)
+    assert not mkt.invitations.replayed
     twin = np.random.default_rng(4)
-    for periphery in [0, 1, 0, 0, 1, 1, 0] * 5:
-        pcs = lists[periphery]
-        want = twin.choice(pcs, size=math.ceil(0.03 * len(pcs)), replace=False).tolist()
-        assert invite_leader_candidates(periphery, topo, config, mkt.sample) == want
+    entries = [0, 1, 0, 0, 1, 1, 0] * 5
+    want = [twin.choice(lists[p], size=math.ceil(0.03 * len(lists[p])), replace=False).tolist()
+            for p in entries]
+    assert list(mkt.invitations.draw(entries)) == want
+
+
+# -- the invitation queue ------------------------------------------------------
+
+class RecordingSink(MetricsSink):
+    def __init__(self):
+        super().__init__(MetricsConfig(bin_size=100, n_subsets=10))
+        self.outcomes = []
+
+    def record_outcome(self, outcome, mode):
+        self.outcomes.append(outcome)
+        super().record_outcome(outcome, mode)
+
+
+def outcome_rows(outcomes):
+    return [(o.request_id, o.candidates_contacted,
+             None if o.bid is None else (o.bid.coalition.member_ids.tolist(),
+                                         o.bid.coalition.allocations.tolist(), o.bid.price))
+            for o in outcomes]
+
+
+@pytest.mark.parametrize("name", ["exp3-desk", "exp4-desk", "exp2-desk"])
+def test_auctions_with_nothing_queued_match_the_engine_run(monkeypatch, name):
+    # with no block handed over, every auction draws its own invitation as
+    # a block of one: the outcomes are those of the engine's blocks, decoded
+    # (exp3/exp4-desk) or left to rng.choice (exp2-desk)
+    p = preset(name)
+    topo = organize(p.topology, 5)
+    runs = []
+    for unqueued in (False, True):
+        if unqueued:
+            monkeypatch.setattr(market.Market, "invite", lambda self, requests: None)
+        sink = RecordingSink()
+        stats = engine.run(topo, init_servers(topo, p.engine, 6),
+                           preset_stream(name, 7, 1200), p.market, sink,
+                           np.random.default_rng(8))
+        runs.append((outcome_rows(sink.outcomes), stats.event_digest))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 1200
+
+
+def test_an_invitation_queued_for_another_request_is_refused():
+    topo = star_topology(50, [1])
+    mkt = Market(topo, make_fleet([Mode.M1] * 50), MarketConfig("C1", 0.1),
+                 np.random.default_rng(0))
+    mkt.invite([make_request(rid=0), make_request(rid=1)])
+    with pytest.raises(InternalConsistencyError, match="invitation of request 0"):
+        mkt.run_auction(make_request(rid=1))
 
 
 # -- leader election -----------------------------------------------------------
