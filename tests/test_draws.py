@@ -679,6 +679,9 @@ SPOTS = {
     "last of a block": [(15, 2)],
     "first of a block": [(16, 0)],
     "on a kept high half": [(1, 0)],  # sample 0 draws 7 halves
+    # the third block's first draw is a kept high half (211 halves before
+    # it); its first sample draws nothing
+    "a block's first draw, on a kept half": [(33, 1)],
     "two in a row": [(7, 0), (8, 0)],
     "both halves of a word": [(2, 1), (2, 2)],
 }
