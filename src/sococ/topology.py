@@ -215,6 +215,7 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
     # Inverted before the contact draw (no rng involved), so the inversion's
     # temporaries are freed before the N x n contact matrix exists.
     known_cores, starts = _invert_selection(known_periphery, config.n_periphery)
+    periphery_known = np.split(known_cores, starts[1:-1])
 
     # Contacts are drawn from N-1 slots and shifted past the owner so the
     # owner can never appear in its own list.
@@ -229,7 +230,7 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
         n_periphery=config.n_periphery,
         core_known_periphery=known_periphery,
         core_primary_contacts=contacts,
-        periphery_known_cores=np.split(known_cores, starts[1:-1]),
+        periphery_known_cores=periphery_known,
         aux_roster=np.arange(config.n_aux, dtype=np.int32),
         known_cores=known_cores,
         known_core_starts=starts,
@@ -243,11 +244,15 @@ def _invert_selection(
     all in one array, and the M + 1 offsets of each server's list in it."""
     m = known_periphery.shape[1]
     flat = known_periphery.ravel()
+    # the offsets outlive the sort's temporaries and are made before them:
+    # made after them, they raised peak RSS at N=200,000 from 451 to 455 MB
+    # (perfbench `scale`, where a repeat's organize lands in the heap the
+    # previous repeat left)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n_periphery))))
     # entry j of the flat matrix belongs to core j // m; stable keeps owners
     # ascending within each periphery server
     owners = (np.argsort(flat, kind="stable") // m).astype(np.int32)
-    counts = np.bincount(flat, minlength=n_periphery)
-    return owners, np.concatenate(([0], np.cumsum(counts)))
+    return owners, starts
 
 
 def secondary_mask(topology: ContactTopology, core: int) -> np.ndarray:
