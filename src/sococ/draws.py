@@ -239,9 +239,10 @@ class FloydSamples:
         self._hold(_take_over(rng), np.empty(0, np.uint64))
 
     def _hold(self, kept: int | None, words: np.ndarray) -> None:
-        """Hold fetched draws not yet served, as `Draws.unread` gives them,
-        as words whose first `_skip` halves are read: a kept half is the
-        high half of a word whose low half is read."""
+        """Hold the fetched draws not yet served, a kept high half (None
+        for none) and whole words, as `Draws.unread` gives them. They are
+        held as words whose first `_skip` halves count as read: a kept half
+        is the high half of a word whose low half is read."""
         if kept is None:
             self._words, self._skip = words, 0
         else:
