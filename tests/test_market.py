@@ -848,6 +848,16 @@ def test_contact_order_is_unchanged_across_chunk_boundaries(monkeypatch):
     assert np.array_equal(order.primary_sorted, expected)
 
 
+@pytest.mark.parametrize("bad_id", [5, 1000])
+def test_contact_order_rejects_a_contact_outside_the_fleet(bad_id):
+    # ids are gathered bounds-checked: a wrapped or clipped gather would
+    # order a hand-built topology's stray id as some other core
+    topo = star_topology(5, [1, 2])
+    topo.core_primary_contacts[3, 1] = bad_id
+    with pytest.raises(IndexError):
+        ContactOrder(topo, make_fleet([Mode.M1] * 5))
+
+
 def test_contact_order_reuses_the_topology_matrix():
     # two fleets in turn on one topology: each order sorts the rows of the
     # topology's own matrix, whatever order the previous fleet left them in

@@ -1,13 +1,20 @@
 """Contact-topology construction and its closed-form statistical oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sococ import topology
+from sococ import market, topology
 from sococ.errors import ConfigurationError
+from sococ.market import ContactOrder
 from sococ.topology import (
     ContactTopology,
     TopologyConfig,
@@ -188,6 +195,125 @@ def test_fisher_yates_sampler_is_unchanged_across_scratch_blocks(monkeypatch, k,
     assert got.dtype == np.int32
     assert np.array_equal(got, reference_fisher_yates(ref_rng, 1000, k, pop, draw_rows))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# -- chunks on several threads ----------------------------------------------
+
+def report_cpus(monkeypatch, n):
+    monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def threads_per_call(monkeypatch):
+    """Spy on for_row_chunks, in topology and in market: one entry per call,
+    (chunks, threads that ran one). In a call of several chunks the first
+    chunk each thread takes waits for the other thread's first chunk, so
+    the call breaks, not passes, if its chunks all run on one thread."""
+    calls = []
+    real = topology.for_row_chunks
+
+    def spy(fn, n_rows, row_cells):
+        chunks = len(list(topology.row_chunks(n_rows, row_cells)))
+        ran, lock = set(), threading.Lock()
+        meet = threading.Barrier(2, timeout=10)
+
+        def counted(rows):
+            with lock:
+                first = threading.get_ident() not in ran
+                ran.add(threading.get_ident())
+            if first and chunks > 1:
+                meet.wait()
+            fn(rows)
+
+        real(counted, n_rows, row_cells)
+        calls.append((chunks, len(ran)))
+
+    monkeypatch.setattr(topology, "for_row_chunks", spy)
+    monkeypatch.setattr(market, "for_row_chunks", spy)
+    return calls
+
+
+def test_set_up_is_unchanged_on_two_threads(monkeypatch):
+    # N - 1 > _FY_POP_LIMIT sends the contacts through the rejection
+    # sampler; 4 rows to a chunk gives its first duplicate check, the
+    # contact shift and the cost ordering hundreds of chunks each
+    monkeypatch.setattr(topology, "CHUNK_CELLS", 4 * 9)
+    n = 5000
+    config = TopologyConfig(n_core=n, n_periphery=20,
+                            primary_contacts_per_core=9, periphery_per_core=3)
+    fleet = SimpleNamespace(
+        unit_cost=np.random.default_rng(4).integers(1, 20, size=n).astype(float))
+
+    def set_up(cpus):
+        report_cpus(monkeypatch, cpus)
+        topo = organize(config, 4)
+        drawn = topo.core_primary_contacts.copy()
+        order = ContactOrder(topo, fleet)
+        rng = np.random.default_rng(6)
+        rows = _sample_rows_rejection(rng, 1000, 50, 2000)
+        return drawn, order.primary_sorted, rows, rng.bit_generator.state
+
+    drawn, ordered, rows, state = set_up(1)
+    calls = threads_per_call(monkeypatch)
+    two = set_up(2)
+    assert np.array_equal(two[0], drawn)
+    assert np.array_equal(two[1], ordered)
+    assert np.array_equal(two[2], rows)
+    assert two[3] == state
+    # at least organize's first duplicate check, its shift, the ordering
+    # and the sampler's first check above
+    assert sum(1 for chunks, _ in calls if chunks > 100) >= 4
+    assert all(ran == min(2, chunks) for chunks, ran in calls)
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_a_chunk_that_raises_raises_in_the_caller(monkeypatch, raiser):
+    # 10 chunks; each thread's first chunk waits for the other's, then the
+    # other thread holds its second chunk until the raiser, which takes the
+    # chunks in between, has raised on the middle one
+    report_cpus(monkeypatch, 2)
+    monkeypatch.setattr(topology, "CHUNK_CELLS", 10)
+    caller = threading.get_ident()
+    meet = threading.Barrier(2, timeout=10)
+    raised = threading.Event()
+    started = set()
+
+    def fn(rows):
+        me = threading.get_ident()
+        if me not in started:
+            started.add(me)
+            meet.wait()
+        elif (me == caller) != (raiser == "caller"):
+            raised.wait(10)
+        elif rows.start == 50:
+            raised.set()
+            raise ValueError(rows)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=r"slice\(50, 60"):
+        topology.for_row_chunks(fn, 100, 1)
+    assert raised.is_set()
+    assert threading.active_count() == before
+
+
+def test_a_c1_run_imports_no_thread_pool(tmp_path):
+    # C1 draws no contacts, so no set-up loop has a second chunk and the
+    # thread pool's import, ~0.6 MB of RSS, never happens; four CPUs are
+    # reported so the test holds on a one-CPU host
+    script = f"""
+import os, sys
+from dataclasses import replace
+os.sched_getaffinity = lambda pid: set(range(4))
+from sococ.harness import preset, run_experiment
+p = preset("exp4-desk")
+p = replace(p, workload=replace(p.workload, n_requests=300))
+report = run_experiment(p, 1, {str(tmp_path)!r})
+assert report.n_requests == 300, report.n_requests
+assert "concurrent.futures" not in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(topology.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 # -- compute_stats -----------------------------------------------------------
