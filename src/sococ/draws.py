@@ -1,34 +1,30 @@
-"""numpy's scalar draws, served from bulk blocks of one PCG64 generator.
+"""numpy's draws decoded from bulk blocks of one PCG64 generator.
 
 A simulated request makes a few random draws: doubles and a bounded integer
 for the request itself, a small sample without replacement for its
 invitation. Each numpy call costs microseconds of overhead, far more than
-the draw. `Draws` takes over a generator and serves the same values from
+the draw. So the request stream (`workload`) and small invitations
+(`FloydSamples`) decode the values of numpy's calls from
 `bit_generator.random_raw` blocks, consuming the 64-bit words in exactly the
-order numpy's calls would:
+order those calls would:
 
-- `unit()` is `rng.random()`, redrawn while it is 0.0;
-- `bounded(hi)` is `rng.integers(hi + 1)`: Lemire's multiply-and-reject
-  method on 32-bit draws (Lemire, "Fast random integer generation in an
-  interval", ACM TOMS 2019);
-- `sample(population, k)` is
-  `rng.choice(population, size=k, replace=False).tolist()` wherever numpy
-  runs Floyd's algorithm (Bentley & Floyd, CACM 1987) then a Fisher-Yates
-  shuffle.
+- a double is a whole word, its top 53 bits times 2**-53;
+- a bounded integer below `bound` is Lemire's multiply-and-reject draw: the
+  high 32 bits of x * bound for a 32-bit draw x (Lemire, "Fast random
+  integer generation in an interval", ACM TOMS 2019).
 
 A 32-bit draw takes the low half of a fresh word and keeps the high half for
 the next 32-bit draw; a double takes a whole word and leaves a kept half
-where it is. This is PCG64's own buffering, so a half the generator holds
-(`bit_generator.state["has_uint32"]`) is served first. `resume` and `unread`
-hand fetched words and a kept half to and from code that decodes words
-itself, as the request stream does.
+where it is. This is PCG64's own buffering, so a decoder takes over a half
+the generator holds (`bit_generator.state["has_uint32"]`) and serves it
+first.
 
-`FloydSamples` is such code: it decodes the Floyd samples of a whole block
-of invitations in one numpy pass. A sample there that meets a Lemire redraw
-(p < bound / 2**32 per draw, ~3e-8 at exp4-desk's bounds of ~100) is drawn
-by `Draws.sample`'s Floyd loop, which is that decoder's fallback and its
-test oracle. Whether a run's invitations are decoded at all, rather than
-left to `rng.choice`, is the market's choice, made once per run.
+A draw numpy redraws is left to numpy: a zero double (p = 2**-53), or a
+product x * bound whose low word is below 2**32 % bound (p < bound / 2**32).
+A decoder that meets one hands the generator back at that draw
+(`hand_back`), numpy's own calls draw the item, and decoding resumes from
+the state they leave. Whether a run's invitations are decoded at all, rather
+than left to `rng.choice`, is the market's choice, made once per run.
 """
 
 from __future__ import annotations
@@ -37,217 +33,66 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Words fetched per refill. A refill costs ~25 ns per 32-bit draw, almost
-# all of it the conversion to Python ints, so larger blocks save little;
-# each Draws holds a block as 2 * BLOCK_WORDS such ints, and 512 words
-# raised c1-pool's peak RSS by ~0.3 MB where 256 raise it ~0.15 MB.
-BLOCK_WORDS = 256
-
 _LOW32 = 0xFFFFFFFF
 # numpy's double: the top 53 bits of a word, scaled to [0, 1)
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0
 
 
 def _take_over(rng: np.random.Generator) -> int | None:
-    """The half `rng`'s generator holds (None for none), which a replay of
+    """The half `rng`'s generator holds (None for none), which a decoder of
     its draws serves first; a generator other than PCG64 raises."""
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise ConfigurationError(
-            f"Draws replays PCG64 only, not {type(rng.bit_generator).__name__}")
+            f"block draws decode PCG64 only, not {type(rng.bit_generator).__name__}")
     state = rng.bit_generator.state
     return state["uinteger"] if state["has_uint32"] else None
 
 
-class Draws:
-    """The draws of a PCG64 `Generator`, served from blocks.
-
-    The generator is taken over: nothing else may draw from it once the
-    `Draws` exists. A `Draws` that serves nothing takes no word.
-
-    The fetched words are held in `_halves` as 32-bit Python ints, low half
-    first, and `_at` indexes the next unread half. An odd `_at` points at a
-    kept high half: a double drawn meanwhile reads the word after it and
-    then moves the kept half into that word's high slot, so the two always
-    hold the whole state.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        kept = _take_over(rng)
-        self._halves = [0, kept] if kept is not None else []
-        self._at = len(self._halves) // 2
-
-    @classmethod
-    def resume(cls, rng: np.random.Generator, kept: int | None, words: np.ndarray) -> "Draws":
-        """A `Draws` whose first draws are ones already fetched from `rng`'s
-        generator: a kept high half (None for none), then `words`. The
-        generator must hold no half of its own: one that only ever served
-        `random_raw` holds none."""
-        draws = cls(rng)
-        draws._halves = [0, kept] if kept is not None else []
-        draws._at = len(draws._halves) // 2
-        draws._halves += words.astype("<u8", copy=False).view("<u4").tolist()
-        return draws
-
-    def unread(self) -> tuple[int | None, np.ndarray]:
-        """The fetched draws not yet served, as `resume` takes them: a kept
-        high half (None for none) and whole words."""
-        halves = self._halves[self._at:]
-        kept = halves.pop(0) if self._at & 1 else None
-        return kept, np.array(halves, dtype="<u4").view("<u8")
-
-    def _refill(self, need: int) -> int:
-        """Drop the read words and fetch blocks until `need` halves are
-        unread; returns the new `_at`, of the same parity."""
-        keep = self._at & ~1
-        halves = self._halves[keep:]
-        while len(halves) < need + self._at - keep:
-            words = self._rng.bit_generator.random_raw(BLOCK_WORDS)
-            halves += words.astype("<u8", copy=False).view("<u4").tolist()
-        self._halves = halves
-        self._at -= keep
-        return self._at
-
-    def _half(self) -> int:
-        """One 32-bit draw."""
-        at = self._at
-        if at == len(self._halves):
-            at = self._refill(1)
-        self._at = at + 1
-        return self._halves[at]
-
-    def _reject(self, m: int, hi: int, need: int = 0) -> int:
-        """Finish Lemire's method for a product `m` whose low word is below
-        hi + 1: redraw while the low word is below 2**32 % (hi + 1). Then
-        leave `need` halves unread, for a caller that reads them unchecked."""
-        excl = hi + 1
-        threshold = (_LOW32 - hi) % excl
-        while m & _LOW32 < threshold:
-            m = self._half() * excl
-        if len(self._halves) - self._at < need:
-            self._refill(need)
-        return m
-
-    def unit(self) -> float:
-        """`rng.random()` redrawn while it is 0.0: uniform on (0, 1)."""
-        at = self._at
-        halves = self._halves
-        if len(halves) - at < 3:
-            at = self._refill(3)
-            halves = self._halves
-        odd = at & 1
-        u = (halves[at + odd + 1] << 21 | halves[at + odd] >> 11) * _DOUBLE_SCALE
-        if odd:
-            halves[at + 2] = halves[at]
-        self._at = at + 2
-        return u if u != 0.0 else self.unit()
-
-    def bounded(self, hi: int) -> int:
-        """`rng.integers(hi + 1)`: uniform on [0, hi], for 0 <= hi < 2**32,
-        by Lemire's method: the high word of x * (hi + 1) for a 32-bit draw
-        x, redrawn while the low word is below 2**32 % (hi + 1). Since that
-        bound is below hi + 1, a low word above hi needs no check.
-        `bounded(0)` takes no draw."""
-        if not 0 <= hi <= _LOW32:
-            raise ConfigurationError(f"bounded(hi) needs 0 <= hi < 2**32, got {hi}")
-        if hi == 0:
-            return 0
-        m = self._half() * (hi + 1)
-        if m & _LOW32 <= hi:
-            m = self._reject(m, hi)
-        return m >> 32
-
-    def sample(self, population: np.ndarray, k: int) -> list[int]:
-        """`rng.choice(population, size=k, replace=False).tolist()`: k
-        distinct elements of a 1-d array, in random order.
-
-        Only numpy's Floyd samples are replayed. numpy draws 64-bit integers
-        for slots past 2**32 - 1, and takes every sample with k > 200 from a
-        shuffle of the population's tail when pop > 10,000 and
-        k > pop // 50: such a sample raises ConfigurationError."""
-        pop = len(population)
-        if not 0 <= k <= pop:
-            raise ConfigurationError(f"cannot sample {k} of {pop} without replacement")
-        if pop > _LOW32 or (pop > 10_000 and k > pop // 50):
-            raise ConfigurationError(
-                f"Draws replays numpy's 32-bit Floyd samples only, not {k} of {pop}")
-        at = memoryview(population)
-        return [at[i] for i in self._floyd(pop, k)]
-
-    def _floyd(self, pop: int, k: int) -> list[int]:
-        """`rng.choice(pop, size=k, replace=False).tolist()` as numpy's
-        Floyd sample draws it. Floyd: slot j draws bounded(j) and takes j
-        itself when that is taken already; bounded(0) takes no draw. The
-        shuffle then swaps each position i > 0 with bounded(i)."""
-        floyd, swaps = range(max(pop - k, 1), pop), range(k - 1, 0, -1)
-        n = len(floyd) + len(swaps)
-        out = [0] if pop == k > 0 else []
-        if n == 0:
-            return out
-        at = self._at
-        if len(self._halves) - at < n:
-            at = self._refill(n)
-        halves = self._halves
-        taken = set(out)
-        # Lemire's method inlined, as in bounded(); a redraw leaves the
-        # draws still to come unread, so the loops index `halves` unchecked
-        for j in floyd:
-            m = halves[at] * (j + 1)
-            at += 1
-            if m & _LOW32 <= j:
-                self._at = at
-                m = self._reject(m, j, pop - 1 - j + len(swaps))
-                halves, at = self._halves, self._at
-            v = m >> 32
-            if v in taken:
-                v = j
-            taken.add(v)
-            out.append(v)
-        for i in swaps:
-            m = halves[at] * (i + 1)
-            at += 1
-            if m & _LOW32 <= i:
-                self._at = at
-                m = self._reject(m, i, i - 1)
-                halves, at = self._halves, self._at
-            j = m >> 32
-            out[i], out[j] = out[j], out[i]
-        self._at = at
-        return out
+def hand_back(rng: np.random.Generator, kept: int | None, unread: int) -> None:
+    """Give `rng`'s generator back to numpy's calls at the first draw a
+    decoder has not served: step it back over the `unread` words the decoder
+    fetched and did not read, and make `kept`, the high half it kept (None
+    for none), the half the generator holds."""
+    bit_generator = rng.bit_generator
+    bit_generator.advance(-unread)  # which also drops the held half
+    if kept is not None:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, kept
+        bit_generator.state = state
 
 
 class FloydSamples:
     """numpy's Floyd samples of many populations, a block per numpy pass.
 
     `positions(pops, ks)` draws what `rng.choice(pop, size=k, replace=False)`
-    draws for each (pop, k) in turn, reading the 32-bit halves `Draws._floyd`
-    reads: per sample, one per Floyd slot j in range(max(pop - k, 1), pop),
-    then one per shuffle position i = k - 1 ... 1. Every half's Lemire
-    product is formed at once; then Floyd's "taken -> j" rule and the
-    shuffle's swaps run one column at a time across the block's samples. A
-    sample whose draws meet a Lemire redraw (a low word below
-    2**32 % bound, p < bound / 2**32 per draw) is drawn by `Draws` from the
-    same words, and block decoding resumes after it at either half.
+    draws for each (pop, k) in turn, reading the 32-bit halves numpy's Floyd
+    sample reads (Bentley & Floyd, CACM 1987): per sample, one per Floyd slot
+    j in range(max(pop - k, 1), pop), then one per shuffle position
+    i = k - 1 ... 1. Every half's Lemire product is formed at once; then
+    Floyd's "taken -> j" rule and the shuffle's swaps run one column at a
+    time across the block's samples. A sample whose draws meet a Lemire
+    redraw is handed back to numpy (`hand_back`), which draws it by
+    `rng.choice`; block decoding resumes after it at either half.
 
-    Like `Draws`, it takes the generator over and serves a half the
-    generator holds first. Every sample must be one that numpy draws by
-    Floyd's algorithm with 32-bit draws, as `Draws.sample` requires.
+    It takes the generator over: nothing else may draw from it meanwhile.
+    Every sample must be one that numpy draws by Floyd's algorithm with
+    32-bit draws: pop <= 2**32, and no k > pop // 50 once pop > 10,000,
+    where numpy shuffles the population's tail instead.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._hold(_take_over(rng), np.empty(0, np.uint64))
+        self._hold(_take_over(rng))
 
-    def _hold(self, kept: int | None, words: np.ndarray) -> None:
-        """Hold the fetched draws not yet served, a kept high half (None
-        for none) and whole words, as `Draws.unread` gives them. They are
-        held as words whose first `_skip` halves count as read: a kept half
-        is the high half of a word whose low half is read."""
+    def _hold(self, kept: int | None) -> None:
+        """Hold a kept high half (None for none) as the draws not yet
+        served. They are held as words whose first `_skip` halves count as
+        read: a kept half is the high half of a word whose low half is
+        read."""
         if kept is None:
-            self._words, self._skip = words, 0
+            self._words, self._skip = np.empty(0, np.uint64), 0
         else:
-            self._words = np.concatenate((np.array([kept << 32], np.uint64), words))
-            self._skip = 1
+            self._words, self._skip = np.array([kept << 32], np.uint64), 1
 
     def positions(self, pops: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """A (len(pops), max(ks)) int64 matrix whose row r begins with
@@ -293,13 +138,13 @@ class FloydSamples:
         if ready == len(n):
             self._words, self._skip = words[(skip + total) // 2:], (skip + total) & 1
             return ready
-        # sample `ready` meets a redraw: Draws draws it from the same words
+        # sample `ready` meets a redraw: numpy draws it
         start = skip + read
         kept = int(words[start // 2] >> 32) if start & 1 else None
-        draws = Draws.resume(self._rng, kept, words[(start + 1) // 2:])
+        hand_back(self._rng, kept, len(words) - (start + 1) // 2)
         k = int(ks[ready])
-        out[:k, ready] = draws._floyd(int(pops[ready]), k)
-        self._hold(*draws.unread())
+        out[:k, ready] = self._rng.choice(int(pops[ready]), size=k, replace=False)
+        self._hold(_take_over(self._rng))
         return ready + 1
 
     @staticmethod

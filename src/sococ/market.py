@@ -17,8 +17,9 @@ An invitation depends only on the entry periphery and the market's
 generator, never on fleet state. So the engine hands the market each block
 of upcoming requests before auctioning them (`Market.invite`), and
 `Invitations` draws the block's invitations in one pass: numpy's Floyd
-samples decoded from raw words (`draws.FloydSamples`) in runs with small
-invitations, `rng.choice` once per request in runs with large ones."""
+samples decoded from raw words (`draws.FloydSamples`, which hands a sample
+that meets a redraw back to `rng.choice`) in runs with small invitations,
+`rng.choice` once per request in runs with large ones."""
 
 from __future__ import annotations
 

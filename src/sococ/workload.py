@@ -19,8 +19,9 @@ requests per numpy pass:
 
 A request whose draws meet a zero double (numpy redraws it, p = 2**-53) or
 a low word of x * M below 2**32 % M (Lemire redraws it, p = 46 / 2**32 at
-M = 50) is drawn by `Draws`, scalar by scalar, from the same words. Block
-decoding resumes at the next request, whichever half of a word its x is.
+M = 50) is handed back to numpy (`draws.hand_back`), whose scalar calls draw
+it. Block decoding resumes at the next request, whichever half of a word
+its x is.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .draws import _DOUBLE_SCALE, _LOW32, Draws
+from .draws import _DOUBLE_SCALE, _LOW32, _take_over, hand_back
 from .errors import ConfigurationError
 
 MODE_PROB_TOL = 1e-12
@@ -191,7 +192,7 @@ def _requests(
     threshold = (_LOW32 + 1) % n_periphery
     # the fetched, unread words from the start of a pair, whose first
     # `skip` requests are made already
-    words, skip = np.empty(0, np.uint64), 0
+    words, skip = _resume(rng, n_periphery)
     t, i, n = 0.0, 0, config.n_requests
     while i < n:
         end = skip + min(BLOCK_REQUESTS, n - i)
@@ -217,15 +218,29 @@ def _requests(
         words, skip = words[pair * (done // 2):], done % 2
         if ready == len(rare):
             continue
-        # request i meets a rare draw: Draws draws it from the same words
+        # request i meets a rare draw: numpy draws it
         kept = int(words[4] >> 32) if skip and n_periphery > 1 else None
-        draws = Draws.resume(rng, kept, words[skip * (pair - 4):])
-        units = np.array([[draws.unit() for _ in range(4)]])
-        requests, t = _requests_from(config, i, t, units, [draws.bounded(n_periphery - 1)])
+        hand_back(rng, kept, len(words) - skip * (pair - 4))
+        units = np.array([[_positive_double(rng) for _ in range(4)]])
+        requests, t = _requests_from(config, i, t, units, [int(rng.integers(n_periphery))])
         yield from requests
         i += 1
-        # a kept half goes back as the high half of a pair's fifth word
-        kept, words = draws.unread()
-        skip = int(kept is not None)
-        if skip:
-            words = np.concatenate((np.array([0, 0, 0, 0, kept << 32], np.uint64), words))
+        words, skip = _resume(rng, n_periphery)
+
+
+def _positive_double(rng: np.random.Generator) -> float:
+    """`rng.random()` redrawn while it is 0.0: uniform on (0, 1)."""
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    return u
+
+
+def _resume(rng: np.random.Generator, n_periphery: int) -> tuple[np.ndarray, int]:
+    """The (words, skip) at which block decoding starts on `rng`: a half the
+    generator holds is the high half of a pair's fifth word, whose first
+    request is made. At M = 1 no request reads a half."""
+    kept = _take_over(rng)
+    if kept is None or n_periphery == 1:
+        return np.empty(0, np.uint64), 0
+    return np.array([0, 0, 0, 0, kept << 32], np.uint64), 1

@@ -1,8 +1,12 @@
-"""Block-served draws against numpy's own scalar calls, which are the oracle:
-every value and every consumed word must match, so runs stay byte-identical."""
+"""Block-decoded draws against numpy's own calls, which are the oracle:
+every value and every consumed word must match, so runs stay byte-identical.
+A draw numpy would redraw is handed back to numpy (`draws.hand_back`); each
+test that reaches one counts the hand-backs, so it fails if the rare path
+stops being exercised."""
 
 import math
 import random
+import types
 from dataclasses import replace
 from functools import partial
 
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 from sococ import draws as draws_module
 from sococ import workload
-from sococ.draws import BLOCK_WORDS, Draws, FloydSamples
+from sococ.draws import FloydSamples, hand_back
 from sococ.errors import ConfigurationError
 from sococ.harness import PRESET_NAMES, derive_seeds, preset
 from sococ.market import Invitations, _choice, _replays
@@ -28,17 +32,31 @@ from sococ.workload import (
 )
 
 
-def pair(seed):
-    """A generator and a Draws over an identical twin of it."""
-    return np.random.default_rng(seed), Draws(np.random.default_rng(seed))
+def counting(monkeypatch, module):
+    """Record the (kept, unread) of each hand-back `module` makes: the
+    stream's (`workload`) or FloydSamples' (`draws_module`)."""
+    handed = []
+
+    def counted(rng, kept, unread):
+        handed.append((kept, unread))
+        hand_back(rng, kept, unread)
+
+    monkeypatch.setattr(module, "hand_back", counted)
+    return handed
 
 
-def assert_in_step(rng, draws):
-    """The next double and the next 32-bit draw agree, so both sides
-    consumed the same words and hold the same kept half."""
-    assert draws.unit() == rng.random()
-    assert draws.bounded(2**31) == int(rng.integers(2**31 + 1))
-    assert draws.unit() == rng.random()
+def hold_a_half(*generators):
+    """Leave each generator holding the high half of a word."""
+    for g in generators:
+        g.integers(2**32, dtype=np.uint32)
+
+
+def replace_held_half(rng, half):
+    """Make `half` the half `rng`'s generator holds, in place of its own."""
+    state = rng.bit_generator.state
+    assert state["has_uint32"]
+    state["uinteger"] = half
+    rng.bit_generator.state = state
 
 
 # Floyd's algorithm below pop // 50, the tail shuffle above it once
@@ -73,17 +91,15 @@ class BlockSampler:
         return population[self.floyd.positions([len(population)], [k])[0, :k]].tolist()
 
 
-# The samplers a sample can be drawn by: `python` replays it with
-# Draws.sample, `numpy` leaves it to rng.choice, and `default` is the way
-# the market picks for a run whose largest invitation draws k of pop: a
-# FloydSamples block decoder or rng.choice.
+# The samplers a sample can be drawn by: `python` decodes it from raw words
+# in Python (FloydSamples, whatever its size), `numpy` leaves it to
+# rng.choice, and `default` is the way the market picks for a run whose
+# largest invitation draws k of pop: FloydSamples or rng.choice.
 SIDES = ("default", "python", "numpy")
 
 
 def sampler(side, rng, pop, k):
-    if side == "python":
-        return Draws(rng).sample
-    if side == "numpy" or not _replays(pop, k):
+    if side == "numpy" or (side == "default" and not _replays(pop, k)):
         return partial(_choice, rng)
     return BlockSampler(rng)
 
@@ -93,22 +109,24 @@ def sampler(side, rng, pop, k):
 WIDE = 2**31 + 1
 
 
+def assert_in_step(rng, floyd):
+    """A FloydSamples holds fetched words, so only its next draws can show
+    that it consumed the words rng's own calls did."""
+    for _ in range(3):
+        got = floyd.positions([WIDE], [3])[0].tolist()
+        assert got == rng.choice(WIDE, size=3, replace=False).tolist()
+
+
 def assert_same_stream(rng, twin, sample):
     """`sample`, over `twin`, consumed the words rng's own calls did."""
-    draws = getattr(sample, "__self__", None)
-    if isinstance(draws, Draws):
-        assert_in_step(rng, draws)
-    elif isinstance(sample, BlockSampler):
-        # it holds fetched words, so only its next draws can show it
-        for _ in range(3):
-            got = sample.floyd.positions([WIDE], [3])[0].tolist()
-            assert got == rng.choice(WIDE, size=3, replace=False).tolist()
+    if isinstance(sample, BlockSampler):
+        assert_in_step(rng, sample.floyd)
     else:
         assert twin.bit_generator.state == rng.bit_generator.state
 
 
-# Draws replays Floyd's algorithm only: a tail shuffle draws k > 200 times,
-# so the market leaves it to rng.choice
+# FloydSamples decodes Floyd samples only: a tail shuffle draws k > 200
+# times, so the market leaves it to rng.choice
 @pytest.mark.parametrize("side,pop,k", [
     (side, pop, k) for side in SIDES for pop, k in SAMPLE_TABLE
     if side != "python" or not is_tail_shuffle(pop, k)])
@@ -125,21 +143,16 @@ def test_sample_matches_rng_choice_on_the_table(side, pop, k):
 
 @pytest.mark.parametrize("pop,k", [row for row in SAMPLE_TABLE if is_tail_shuffle(*row)])
 def test_sample_refuses_a_tail_shuffle(pop, k):
-    rng, draws = pair(0)
-    with pytest.raises(ConfigurationError, match="Floyd samples only"):
-        draws.sample(population(pop), k)
-    assert_in_step(rng, draws)  # and took no draw
+    # the market never decodes a tail shuffle, which FloydSamples would get
+    # wrong: it draws at least 200 times, far past the block decoder's line
+    assert not _replays(pop, k)
 
 
 def test_sample_past_32_bits_is_left_to_numpy():
-    # numpy draws 64-bit integers for slots past 2**32 - 1; a zero-stride
-    # array stands in for so large a population. Draws refuses it, and the
-    # market's rng.choice sampler serves it
+    # numpy draws 64-bit integers for slots past 2**32 - 1, which
+    # FloydSamples does not decode; a zero-stride array stands in for so
+    # large a population, and the market's rng.choice sampler serves it
     ids = np.broadcast_to(np.int64(5), (2**32 + 5,))
-    rng, draws = pair(9)
-    with pytest.raises(ConfigurationError, match="Floyd samples only"):
-        draws.sample(ids, 2)
-    assert_in_step(rng, draws)
     rng, twin = np.random.default_rng(9), np.random.default_rng(9)
     assert sampler("numpy", twin, len(ids), 2)(ids, 2) == [5, 5]
     rng.choice(len(ids), size=2, replace=False)
@@ -159,192 +172,152 @@ def test_sample_matches_rng_choice_on_random_sizes(side):
 
 
 @pytest.mark.parametrize("hi", [0, 1, 999, 2**31 + 1, 2**32 - 2, 2**32 - 1])
-def test_bounded_matches_rng_integers(hi):
-    rng, draws = pair(hi)
-    for _ in range(2000):
-        assert draws.bounded(hi) == int(rng.integers(hi + 1))
-    assert_in_step(rng, draws)
+def test_bounded_matches_rng_integers(monkeypatch, hi):
+    # a Floyd sample of 1 of hi + 1 is one bounded draw, rng.integers(hi + 1),
+    # and one block holds them all; at hi = 2**31 + 1 half of them meet a
+    # redraw, at the others none does
+    handed = counting(monkeypatch, draws_module)
+    rng = np.random.default_rng(hi)
+    floyd = FloydSamples(np.random.default_rng(hi))
+    got = floyd.positions([hi + 1] * 2000, [1] * 2000)[:, 0].tolist()
+    assert got == [int(rng.integers(hi + 1)) for _ in range(2000)]
+    assert bool(handed) == (hi == 2**31 + 1)
+    assert_in_step(rng, floyd)
 
 
 def test_bounded_zero_takes_no_draw():
-    rng, draws = pair(3)
-    assert [draws.bounded(0) for _ in range(10)] == [0] * 10
-    assert_in_step(rng, draws)
+    # samples of nothing and of 1 of 1 draw nothing, and take no word
+    rng = np.random.default_rng(3)
+    start = rng.bit_generator.state
+    floyd = FloydSamples(rng)
+    got = floyd.positions([1, 0, 7, 1], [1, 0, 0, 1])
+    assert got.tolist() == [[0], [0], [0], [0]]
+    assert rng.bit_generator.state == start
+    assert_in_step(np.random.default_rng(3), floyd)
 
 
 @pytest.mark.parametrize("side,first", [
     (side, first) for side in SIDES for first in ("unit", "bounded", "sample", "large sample")])
 def test_a_half_held_by_the_generator_is_served_first(side, first):
-    # doubles and integers are always a Draws's: only samples have sides
+    # doubles come from the stream alone, at every side: its first request
+    # draws four doubles, then its entry from the held half
     rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-    for g in (rng, twin):
-        g.integers(2**32, dtype=np.uint32)  # leaves the high half held
+    hold_a_half(rng, twin)
     if first == "unit":
-        draws = Draws(twin)
-        assert draws.unit() == rng.random()
-        assert_in_step(rng, draws)
-    elif first == "bounded":
-        draws = Draws(twin)
-        assert draws.bounded(999) == int(rng.integers(1000))
-        assert_in_step(rng, draws)
-    else:
-        pop, k = (100, 3) if first == "sample" else (2000, 60)
-        ids = population(pop)
-        sample = sampler(side, twin, pop, k)
-        assert sample(ids, k) == rng.choice(ids, size=k, replace=False).tolist()
-        assert_same_stream(rng, twin, sample)
+        config = replace(HANDOFF_WORKLOAD, n_requests=5)
+        assert list(workload._requests(config, 50, twin)) == list(numpy_requests(config, 50, rng))
+        return
+    pop, k = {"bounded": (1000, 1), "sample": (100, 3), "large sample": (2000, 60)}[first]
+    ids = population(pop)
+    sample = sampler(side, twin, pop, k)
+    assert sample(ids, k) == rng.choice(ids, size=k, replace=False).tolist()
+    assert_same_stream(rng, twin, sample)
 
 
 @pytest.mark.parametrize("side", SIDES)
-def test_interleaved_doubles_and_integers_match(side):
-    # a 32-bit draw keeps a word's high half; doubles drawn meanwhile take
-    # whole words and leave it kept, across block boundaries. On the python
-    # side the same Draws serves the samples; on the others, as in a run,
-    # they come from a generator of their own
-    rng, draws = pair(21)
-    if side == "python":
-        picks, sample = rng, draws.sample
-    else:
-        picks, twin = np.random.default_rng(22), np.random.default_rng(22)
-        sample = sampler(side, twin, 1900, 57)
-    steps = random.Random(21)
+def test_interleaved_doubles_and_integers_match(monkeypatch, side):
+    # as in a run: the stream draws doubles and 32-bit entries from one
+    # generator, here at a bound where half the entries meet a redraw, and
+    # the side's sampler draws each request's invitation from another, of a
+    # size the entry picks
+    handed = counting(monkeypatch, workload)
+    config = replace(HANDOFF_WORKLOAD, n_requests=300)
+    stream = workload._requests(config, WIDE, np.random.default_rng(21))
+    want = numpy_requests(config, WIDE, np.random.default_rng(21))
+    picks, twin = np.random.default_rng(22), np.random.default_rng(22)
+    sample = sampler(side, twin, 1900, 57)
     small, large = population(105), population(1900)
-    for _ in range(20 * BLOCK_WORDS):
-        step = steps.randrange(4)
-        if step == 0:
-            assert draws.unit() == rng.random()
-        elif step == 1:
-            hi = steps.choice([1, 6, 999, 2**31 + 1])
-            assert draws.bounded(hi) == int(rng.integers(hi + 1))
-        elif step == 2:
-            assert sample(small, 4) == picks.choice(small, size=4, replace=False).tolist()
-        else:
-            assert sample(large, 57) == picks.choice(large, size=57, replace=False).tolist()
-    assert_in_step(rng, draws)
-    if side != "python":
-        assert_same_stream(picks, twin, sample)
-
-
-class ZeroWord(np.random.PCG64):
-    """PCG64 whose word `zero_at` of the first block fetched in bulk is 0.
-    A Draws over it sees the zero where numpy's scalar calls on a plain
-    PCG64 see that word."""
-
-    zero_at = 0
-
-    def random_raw(self, size=None):
-        words = super().random_raw(size)
-        if not getattr(self, "zeroed", False):
-            self.zeroed = True
-            words[self.zero_at] = 0
-        return words
-
-
-def zero_word(seed, word=0):
-    bit_generator = ZeroWord(seed)
-    bit_generator.zero_at = word
-    return np.random.Generator(bit_generator)
+    for got, expected in zip(stream, want, strict=True):
+        assert got == expected
+        ids, k = (small, 4) if got.entry_periphery % 2 else (large, 57)
+        assert sample(ids, k) == picks.choice(ids, size=k, replace=False).tolist()
+    assert handed
+    assert_same_stream(picks, twin, sample)
 
 
 def test_unit_redraws_zero():
-    draws = Draws(zero_word(4))
-    rng = np.random.default_rng(4)
-    rng.bit_generator.advance(1)  # past the word the zero replaced
-    assert draws.unit() == rng.random()
-    assert_in_step(rng, draws)
+    # numpy redraws a zero double, which no seed shows: a generator that
+    # returns two zeros gets the third double
+    doubles = iter([0.0, 0.0, 0.25])
+    assert workload._positive_double(types.SimpleNamespace(random=doubles.__next__)) == 0.25
 
 
-@pytest.mark.parametrize("first", ["bounded", "sample"])
-def test_lemire_redraws_a_biased_low_word(first):
-    # a zero word gives two 32-bit draws of 0, whose products have a low
-    # word of 0, below 2**32 % (hi + 1) for any hi + 1 not a power of two:
-    # both are redrawn, and the draws go on from the next word
-    draws = Draws(zero_word(6))
-    rng = np.random.default_rng(6)
-    rng.bit_generator.advance(1)
-    if first == "bounded":
-        assert draws.bounded(999) == int(rng.integers(1000))
+@pytest.mark.parametrize("draw", ["bounded", "sample"])
+def test_lemire_redraws_a_biased_low_word(monkeypatch, draw):
+    # at bounds near 2**31 a quarter to a half of the 32-bit draws meet a
+    # Lemire redraw, which numpy draws: the stream's entries at
+    # M = 3 * 2**30 and 2**31 + 1, and samples near 2**31 mixed with small
+    # ones, with and without a half held at take-over. Hand-backs come both
+    # at a kept half and at a whole word
+    if draw == "bounded":
+        handed = counting(monkeypatch, workload)
+        config = replace(HANDOFF_WORKLOAD, n_requests=1500)
+        for n_periphery in (3 * 2**30, WIDE):
+            got = list(generate_stream(config, n_periphery, 17))
+            assert got == list(reference_requests(config, n_periphery, 17))
     else:
-        ids = population(105)
-        assert draws.sample(ids, 4) == rng.choice(ids, size=4, replace=False).tolist()
-    assert_in_step(rng, draws)
+        handed = counting(monkeypatch, draws_module)
+        shapes = random.Random(17)
+        for held in (False, True):
+            rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+            if held:
+                hold_a_half(rng, twin)
+            floyd = FloydSamples(twin)
+            for _ in range(40):
+                samples = [shapes.choice([(WIDE, 3), (3 * 2**30, 4), (2**31, 2), (100, 4),
+                                          (7, 7), (2, 1), (0, 0)])
+                           for _ in range(shapes.randint(1, 30))]
+                pops, ks = zip(*samples)
+                rows = floyd.positions(pops, ks).tolist()
+                assert [row[:k] for row, k in zip(rows, ks)] == [
+                    rng.choice(pop, size=k, replace=False).tolist() for pop, k in samples]
+            assert_in_step(rng, floyd)
+    assert {kept is None for kept, _ in handed} == {True, False}
 
 
-@pytest.mark.parametrize("slot", ["floyd", "shuffle"])
-def test_a_redraw_in_a_sample_read_to_the_block_end_refills(slot):
-    # The sample's 9 draws start with exactly 9 halves unread, so its
-    # unchecked loops read to the end of the block. A zero word makes the
-    # draws at two of those halves redraw, in Floyd's loop (its second
-    # slot) or in the shuffle (its first swap): the sample then needs two
-    # halves of the next block.
-    pop, k, n = 105, 5, 9
-    first = 2 * BLOCK_WORDS - n
-    skipped = (first + (1 if slot == "floyd" else k)) // 2
-    draws = Draws(zero_word(7, skipped))
-    for _ in range(first):
-        draws.bounded(1)
-    # The same draws mid-block: numpy's scalar calls take the first halves
-    # without a bulk fetch, so the Draws taking over after them holds the
-    # zero word near the start of its first block
-    rng = zero_word(7, skipped - (first + 1) // 2)
-    for _ in range(first):
-        rng.integers(2)
-    mid_block = Draws(rng)
-    ids = population(pop)
-    assert draws.sample(ids, k) == mid_block.sample(ids, k)
-    for _ in range(3):
-        assert draws.unit() == mid_block.unit()
-        assert draws.bounded(2**31) == mid_block.bounded(2**31)
-    if slot == "floyd":
-        # numpy sees the zero word's draws only as redrawn: skip the word,
-        # keeping the half the generator holds
-        rng = np.random.default_rng(7)
-        for _ in range(first):
-            rng.integers(2)
-        held = rng.bit_generator.state
-        rng.bit_generator.advance(1)
-        state = rng.bit_generator.state
-        state["has_uint32"], state["uinteger"] = held["has_uint32"], held["uinteger"]
-        rng.bit_generator.state = state
-        draws = Draws(zero_word(7, skipped))
-        for _ in range(first):
-            draws.bounded(1)
-        assert draws.sample(ids, k) == rng.choice(ids, size=k, replace=False).tolist()
-        assert_in_step(rng, draws)
+@pytest.mark.parametrize("held", [False, True])
+def test_hand_back_restores_the_state_after_random_raw(held):
+    rng = np.random.default_rng(12)
+    if held:
+        hold_a_half(rng)
+    state = rng.bit_generator.state
+    rng.bit_generator.random_raw(9)
+    hand_back(rng, state["uinteger"] if held else None, 9)
+    assert rng.bit_generator.state == state
 
 
 def test_draws_fetch_lazily_in_bounded_blocks():
+    # a FloydSamples that serves nothing takes no word, and a block fetches
+    # only the words its draws read: 4 of 100 draw 4 + 3 halves
     rng = np.random.default_rng(2)
     start = rng.bit_generator.state
-    draws = Draws(rng)
-    assert rng.bit_generator.state == start  # a Draws that serves nothing takes no word
-    draws.unit()
+    floyd = FloydSamples(rng)
+    assert rng.bit_generator.state == start
+    floyd.positions([100], [4])
     ahead = np.random.default_rng(2)
-    ahead.bit_generator.advance(BLOCK_WORDS)
+    ahead.bit_generator.advance(4)
     assert rng.bit_generator.state == ahead.bit_generator.state
-    assert BLOCK_WORDS <= 512
 
 
 def test_rejects_other_generators_and_out_of_range_arguments():
     with pytest.raises(ConfigurationError, match="PCG64"):
-        Draws(np.random.Generator(np.random.Philox(1)))
-    draws = Draws(np.random.default_rng(1))
-    for hi in (-1, 2**32):
+        FloydSamples(np.random.Generator(np.random.Philox(1)))
+    config = replace(HANDOFF_WORKLOAD, n_requests=1)
+    for n_periphery in (0, 2**32 + 1):
         with pytest.raises(ConfigurationError):
-            draws.bounded(hi)
-    for k in (4, -1):
-        with pytest.raises(ConfigurationError):
-            draws.sample(population(3), k)
+            generate_stream(config, n_periphery, 1)
 
 
 # -- the request stream --------------------------------------------------------
 
-def scalar_requests(config, n_periphery, unit, entry):
-    """The request stream drawn one scalar at a time: `unit()` is a double
-    on (0, 1), `entry()` an entry periphery."""
+def numpy_requests(config, n_periphery, rng, held_at=None):
+    """The request stream drawn with numpy's scalar calls on `rng`, one per
+    draw. `held_at` maps a request to the half the generator holds as that
+    request begins, in place of the half it holds there."""
+    held_at = held_at or {}
 
     def draw(dist):
-        u = unit()
+        u = workload._positive_double(rng)
         if dist.kind == "exponential":
             return float(-dist.param1 * np.log(u))
         if dist.kind == "pareto":
@@ -352,35 +325,22 @@ def scalar_requests(config, n_periphery, unit, entry):
         return dist.param1 + u * (dist.param2 - dist.param1)
 
     p1, p2, _ = config.mode_probabilities
-    workload = DistributionSpec("uniform", *config.workload_range)
+    workload_range = DistributionSpec("uniform", *config.workload_range)
     t = 0.0
     for i in range(config.n_requests):
+        if i in held_at:
+            replace_held_half(rng, held_at[i])
         t += draw(config.interarrival)
-        u = unit()
+        u = workload._positive_double(rng)
         mode = REQUEST_MODES[0 if u < p1 else 1 if u < p1 + p2 else 2]
-        size = draw(workload)
+        size = draw(workload_range)
         duration = draw(config.service)
-        yield ServiceRequest(i, t, mode, size, duration, entry())
+        yield ServiceRequest(i, t, mode, size, duration, int(rng.integers(n_periphery)))
 
 
-def reference_requests(config, n_periphery, seed):
-    """The request stream drawn with numpy's scalar calls, one per draw."""
-    rng = np.random.default_rng(seed)
-
-    def unit():
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        return u
-
-    return scalar_requests(config, n_periphery, unit, lambda: int(rng.integers(n_periphery)))
-
-
-def draws_requests(config, n_periphery, rng):
-    """The request stream drawn scalar by scalar from a Draws over `rng`,
-    which reads the words numpy's scalar calls would."""
-    draws = Draws(rng)
-    return scalar_requests(config, n_periphery, draws.unit, partial(draws.bounded, n_periphery - 1))
+def reference_requests(config, n_periphery, seed, held_at=None):
+    """The stream of a generator seeded with `seed`, drawn by numpy."""
+    return numpy_requests(config, n_periphery, np.random.default_rng(seed), held_at)
 
 
 STREAM_REQUESTS = 3000
@@ -410,69 +370,65 @@ def test_stream_matches_the_scalar_reference(name, config, n_periphery):
     assert got == list(reference_requests(config, n_periphery, seed))
 
 
-# -- blocks that meet a rare draw ----------------------------------------------
+# -- blocks that meet a planted rare draw -----------------------------------------
 
 LOW_HALF, HIGH_HALF = 0xFFFFFFFF, 0xFFFFFFFF << 32
 
 
 class MaskedWords(np.random.PCG64):
-    """PCG64 whose words at given positions of its `random_raw` output are
-    ANDed with a mask, {position: mask}, however the words are fetched."""
+    """PCG64 whose `random_raw` output has given words ANDed with a mask,
+    {word value: mask}. A word is found by its value, so a decoder sees it
+    masked however often it fetches it; numpy's own calls read it unmasked,
+    but for a kept half a decoder hands them."""
 
     masks = {}
-    fetched = 0
 
     def random_raw(self, size=None):
         words = super().random_raw(size)
-        for at, mask in self.masks.items():
-            if self.fetched <= at < self.fetched + size:
-                words[at - self.fetched] &= mask
-        self.fetched += size
+        for value, mask in self.masks.items():
+            words[words == value] &= np.uint64(mask)
         return words
 
 
-def masked(seed, masks):
-    bit_generator = MaskedWords(seed)
-    bit_generator.masks = masks
-    return np.random.Generator(bit_generator)
+def masked(seed, masks, held=False):
+    """A generator whose words at given positions of its `random_raw`
+    output are masked, {position: mask}; `held`: it holds a half first, and
+    positions count from the word after it."""
+    rng = np.random.Generator(MaskedWords(seed))
+    twin = np.random.default_rng(seed)
+    if held:
+        hold_a_half(rng, twin)
+    words = twin.bit_generator.random_raw(max(masks, default=-1) + 1)
+    rng.bit_generator.masks = {int(words[at]): mask for at, mask in masks.items()}
+    return rng
 
 
-def word_of(request, slot, n_periphery):
-    """The word a request's draw reads while no rare draw came before it:
-    slots 0-3 are its doubles, slot 4 its 32-bit periphery draw, the low
-    half of that word for an even request and the high half for an odd one."""
+def word_of(request, slot, n_periphery, held=False):
+    """The word a request's draw reads: slots 0-3 are its doubles, slot 4
+    its 32-bit periphery draw, the low half of that word for an even
+    request and the high half for an odd one. A half held at the start is
+    the first request's periphery draw: the requests read the words of
+    those after them, less the five before it."""
     if n_periphery == 1:
         return 4 * request + slot
+    if held:
+        return word_of(request + 1, slot, n_periphery) - 5
     pair, odd = divmod(request, 2)
     return 9 * pair + (4 if slot == 4 else 5 * odd + slot)
-
-
-def counting_draws(monkeypatch):
-    """Patch the stream's Draws to count the requests it draws."""
-    drawn = []
-
-    class CountingDraws(Draws):
-        @classmethod
-        def resume(cls, rng, kept, words):
-            drawn.append(1)
-            return super().resume(rng, kept, words)
-
-    monkeypatch.setattr(workload, "Draws", CountingDraws)
-    return drawn
 
 
 HANDOFF_WORKLOAD = replace(preset("exp4-desk").workload, n_requests=600)
 
 
 def handoff_cases():
-    """(request, slot, mask, n_periphery, n_requests, requests Draws draws)."""
+    """(request, slot, mask, n_periphery, n_requests, hand-backs)."""
     # a zero double in each slot and a redrawn periphery draw, for an even
     # and an odd request; M = 50 redraws a low word below 2**32 % 50 = 46
     for request in (2, 3):
         for slot in range(4):
             yield request, slot, 0, 50, 600, 1
         yield request, 4, HIGH_HALF if request % 2 == 0 else LOW_HALF, 50, 600, 1
-    yield 2, 4, 0, 50, 600, 1  # both halves of the word are redrawn
+    yield 2, 4, 0, 50, 600, 1  # both halves of the word are planted
     # the first and last request of the first block, the second's first
     last = workload.BLOCK_REQUESTS - 1
     for request in (0, last, last + 1):
@@ -488,42 +444,48 @@ def handoff_cases():
     yield 3, 4, LOW_HALF, 2, 600, 0
 
 
-@pytest.mark.parametrize("request_at,slot,mask,n_periphery,n_requests,drawn",
+@pytest.mark.parametrize("request_at,slot,mask,n_periphery,n_requests,handbacks",
                          list(handoff_cases()))
 def test_a_rare_draw_hands_the_block_over_to_draws_and_back(
-        monkeypatch, request_at, slot, mask, n_periphery, n_requests, drawn):
+        monkeypatch, request_at, slot, mask, n_periphery, n_requests, handbacks):
+    # numpy draws the request from the unplanted words, but for a planted
+    # kept half: an odd request's periphery draw, held when it begins
     config = replace(HANDOFF_WORKLOAD, n_requests=n_requests)
-    masks = {word_of(request_at, slot, n_periphery): mask}
-    count = counting_draws(monkeypatch)
-    got = list(workload._requests(config, n_periphery, masked(5, masks)))
-    assert got == list(draws_requests(config, n_periphery, masked(5, masks)))
-    assert len(count) == drawn
+    held_at = {request_at: 0} if slot == 4 and request_at % 2 else None
+    handed = counting(monkeypatch, workload)
+    rng = masked(5, {word_of(request_at, slot, n_periphery): mask})
+    got = list(workload._requests(config, n_periphery, rng))
+    assert got == list(reference_requests(config, n_periphery, 5, held_at))
+    assert len(handed) == handbacks
 
 
 @pytest.mark.parametrize("n_periphery", [1, 50])
 def test_rare_draws_in_a_row_and_after_a_shifted_half(monkeypatch, n_periphery):
-    # requests 0 and 1 are rare in a row, each redrawing a zero double, which
-    # moves the words after it on by one; at M = 50 request 3's redraw then
-    # moves every later periphery draw to the other half of a word (at M = 1
-    # request 4 redraws a double). The zero words after that land wherever
-    # the shifts put them, each on the draws of one request
-    masks = {word_of(0, 0, n_periphery): 0, word_of(1, 0, n_periphery) + 1: 0,
-             word_of(3, 4, n_periphery) + 2: LOW_HALF if n_periphery > 1 else 0}
+    # the generator holds a half as the stream begins, which moves every
+    # periphery draw to the other half of a word (at M = 1 nothing reads
+    # it). Requests 0 and 1 are rare in a row, with a zero double each, and
+    # so is request 3, with its periphery draw or a double planted. The
+    # zero words after that land on the draws of one request each
+    masks = {word_of(0, 0, n_periphery, True): 0, word_of(1, 0, n_periphery, True): 0,
+             word_of(3, 4 if n_periphery > 1 else 2, n_periphery, True):
+             HIGH_HALF if n_periphery > 1 else 0}
     masks.update({word: 0 for word in (700, 1_400, 2_000, 2_600)})
     config = replace(HANDOFF_WORKLOAD, n_requests=700)
-    count = counting_draws(monkeypatch)
-    got = list(workload._requests(config, n_periphery, masked(9, masks)))
-    assert got == list(draws_requests(config, n_periphery, masked(9, masks)))
-    assert len(count) == len(masks)
+    handed = counting(monkeypatch, workload)
+    got = list(workload._requests(config, n_periphery, masked(9, masks, held=True)))
+    rng = np.random.default_rng(9)
+    hold_a_half(rng)
+    assert got == list(numpy_requests(config, n_periphery, rng))
+    assert len(handed) == len(masks)
 
 
 @pytest.mark.parametrize("name", ["exp1-desk", "exp4-desk"])
 def test_a_preset_stream_draws_no_request_through_draws(monkeypatch, name):
     p = preset(name)
-    count = counting_draws(monkeypatch)
+    handed = counting(monkeypatch, workload)
     config = replace(p.workload, n_requests=STREAM_REQUESTS)
     assert len(list(generate_stream(config, p.topology.n_periphery, 1))) == STREAM_REQUESTS
-    assert count == []
+    assert handed == []
 
 
 def test_a_mode_draw_on_a_threshold_takes_the_next_mode():
@@ -618,17 +580,14 @@ def test_block_invitations_match_rng_choice(run, seed, held):
     topo = flat_topology(sizes)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     if held:  # the generator holds a half, which is served first
-        for g in (rng, twin):
-            g.integers(2**32, dtype=np.uint32)
+        hold_a_half(rng, twin)
     invitations = Invitations(topo, fraction, twin)
     assert invitations.replayed
     for block in in_blocks(entries, lengths):
         want = [rng.choice(topo.periphery_known_cores[p], size=math.ceil(fraction * sizes[p]),
                            replace=False).tolist() for p in block]
         assert invitations.draw(block) == want
-    for _ in range(3):
-        got = invitations._floyd.positions([WIDE], [3])[0].tolist()
-        assert got == rng.choice(WIDE, size=3, replace=False).tolist()
+    assert_in_step(rng, invitations._floyd)
 
 
 def draw_bounds(pop, k):
@@ -638,19 +597,17 @@ def draw_bounds(pop, k):
     return [j + 1 for j in range(max(pop - k, 1), pop)] + list(range(k, 1, -1))
 
 
-def counting_fallback(monkeypatch):
-    """Patch the Draws that FloydSamples hands a redraw to, to count the
-    samples it draws."""
-    drawn = []
-
-    class CountingDraws(Draws):
-        @classmethod
-        def resume(cls, rng, kept, words):
-            drawn.append(1)
-            return super().resume(rng, kept, words)
-
-    monkeypatch.setattr(draws_module, "Draws", CountingDraws)
-    return drawn
+def numpy_samples(rng, samples, held_at=None):
+    """`rng.choice(pop, size=k, replace=False)` for each (pop, k) of
+    `samples` in turn. `held_at` maps a sample to the half the generator
+    holds as that sample begins, in place of the half it holds there."""
+    held_at = held_at or {}
+    out = []
+    for r, (pop, k) in enumerate(samples):
+        if r in held_at:
+            replace_held_half(rng, held_at[r])
+        out.append(rng.choice(pop, size=k, replace=False).tolist())
+    return out
 
 
 # (pop, k) of the samples in turn: draws in Floyd slots and in the shuffle,
@@ -659,18 +616,23 @@ SPOT_SAMPLES = [(100, 4), (37, 3), (60, 5), (2, 2), (0, 0), (13, 13), (1, 1)]
 SPOT_BLOCKS = [16, 16, 8]
 
 
-def planted_zeros(spots):
-    """Masks that zero the 32-bit draw at each (sample, draw) of `spots`.
-    A zero draw is redrawn (its bound is no power of two), which moves the
-    draws after it on by one half."""
-    n = [len(draw_bounds(*SPOT_SAMPLES[r % len(SPOT_SAMPLES)])) for r in range(40)]
-    masks = {}
-    for shift, (r, d) in enumerate(sorted(spots)):
-        bound = draw_bounds(*SPOT_SAMPLES[r % len(SPOT_SAMPLES)])[d]
-        assert 2**32 % bound, "a power-of-two bound takes no redraw"
-        half = sum(n[:r]) + d + shift
+def planted_zeros(samples, spots):
+    """Masks that zero the 32-bit draw at each (sample, draw) of `spots`,
+    {word: mask}, and `held_at` for `numpy_samples`. The decoder hands a
+    sample whose draw is zero back to numpy (its bound is no power of two).
+    numpy reads the unplanted words, but for a planted first draw on a high
+    half, which the decoder hands it as the half the generator holds. That
+    takes a decoded sample before it: after a hand-back the decoder takes
+    the half numpy holds, which numpy read unplanted."""
+    n = [len(draw_bounds(pop, k)) for pop, k in samples]
+    masks, held_at = {}, {}
+    for r, d in spots:
+        assert 2**32 % draw_bounds(*samples[r])[d], "a power-of-two bound takes no redraw"
+        half = sum(n[:r]) + d
         masks[half // 2] = masks.get(half // 2, ~0) & (HIGH_HALF if half % 2 == 0 else LOW_HALF)
-    return masks
+        if d == 0 and half % 2:
+            held_at[r] = 0
+    return masks, held_at
 
 
 SPOTS = {
@@ -682,18 +644,18 @@ SPOTS = {
     # the third block's first draw is a kept high half (211 halves before
     # it); its first sample draws nothing
     "a block's first draw, on a kept half": [(33, 1)],
-    "two in a row": [(7, 0), (8, 0)],
-    "both halves of a word": [(2, 1), (2, 2)],
+    "two in a row": [(7, 1), (8, 0)],
+    "both halves of a word": [(2, 2), (2, 3)],
 }
 
 
 @pytest.mark.parametrize("spot", list(SPOTS))
 def test_a_redraw_sends_exactly_its_sample_through_draws(monkeypatch, spot):
     samples = [SPOT_SAMPLES[r % len(SPOT_SAMPLES)] for r in range(40)]
-    masks = planted_zeros(SPOTS[spot])
-    oracle = Draws(masked(31, masks))
-    want = [oracle.sample(np.arange(pop), k) for pop, k in samples]
-    drawn = counting_fallback(monkeypatch)
+    masks, held_at = planted_zeros(samples, SPOTS[spot])
+    rng = np.random.default_rng(31)
+    want = numpy_samples(rng, samples, held_at)
+    handed = counting(monkeypatch, draws_module)
     floyd = FloydSamples(masked(31, masks))
     got = []
     for block in in_blocks(samples, SPOT_BLOCKS):
@@ -701,9 +663,8 @@ def test_a_redraw_sends_exactly_its_sample_through_draws(monkeypatch, spot):
         rows = floyd.positions(pops, ks).tolist()
         got += [row[:k] for row, k in zip(rows, ks)]
     assert got == want
-    assert len(drawn) == len({r for r, _ in SPOTS[spot]})
-    for _ in range(3):
-        assert floyd.positions([WIDE], [3])[0].tolist() == oracle._floyd(WIDE, 3)
+    assert len(handed) == len({r for r, _ in SPOTS[spot]})
+    assert_in_step(rng, floyd)
 
 
 def test_a_planted_redraw_sends_exactly_its_invitation_through_draws(monkeypatch):
@@ -716,16 +677,18 @@ def test_a_planted_redraw_sends_exactly_its_invitation_through_draws(monkeypatch
     config = replace(p.workload, n_requests=600)
     entries = [r.entry_periphery for r in generate_stream(config, p.topology.n_periphery, seeds[2])]
     lists = topo.periphery_known_cores
-    ks = [math.ceil(p.market.invited_fraction * len(lists[e])) for e in entries]
-    bounds = [b for e, k in zip(entries, ks) for b in draw_bounds(len(lists[e]), k)]
+    samples = [(len(lists[e]), math.ceil(p.market.invited_fraction * len(lists[e])))
+               for e in entries]
+    bounds = [b for sample in samples for b in draw_bounds(*sample)]
+    spots = [(r, d) for r, sample in enumerate(samples) for d in range(len(draw_bounds(*sample)))]
     word = 40
     half = 2 * word if 2**32 % bounds[2 * word] else 2 * word + 1
-    assert 2**32 % bounds[half]
-    masks = {word: HIGH_HALF if half % 2 == 0 else LOW_HALF}
-    oracle = Draws(masked(seeds[3], masks))
-    want = [oracle.sample(lists[e], k) for e, k in zip(entries, ks)]
-    drawn = counting_fallback(monkeypatch)
+    masks, held_at = planted_zeros(samples, [spots[half]])
+    assert list(masks) == [word]
+    want = [lists[e][sample].tolist() for e, sample in
+            zip(entries, numpy_samples(np.random.default_rng(seeds[3]), samples, held_at))]
+    handed = counting(monkeypatch, draws_module)
     invitations = Invitations(topo, p.market.invited_fraction, masked(seeds[3], masks))
     assert invitations.replayed
     assert invitations.draw(entries) == want
-    assert len(drawn) == 1
+    assert len(handed) == 1

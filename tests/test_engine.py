@@ -131,6 +131,18 @@ def test_commit_and_release_roundtrip():
     assert fleet.coalition_count.tolist() == [1, 1]
 
 
+def test_a_recruit_drained_to_the_tolerance_goes_back_to_sleep():
+    # a load of at most CAPACITY_TOL is float residue: here 2 * tol - tol,
+    # exactly tol
+    fleet = make_fleet([Mode.SLEEP], background=[CAPACITY_TOL])
+    coalition = Coalition(np.array([0]), np.array([CAPACITY_TOL]))
+    fleet.commit(request(0, 0.0, workload=CAPACITY_TOL), coalition)
+    assert fleet.modes[0] == Mode.M1
+    fleet.release(0)
+    assert fleet.modes[0] == Mode.SLEEP
+    assert fleet.committed[0] == 0.0
+
+
 def test_release_of_unknown_request_is_fatal():
     fleet = make_fleet([Mode.M1])
     with pytest.raises(InternalConsistencyError):
@@ -336,6 +348,13 @@ def test_release_rejects_a_negative_load():
     fleet.committed[0] = 1.5  # releasing 2.0 SCU would leave -0.5
     with pytest.raises(InternalConsistencyError, match="negative load"):
         fleet.release(5)
+
+
+def test_run_rejects_an_arrival_a_hair_before_the_last_event():
+    topo = small_topology()
+    fleet = make_fleet([Mode.M1] * 20)
+    with pytest.raises(InternalConsistencyError, match="backwards"):
+        run_requests(topo, fleet, [request(0, 5.0), request(1, 5.0 - 1e-6)])
 
 
 def test_run_catches_a_write_to_an_untouched_server(monkeypatch):

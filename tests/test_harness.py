@@ -164,6 +164,15 @@ def test_readme_config_example_loads(tmp_path):
     assert p.market.invited_fraction == 0.001
 
 
+def test_readme_layout_lists_every_module():
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("## Layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    listed = set(re.findall(r"^src/sococ/(\w+\.py) ", block, re.MULTILINE))
+    modules = {path.name for path in (root / "src" / "sococ").glob("*.py")} - {"__init__.py"}
+    assert listed == modules
+
+
 def set_at(*keys, value):
     def mutate(raw):
         node = raw

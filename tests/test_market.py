@@ -3,23 +3,25 @@
 import math
 import tracemalloc
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 import pytest
 
 from sococ import draws, engine, market, topology
-from sococ.draws import Draws, FloydSamples
+from sococ.draws import FloydSamples, hand_back
 from sococ.engine import Fleet, init_servers
 from sococ.errors import InternalConsistencyError
 from sococ.harness import derive_seeds, preset
 from sococ.market import (
     MIN_ALLOCATION,
+    _TRIM_EPS,
     Coalition,
     ContactOrder,
     Invitations,
     Market,
     MarketConfig,
+    _choice,
     _eligible,
     _fill,
     _replays,
@@ -114,6 +116,11 @@ def test_full_server_is_not_eligible():
     assert eligible_ids(fleet, Mode.M1) == [1]
 
 
+def test_free_capacity_of_exactly_min_allocation_is_eligible():
+    fleet = make_fleet([Mode.M1, Mode.SLEEP], capacity=MIN_ALLOCATION)
+    assert eligible_ids(fleet, Mode.M1) == [0, 1]
+
+
 def test_mode_mismatch_is_not_eligible():
     fleet = make_fleet([Mode.M2])
     assert eligible_ids(fleet, Mode.M3) == []
@@ -171,7 +178,7 @@ def test_eligibility_scan_stops_converting_when_it_stops():
 def test_invite_count_is_ceiling_of_fraction():
     topo = star_topology(2000, [1])
     config = MarketConfig("C2", invited_fraction=0.001)
-    got = invite_leader_candidates(0, topo, config, Draws(np.random.default_rng(0)).sample)
+    got = invite_leader_candidates(0, topo, config, partial(_choice, np.random.default_rng(0)))
     assert len(got) == 2  # ceil(0.001 * 2000)
     assert len(set(got)) == 2 and set(got) <= set(range(2000))
     # at the published scale a periphery knows ~83,593 cores and the same
@@ -182,7 +189,7 @@ def test_invite_count_is_ceiling_of_fraction():
 def test_invite_single_known_core():
     topo = star_topology(1, [])
     config = MarketConfig("C2", invited_fraction=0.001)
-    got = invite_leader_candidates(0, topo, config, Draws(np.random.default_rng(0)).sample)
+    got = invite_leader_candidates(0, topo, config, partial(_choice, np.random.default_rng(0)))
     assert got == [0]
 
 
@@ -192,7 +199,7 @@ def test_invite_is_reproducible_per_seed():
     topo = star_topology(2000, [1])
     topo.periphery_known_cores[0] = np.arange(0, 4000, 2, dtype=np.int32)
     config = MarketConfig("C2", invited_fraction=0.03)
-    a, b = Draws(np.random.default_rng(5)).sample, Draws(np.random.default_rng(5)).sample
+    a, b = partial(_choice, np.random.default_rng(5)), partial(_choice, np.random.default_rng(5))
     reference = np.random.default_rng(5)
     for _ in range(20):
         got = invite_leader_candidates(0, topo, config, a)
@@ -266,7 +273,7 @@ def preset_stream(name, seed, n_requests):
 
 def counting_blocks(monkeypatch):
     """Count the samples FloydSamples decodes per call, and those it hands
-    to Draws for a redraw."""
+    back to numpy for a redraw."""
     blocks, redrawn = [], []
     positions = FloydSamples.positions
 
@@ -274,14 +281,12 @@ def counting_blocks(monkeypatch):
         blocks.append(len(ks))
         return positions(self, pops, ks)
 
-    class CountingDraws(Draws):
-        @classmethod
-        def resume(cls, rng, kept, words):
-            redrawn.append(1)
-            return super().resume(rng, kept, words)
+    def counted_hand_back(rng, kept, unread):
+        redrawn.append(1)
+        hand_back(rng, kept, unread)
 
     monkeypatch.setattr(FloydSamples, "positions", counted)
-    monkeypatch.setattr(draws, "Draws", CountingDraws)
+    monkeypatch.setattr(draws, "hand_back", counted_hand_back)
     return blocks, redrawn
 
 
@@ -404,6 +409,16 @@ def test_singleton_coalition_when_leader_covers_workload():
     assert coalition.member_ids.tolist() == [0]
     assert coalition.allocations.tolist() == [4.0]
     assert coalition.member_ids[0] == 0
+
+
+def test_leader_alone_covers_a_workload_at_the_trim_tolerance():
+    # leader_free + _TRIM_EPS == need exactly, so the leader covers it
+    topo = star_topology(4, [1, 2, 3])
+    fleet = make_fleet([Mode.M1] * 4, committed=[6.0, 0, 0, 0])
+    need = 4.0 + _TRIM_EPS
+    coalition = assemble(0, make_request(workload=need), topo, fleet)
+    assert coalition.member_ids.tolist() == [0]
+    assert coalition.allocations.tolist() == [need]
 
 
 def test_greedy_fill_eight_members_of_five_scu():

@@ -18,6 +18,7 @@ from sococ.market import ContactOrder
 from sococ.topology import (
     ContactTopology,
     TopologyConfig,
+    _sample_rows,
     _sample_rows_fisher_yates,
     _sample_rows_rejection,
     compute_stats,
@@ -195,6 +196,14 @@ def test_fisher_yates_sampler_is_unchanged_across_scratch_blocks(monkeypatch, k,
     assert got.dtype == np.int32
     assert np.array_equal(got, reference_fisher_yates(ref_rng, 1000, k, pop, draw_rows))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_rows_likely_to_repeat_a_value_take_the_fisher_yates_path():
+    # 180 of 5,000 is past _FY_POP_LIMIT, but a row of rejection's draws
+    # repeats a value with probability ~0.96, past the 0.9 line
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = _sample_rows(rng, 50, 180, 5000)
+    assert np.array_equal(got, _sample_rows_fisher_yates(ref_rng, 50, 180, 5000))
 
 
 # -- chunks on several threads ----------------------------------------------
