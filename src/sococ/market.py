@@ -16,10 +16,8 @@ coalitions take a few servers out of hundreds of contacts.
 An invitation depends only on the entry periphery and the market's
 generator, never on fleet state. So the engine hands the market each block
 of upcoming requests before auctioning them (`Market.invite`), and
-`Invitations` draws the block's invitations in one pass: numpy's Floyd
-samples decoded from raw words (`draws.FloydSamples`, which hands a sample
-that meets a redraw back to `rng.choice`) in runs with small invitations,
-`rng.choice` once per request in runs with large ones."""
+`Invitations` draws the block's invitations in one numpy pass
+(`_block_positions`)."""
 
 from __future__ import annotations
 
@@ -31,9 +29,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .draws import FloydSamples
 from .errors import ConfigurationError, InternalConsistencyError
-from .topology import ContactTopology, for_row_chunks, secondary_mask
+from .topology import ContactTopology, for_row_chunks, rejection_stalls, secondary_mask
 from .workload import Mode, ServiceRequest
 
 # Smallest allocation a server is recruited for, in SCU.
@@ -41,15 +38,6 @@ MIN_ALLOCATION = 0.01
 _TRIM_EPS = 1e-9
 # Mode.SLEEP as a plain int: an enum member lookup costs more per request
 _SLEEP = int(Mode.SLEEP)
-# 32-bit draws per invitation from which a run leaves its invitations to
-# rng.choice. Invitations of k of ~2,000 cores cost, decoded in blocks of
-# 512, 2.0-2.1 / 2.2-2.3 / 3.5-3.7 / 11.6-11.7 us at k = 12 / 13 / 20 / 60
-# against 7.1-8.3 / 7.6 / 7.6-8.0 / 9.3-9.4 us through rng.choice (best of
-# 5, two runs, 2-CPU host). Floyd's rule compares each slot with those
-# before it, so the decoder's cost grows with k**2 and loses at
-# exp1/exp2-desk's k ~ 60. No preset draws between 25 and 115 times, so
-# the line stays here.
-_NUMPY_DRAWS = 25
 Sampler = Callable[[np.ndarray, int], list[int]]  # (pcs, k) -> k of pcs
 
 
@@ -166,58 +154,73 @@ class ContactOrder:
         return self.by_rank[mask[self.by_rank]]
 
 
-def _replays(pop: int, k: int) -> bool:
-    """Whether a run whose largest invitation draws k of pop cores decodes
-    its invitations from raw words: below _NUMPY_DRAWS draws (Floyd's one
-    per slot above max(pop - k, 1), the shuffle's one per position above
-    0). Runs from there on leave them to rng.choice."""
-    return pop - max(pop - k, 1) + k - 1 < _NUMPY_DRAWS
-
-
 def _choice(rng: np.random.Generator, pcs: np.ndarray, k: int) -> list[int]:
     # drawing positions draws what drawing elements does, and leaves `pcs`
     # unconverted
     return pcs[rng.choice(len(pcs), size=k, replace=False)].tolist()
 
 
+def _block_positions(rng: np.random.Generator, pops: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """A (len(ks), max(ks)) matrix whose row r begins with a uniform random
+    ks[r]-subset of range(pops[r]), ascending; the rest of the row is
+    unspecified.
+
+    Each row's positions are drawn with replacement, and the rows that hold
+    a duplicate are drawn again, all at once, until none does: accepted rows
+    are uniform over distinct k-tuples, so their sorted values are uniform
+    over k-subsets (`topology._sample_rows_rejection`'s method). A row that
+    `topology.rejection_stalls` flags may take very many rounds."""
+    width = int(ks.max(initial=0))
+    taken = np.arange(width) < ks[:, None]
+    # a row's cells past its k: distinct, and above every position, so they
+    # neither match a position nor sort before one
+    out = np.broadcast_to(int(pops.max(initial=0)) + np.arange(width), taken.shape).copy()
+    rows = np.arange(len(ks))
+    while rows.size:
+        block = out[rows]
+        block[taken[rows]] = rng.integers(np.repeat(pops[rows], ks[rows]))
+        block.sort(axis=1)
+        out[rows] = block
+        rows = rows[(block[:, 1:] == block[:, :-1]).any(axis=1)]
+    return out
+
+
 class Invitations:
     """The invitations of one run. A request entering at periphery p
-    invites ceil(fraction * |pcs|) of the cores p knows, as
-    `rng.choice(pcs, ..., replace=False)` draws them request after request;
-    none, with no draw, when p knows none. It takes over `rng`.
+    invites a uniform random subset of ceil(fraction * |pcs|) of the cores
+    p knows; none, with no draw, when p knows none. It takes over `rng`.
 
-    Both ways of drawing return what `rng.choice` does, so the run picks
-    one, by its largest known-core list, for speed alone (`replayed`). No
-    preset straddles the line: exp5 and exp6 draw once per sample, `scale`
-    (exp3 at N=200,000) 3-5 times and exp3/exp4-desk 5-9 times, all
-    decoded in blocks; exp1/exp2-desk draw 115-125 times and the published
-    exp1-exp4 167 times, all left to `rng.choice`.
+    The invitations of a block of requests are drawn together
+    (`_block_positions`), so they depend on how the requests are split into
+    blocks. That sampler stalls on an invitation of most of a list
+    (`topology.rejection_stalls`), such as all of a list of six cores. A run
+    with a list whose invitation would stall it draws every invitation by
+    `rng.choice` instead, one request at a time as they are read. No
+    preset's run does.
     """
 
     def __init__(self, topology: ContactTopology, fraction: float, rng: np.random.Generator):
+        self._rng = rng
         self._ids, self._starts = topology.known_core_table()
-        self._pops = np.diff(self._starts)
+        self._pops = topology.pcs_sizes()
         # math.ceil(fraction * len(pcs)) for every list at once
         self._ks = np.ceil(fraction * self._pops).astype(np.int64)
-        pop = int(self._pops.max(initial=0))
-        self.replayed = _replays(pop, math.ceil(fraction * pop))
-        if self.replayed:
-            self._floyd = FloydSamples(rng)
-        else:
+        listed = self._pops > 0
+        self._by_choice = any(map(
+            rejection_stalls, self._ks[listed].tolist(), self._pops[listed].tolist()))
+        if self._by_choice:
             self._choice = partial(_choice, rng)
             self._pcs = topology.periphery_known_cores
             self._k_of = self._ks.tolist()
 
     def draw(self, peripheries: list[int]) -> Iterable[list[int]]:
-        """The invitations of requests entering at `peripheries`, in turn:
-        decoded at once, or left to rng.choice one at a time as they are
-        read, so that a block holds no large invitations."""
-        if not self.replayed:
+        """The invitations of requests entering at `peripheries`, in turn."""
+        if self._by_choice:
             pcs, k_of, choice = self._pcs, self._k_of, self._choice
             return (choice(pcs[p], k_of[p]) for p in peripheries)
         at = np.array(peripheries, np.intp)
         ks = self._ks[at]
-        drawn = self._floyd.positions(self._pops[at], ks)
+        drawn = _block_positions(self._rng, self._pops[at], ks)
         taken = np.arange(drawn.shape[1]) < ks[:, None]
         ids = self._ids[(drawn + self._starts[at, None])[taken]].tolist()
         ends = np.cumsum(ks).tolist()

@@ -152,6 +152,10 @@ class ContactTopology:
     known_core_starts: np.ndarray | None = None  # shape (M + 1,), int64
 
     def pcs_sizes(self) -> np.ndarray:
+        """The length of each known-core list: the differences of
+        `organize`'s offsets, or the lengths of hand-built lists."""
+        if self.known_core_starts is not None:
+            return np.diff(self.known_core_starts)
         return np.array([len(p) for p in self.periphery_known_cores], dtype=np.int64)
 
     def known_core_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,14 +253,17 @@ def _sample_rows(rng: np.random.Generator, n_rows: int, k: int, pop: int) -> np.
         return np.empty((n_rows, 0), dtype=np.int32)
     if k > pop:
         raise ConfigurationError(f"cannot draw {k} distinct values from {pop}")
-    if pop <= _FY_POP_LIMIT:
-        return _sample_rows_fisher_yates(rng, n_rows, k, pop)
-    # Expected duplicate probability per row; rejection degenerates when the
-    # draw is a large fraction of the population.
-    collision = 1.0 - math.exp(-k * (k - 1) / (2.0 * pop))
-    if collision > 0.9:
+    if pop <= _FY_POP_LIMIT or rejection_stalls(k, pop):
         return _sample_rows_fisher_yates(rng, n_rows, k, pop)
     return _sample_rows_rejection(rng, n_rows, k, pop)
+
+
+def rejection_stalls(k: int, pop: int) -> bool:
+    """Whether redrawing rows of k draws from range(pop) with replacement
+    until they hold no duplicate is too slow to use: when the expected share
+    of rows holding one is over 90%. It is once k nears pop: a row of k = pop
+    draws is accepted with probability k! / k**k."""
+    return 1.0 - math.exp(-k * (k - 1) / (2.0 * pop)) > 0.9
 
 
 def organize(config: TopologyConfig, seed: int) -> ContactTopology:

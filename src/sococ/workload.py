@@ -1,27 +1,12 @@
 """Stochastic service-request stream generation.
 
-Requests carry a mode, a workload in SCU and a service duration. Per request
-the stream takes random draws in a fixed order (inter-arrival, mode,
-workload, duration, entry periphery), the draws of numpy's scalar calls
-`random()` four times, then `integers(n_periphery)`, on the stream's
-PCG64 generator. So streams stay reproducible across refactors.
-
-The stream decodes those draws from `random_raw` words, BLOCK_REQUESTS
-requests per numpy pass:
-
-- each double is a whole word, its top 53 bits times 2**-53;
-- with n_periphery = M > 1, the entry is Lemire's bounded draw: the high
-  32 bits of x * M for a 32-bit draw x. A 32-bit draw takes the low half of a
-  fresh word and keeps its high half for the next 32-bit draw. So two
-  requests take 9 words: four doubles, one word whose low half is the
-  first request's x and whose high half is the second's, four doubles;
-- with M = 1 the entry is 0 and takes no draw: two requests take 8 words.
-
-A request whose draws meet a zero double (numpy redraws it, p = 2**-53) or
-a low word of x * M below 2**32 % M (Lemire redraws it, p = 46 / 2**32 at
-M = 50) is handed back to numpy (`draws.hand_back`), whose scalar calls draw
-it. Block decoding resumes at the next request, whichever half of a word
-its x is.
+Requests carry a mode, a workload in SCU and a service duration, drawn from
+four uniform doubles (inter-arrival gap, mode, workload, duration), and an
+entry periphery. The stream draws them BLOCK_REQUESTS requests per numpy
+pass, from two child generators of the stream's seed: one draws the
+doubles, the other the entries. A block of B requests takes B x 4 doubles
+and B entries, the next draws of each generator, so the stream does not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -33,15 +18,15 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .draws import _DOUBLE_SCALE, _LOW32, _take_over, hand_back
 from .errors import ConfigurationError
 
 MODE_PROB_TOL = 1e-12
 
-# Requests decoded per numpy pass. A pass has a fixed cost of tens of µs:
-# c1-pool's stream costs 1.0-1.25 / 0.76-0.82 / 0.63-0.65 / 0.55 µs per
-# request in blocks of 64 / 128 / 256 / 512 (best of 7, 2-CPU host). A
-# block of 512 holds 2,304 words and ~70 KB of Python floats, ints and lists.
+# Requests drawn per numpy pass, and the engine's block of auctions. A pass
+# has a fixed cost of tens of µs: exp4-desk's stream cost 1.07 / 0.86-0.87 /
+# 0.70-0.72 / 0.62-0.66 µs per request in blocks of 64 / 128 / 256 / 512
+# (best of 15, two runs, 2-CPU host). A block of 512 holds ~70 KB of Python
+# floats, ints and lists.
 BLOCK_REQUESTS = 512
 
 
@@ -124,16 +109,13 @@ class WorkloadConfig:
 
 
 def transform(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
-    """The values of `dist` at uniform draws `u` on (0, 1): exponential
+    """The values of `dist` at uniform draws `u` on (0, 1]: exponential
     -mean*ln(u), pareto x_m*u^(-1/alpha), uniform lo + u*(hi - lo)."""
     if dist.kind == "exponential":
         # numpy's log, not math.log: the two differ in the last bit on some hosts
         return -dist.param1 * np.log(u)
     if dist.kind == "pareto":
-        # Python's pow, one element at a time: numpy's array power differs
-        # from it in the last bit for ~5% of values
-        e = -1.0 / dist.param1
-        return np.array([dist.param2 * x ** e for x in u.tolist()])
+        return dist.param2 * u ** (-1.0 / dist.param1)
     return dist.param1 + u * (dist.param2 - dist.param1)
 
 
@@ -143,14 +125,14 @@ def generate_stream(
     """Yield exactly n_requests requests in arrival order, lazily.
 
     Arrival times accumulate the inter-arrival samples; the entry periphery
-    is uniform over [0, n_periphery). The draws come from a generator seeded
-    with `seed`, so equal configs and seeds regenerate element-wise
-    identical streams. An invalid `n_periphery` raises here, not on the
-    first request.
+    is uniform over [0, n_periphery). The draws come from generators seeded
+    from `seed` (module docstring), so equal configs and seeds regenerate
+    element-wise identical streams. An invalid `n_periphery` raises here,
+    not on the first request.
     """
-    if not 1 <= n_periphery <= _LOW32 + 1:
-        raise ConfigurationError("n_periphery must be >= 1 and <= 2**32")
-    return _requests(config, n_periphery, np.random.default_rng(seed))
+    if n_periphery < 1:
+        raise ConfigurationError("n_periphery must be >= 1")
+    return _requests(config, n_periphery, seed)
 
 
 _MODES = np.array(REQUEST_MODES, dtype=object)
@@ -167,8 +149,6 @@ def _requests_from(
     The mode is M1 below p1, M2 below p1 + p2 and M3 above. Each request is
     built as it is read, which cost 0.63-0.66 µs per request in blocks of
     256 where building the block's list first cost 0.87-0.98 µs."""
-    if not entries:
-        return iter(()), t
     gaps = transform(config.interarrival, units[:, 0])
     gaps[0] += t
     p1, p2, _ = config.mode_probabilities
@@ -182,65 +162,15 @@ def _requests_from(
         workloads.tolist(), durations.tolist(), entries)), arrivals[-1]
 
 
-def _requests(
-    config: WorkloadConfig, n_periphery: int, rng: np.random.Generator
-) -> Iterator[ServiceRequest]:
-    """The stream decoded in blocks from `rng`'s words (module docstring)."""
-    raw = rng.bit_generator.random_raw
-    pair = 9 if n_periphery > 1 else 8  # words per two requests
-    doubles = [0, 1, 2, 3, pair - 4, pair - 3, pair - 2, pair - 1]
-    threshold = (_LOW32 + 1) % n_periphery
-    # the fetched, unread words from the start of a pair, whose first
-    # `skip` requests are made already
-    words, skip = _resume(rng, n_periphery)
+def _requests(config: WorkloadConfig, n_periphery: int, seed: int) -> Iterator[ServiceRequest]:
+    """The stream drawn in blocks (module docstring)."""
+    units_rng, entry_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     t, i, n = 0.0, 0, config.n_requests
     while i < n:
-        end = skip + min(BLOCK_REQUESTS, n - i)
-        need = pair * ((end + 1) // 2)
-        if len(words) < need:
-            words = np.concatenate((words, raw(need - len(words))))
-        block = words[:need].reshape(-1, pair)
-        bits = block[:, doubles].reshape(-1, 4)[skip:end] >> 11
-        rare = (bits == 0).any(axis=1)
-        entries = np.zeros(len(bits), np.uint64)
-        if n_periphery > 1:
-            x = np.column_stack((block[:, 4] & _LOW32, block[:, 4] >> 32)).ravel()
-            m = x[skip:end] * np.uint64(n_periphery)
-            entries = m >> 32
-            rare |= (m & _LOW32) < threshold
-        # the requests before the block's first rare draw
-        ready = int(rare.argmax()) if rare.any() else len(rare)
+        size = min(BLOCK_REQUESTS, n - i)
+        # uniform on (0, 1], where every transform is finite
+        units = 1.0 - units_rng.random((size, 4))
         requests, t = _requests_from(
-            config, i, t, bits[:ready] * _DOUBLE_SCALE, entries[:ready].tolist())
+            config, i, t, units, entry_rng.integers(n_periphery, size=size).tolist())
         yield from requests
-        i += ready
-        done = skip + ready
-        words, skip = words[pair * (done // 2):], done % 2
-        if ready == len(rare):
-            continue
-        # request i meets a rare draw: numpy draws it
-        kept = int(words[4] >> 32) if skip and n_periphery > 1 else None
-        hand_back(rng, kept, len(words) - skip * (pair - 4))
-        units = np.array([[_positive_double(rng) for _ in range(4)]])
-        requests, t = _requests_from(config, i, t, units, [int(rng.integers(n_periphery))])
-        yield from requests
-        i += 1
-        words, skip = _resume(rng, n_periphery)
-
-
-def _positive_double(rng: np.random.Generator) -> float:
-    """`rng.random()` redrawn while it is 0.0: uniform on (0, 1)."""
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return u
-
-
-def _resume(rng: np.random.Generator, n_periphery: int) -> tuple[np.ndarray, int]:
-    """The (words, skip) at which block decoding starts on `rng`: a half the
-    generator holds is the high half of a pair's fifth word, whose first
-    request is made. At M = 1 no request reads a half."""
-    kept = _take_over(rng)
-    if kept is None or n_periphery == 1:
-        return np.empty(0, np.uint64), 0
-    return np.array([0, 0, 0, 0, kept << 32], np.uint64), 1
+        i += size

@@ -52,82 +52,82 @@ SCALE_REQUESTS = 2_000
 #            commit digest)
 GOLDEN = {
     "exp5": (
-        "e4102925218fb346b0ef9e711a7000d3",
-        "18fde2dbdb82da4fa263698ce4b252150ab81cb29f3693283b8a2f8aa877b0c9",
-        "51f356d50624bd74698029f5cb328b6c1d32ddb91ff1c0ba0dceee56ea60bb04",
-        "be4fd16dc1b2ebe3489a073b3efc04ab605b1ec6748e6e67f9dd9b428d5977f0",
+        "e169ca33928aa0b053747483a28b87af",
+        "6e7464531aa087199b48018804dcd489fe98e4a13a0d177fc79d08c10a23422e",
+        "7c7fb019e511c39a4543e27c862fcf760b1eb46a570d0a01882b82fa3b306fbe",
+        "74d2bc44eb69136db45c693ae7808f981f8b3913c548808207742a051520d5cc",
     ),
     "exp6": (
-        "cd676c8d571c7a7e90a010c0116f58c5",
-        "d9bf9c849a181f3dbe4ebab25266fb3a9141af3227d8cd85f9fc66a2853ed6f5",
-        "43c5c7541f41b6ad98b489ce18a229787a83f145022416a16e409b97229b770d",
-        "79e414f0fe03b49bbf235e9b7dde7910fcde99e8de3a173b13b3729c77de0ef8",
+        "543a225b0df20028ac15bcbbc957dc6f",
+        "0a71ff2e7ae35426c8a81d1cccd9f3d5dbc080993874707efddaef31d25df99c",
+        "cff3ec95e1617dd52b27cbb5e8976ab2a969537665135fe8e210192a9a5d24fe",
+        "223e5e69bf2dc9c04d94971142b7d1ef2b81040b67a0282208d8fa5fe238759c",
     ),
     "exp1-desk": (
-        "8272d5e62f3666983ef69bffec19eebc",
-        "c7189acfe7c81223e776a0cae15ebd080252e7b16f9ec8c1460492fa1aebe9fe",
-        "a50aaaee26682eed63019723123674c65b4ff5bc5dc3fd7043de336b17549406",
-        "b66455ac9acd00aa82bd7c610bbd14e5b47759bdced55ea7f0f498d0cf846d9b",
+        "ad5e0d44628fa1ab9cb42e8b63764dcf",
+        "34d7c8a7f6b5d47a55d7179abf0ebf6a3a704185955e4ac37d4eec511e1b3876",
+        "4ab77d7fffd6bb23ca6e80231c867eec86a7fe6954f6a3f5bcd22ec8453d0c07",
+        "42c5bb9ba81a14f8dd910da44df5533364bd319cdeea89d53424334e9aaec6f9",
     ),
     "exp2-desk": (
-        "8272d5e62f3666983ef69bffec19eebc",
-        "c7189acfe7c81223e776a0cae15ebd080252e7b16f9ec8c1460492fa1aebe9fe",
-        "6cb97ff75fe64727a4f0eff72ff924470dc61ec53b2b89cb615c8531775d1501",
-        "9afb7848f13f7cf1979f8e413fa40a4d03461b4d36f34ddb818cb440cb4f7957",
+        "ad5e0d44628fa1ab9cb42e8b63764dcf",
+        "34d7c8a7f6b5d47a55d7179abf0ebf6a3a704185955e4ac37d4eec511e1b3876",
+        "34313d9909e36a0b512c45dc02067971375df5b20d4844a94e03dc8b63620732",
+        "1ca3937f150f160045f31d5275f2138f9b91ffd7770ebb7c8b840cb5b5ad3443",
     ),
     "exp3-desk": (
-        "b1d2417ed69131b83ff070b21cdb12d0",
-        "62598e91a80c893807697c2c35a7e812b15fa6f8a21fa49810ecb96c3310bf10",
-        "03dc0e538074c1ef73e61e583938142a50799331a6086aa8b48762b594280efe",
-        "5a2edbc558f3b3af9c010fd342cb85de45c8231ad51919a14de30de62ab8dc08",
+        "6666195e05aef295d836f73d1519cd2a",
+        "1877c61b9454f91c4c7c769b9f492d9aa96dc9984f44b83dd607a6d669035423",
+        "3edc74224cc2e1383e37df26fd0d4a16c3cd8af7be36ea17e08def11cefe0b4c",
+        "c485355f26cef36f1a9849c754b4c9650a5c727a918431d61c392baa23760065",
     ),
     "exp4-desk": (
-        "38bda1297c7acd1618157877b336c505",
-        "000cee7c2b24891b520b25184ec24719d5a50798dc6cea54e775f3f253c41e48",
-        "4c1fcc1fa7843e70fa18b28adba996c3c4b8c8727efc04b20df02cf375f75112",
-        "ec0350584e734f178941bd76453ca346ce42de7d5d8830cf892ee93afd981a45",
+        "5ad0e1788b17f307dc985939a512f513",
+        "91d0b60bf979db5c0a95c22e120026eb9ddd1163e71315d63d4d79fb5ea04863",
+        "c09e624b12e1e41cb1073baedf3433b97b4700a1bcfa4ab7447acbeaf08ffc5b",
+        "84f78b8e6b9e3dc1c4086f80200307cc7f9f6c9591124b9c777a5037fc702c43",
     ),
     "scale": (
-        "80ffa5ffd8f44d2f73c5f3a3f8f7bcf0",
-        "5ee3bbb74e163bdfd25fc899a31e08397a0bdf27aa472de75bd70aae548de7ac",
-        "6579880db92b2f32672cc8097274ccfb5e5d7c1da60c277c9bad72a55b134bf2",
-        "cf937789c96d7050a93aa07f5c5f21beab17b9cf1555672b105f1c078d8c2269",
+        "45147f902d25f6f7141f4ad3b7847ce2",
+        "dc9b4c9cbe6d94a460c415e3a4e373eaf94903a292556dae7c1a05f27c5ca2cd",
+        "7a0743f6ef687eebac82f06e93f33abb6fc22a66942a2559e6c96f78036e1f3b",
+        "2092de571424690b1688c92fb80d639d911418fa8810c34efba570842bc6dbec",
     ),
 }
 
 # preset -> sha256(summary.json)
 SUMMARY = {
-    "exp5": "cd303e1d7322bc3f49fc346ef1ec0b2928600428703861e36aa59cff176e19ea",
-    "exp6": "0d7b34bdf57ec204a422ac9269e0aaa75670207fecfddc336022511bf420f512",
-    "exp1-desk": "d9de1f2a713f888653900a9eb0f0fecbe2937afea7e3bad0675a89012adf367a",
-    "exp2-desk": "cfa9b38a05e62cb5d0097bcba6f02665f814dcff042eaa1c72f155b80a9cf27b",
-    "exp3-desk": "01c287373e2bccf518782050894a9fb83112506483d35d75213ffa411d49d56e",
-    "exp4-desk": "d418cc075a4267c31620af2cd85ae97620d98dfbe5c4eb7a647ac448df7e8945",
-    "scale": "4c228d262c3688e987522ffc12e87b91f1381965065f7c1d71be86fb8b964caa",
+    "exp5": "c8923ca47bb9998578ce5633de5606cf2de712665424a954e08bc1f48920c32c",
+    "exp6": "fde610b08df5ff0535c7a0f77b38367bd27d892b043d02f5419fe7470548be2c",
+    "exp1-desk": "3368f8b0ea471abeead1942fdbb6c33fbaeca30475406041e9d292d56198bc2f",
+    "exp2-desk": "43db1654a1a586ea83ba4395fdc602b5e8742d37bb557c12e7c4d0158918546a",
+    "exp3-desk": "40e12c005db942a70879e6bd7d8e2d390c9e51c9573d86cdd64e385e553bbc9b",
+    "exp4-desk": "326e66d1061faf691d0af1e64cccd8bdd920619c405f1061199cbbd44ee623ce",
+    "scale": "342a67ebeaac9536ae0a6359af535dcacefeade0d4470c92fbf842e78b20f160",
 }
 
 # preset -> sha256 of the "<d" bytes of every won bid's price, in arrival order
 PRICES = {
-    "exp5": "1cb9e8de20364dca978df7320f409e882a002403bab2f61fee0f353e18a71dfc",
-    "exp6": "3cb012da1e11fa24bc086e35823e0f6d1b9df773d436ff9d698a3b8796465b01",
-    "exp1-desk": "b56f992d09fc7758684abdb40b39e99958a64326e884bcc138f9be0112025d05",
-    "exp2-desk": "54ea4c0594ddbb1ec76ee34e3e576cca0c15812ea499593723234c25ba151705",
-    "exp3-desk": "b5b35dc4a1ab972a17376fed9b9ce7c97156c36504711cfa88d022ed5f4a5ad7",
-    "exp4-desk": "d4284bcdef72fc7b17d7379ea87eeafcfa3d21f78420e2d1f7eef5d2154fd61c",
-    "scale": "1531ff2b016cd5254bf6011b15c8b2ab5ce74fb046e388b1e93f04080d19518a",
+    "exp5": "c5922e305fd059ef16d2b08afeaa8e999c3d69b9d368c137868b3b455f7084e2",
+    "exp6": "ad9a4b0eb4d748b54b3e77a7e7d285c1cb0ebeabd7f67d772e6f2fc8c5278259",
+    "exp1-desk": "e4a5a96c13013638f9e31c80f7c447039de7cf3808774d4d8bc8bcc77e6648d7",
+    "exp2-desk": "0a8bd0ee54ef72dccdbaf3c1fce7ae6e984d1c29d9ac1736e0d20ff046f9894a",
+    "exp3-desk": "8febe9126469296adc1aba093ea4d68f1eda7e47b89a0c25d4f265c6ee37a330",
+    "exp4-desk": "199e74939c13717b1ba03faad516823230eac56a736b74fe594a38b87701afad",
+    "scale": "86ab12f8abcbba4e5f97b47d64de34797060e8789d6509fe91f1b3f90d3df27a",
 }
 
 
 # exp2-desk with primary_contacts_per_core=10 and 5,000 requests, at SEED:
 # the four pinned values and the number of ContactOrder.secondary calls
 FALLBACK = (
-    "3e6018031fd0a1377a55758b406bc0ed",
-    "2536dd4d935e2a3a928132806c4d9add78bcd3d6fea3b40703f9accc0014e6a0",
-    "82be4839bbf60057d22aec18a95fcd21b569a8c0aa6d8563ff43e8c399647dee",
-    "cdaa794bf5101200bc2f973b44eabbf081589b1c43de04d11037a632870a3380",
+    "8f158d3cecd0c21708c95f45e26a9b9b",
+    "5d241d93e5dc8f5441e87dbfd3854efb27f1e3d4f857acfba5ff9b1f29ec26a6",
+    "ef6c6cd46c67ce3b939513ba8769113ddb33799c022a79513cc3cfae90a521d4",
+    "f9e6577f24b62342a187208b3bf66acce69fbcea4979342a4e8b5f1393003032",
 )
-FALLBACK_SECONDARY_CALLS = 670
-FALLBACK_SUMMARY = "24f491c1424e6a03c60f7b0bcdf8d70514666c676f1ee9893e51d6e6afcbbcf4"
+FALLBACK_SECONDARY_CALLS = 695
+FALLBACK_SUMMARY = "ac518ff12abfe848a1f3678d262f21180981d0565e04aa5a8bd8920362cdc658"
 
 
 def golden_preset(name):

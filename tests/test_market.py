@@ -2,14 +2,16 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from functools import cache, partial
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
-from sococ import draws, engine, market, topology
-from sococ.draws import FloydSamples, hand_back
+from sococ import engine, market, topology
 from sococ.engine import Fleet, init_servers
 from sococ.errors import InternalConsistencyError
 from sococ.harness import derive_seeds, preset
@@ -24,14 +26,13 @@ from sococ.market import (
     _choice,
     _eligible,
     _fill,
-    _replays,
     assemble_coalition,
     elect_leader,
     invite_leader_candidates,
     price_bid,
 )
 from sococ.metrics import MetricsConfig, MetricsSink
-from sococ.topology import ContactTopology, TopologyConfig, organize
+from sococ.topology import ContactTopology, TopologyConfig, organize, rejection_stalls
 from sococ.workload import BLOCK_REQUESTS, Mode, ServiceRequest, generate_stream
 
 
@@ -208,22 +209,77 @@ def test_invite_is_reproducible_per_seed():
         assert got == want.tolist()
 
 
-def test_invite_empty_pcs_yields_no_candidates():
-    # a run with small invitations decodes them in blocks, one with large
-    # ones leaves them to rng.choice
-    for pop, fraction in ((100, 0.03), (2000, 0.03)):
+def test_invite_empty_pcs_yields_no_candidates(monkeypatch):
+    # in runs drawn in blocks (a 100-core list) and by rng.choice (all of a
+    # 50-core list): an empty list takes no draw, and its C2 auction fails
+    # with no leader, before any assembly
+    monkeypatch.setattr(market, "assemble_coalition",
+                        lambda *args: pytest.fail("assembled with no leader"))
+    for pop, fraction in ((100, 0.03), (50, 1.0)):
         lists = [np.zeros(0, dtype=np.int32), np.arange(pop, dtype=np.int32)]
         topo = replace(star_topology(pop, [1]), n_periphery=2, periphery_known_cores=lists)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        invitations = Invitations(topo, fraction, rng)
-        assert invitations.replayed == (pop == 100)
-        assert list(invitations.draw([0, 0])) == [[], []]
-        assert rng.bit_generator.state == state  # the generator gave no word
-        # and none was taken: the next invitation is the generator's first
-        want = np.random.default_rng(0).choice(lists[1], size=math.ceil(fraction * pop),
-                                               replace=False)
-        assert list(invitations.draw([1])) == [want.tolist()]
+        mkt = Market(topo, make_fleet([Mode.M1] * pop), MarketConfig("C2", fraction), rng)
+        assert mkt.invitations._by_choice == (fraction == 1.0)
+        assert list(mkt.invitations.draw([0, 0])) == [[], []]
+        assert rng.bit_generator.state == state
+        outcome = mkt.run_auction(make_request(entry=0))
+        assert (outcome.bid, outcome.candidates_contacted) == (None, 0)
+        assert rng.bit_generator.state == state
+
+
+def test_inviting_every_known_core_draws_by_rng_choice():
+    # k = pop = 50 would stall the block sampler: rng.choice draws every
+    # invitation, a shuffle of the whole list
+    pcs = np.arange(0, 100, 2, dtype=np.int32)
+    topo = replace(star_topology(100, [1]), periphery_known_cores=[pcs])
+    invitations = Invitations(topo, 1.0, np.random.default_rng(3))
+    twin = np.random.default_rng(3)
+    for invited in invitations.draw([0, 0, 0]):
+        assert invited == twin.choice(pcs, size=50, replace=False).tolist()
+        assert sorted(invited) == pcs.tolist()
+
+
+# (pop, k) cases of the block sampler's uniformity test: a block interleaves
+# them, so rows of different widths share each draw and redraw
+SUBSET_CASES = [(5, 2), (6, 3), (10, 9)]
+SUBSET_ROWS = 3_000  # per case
+# a chi-square p-value below this fails one case; 3e-4 for the three cases
+SUBSET_LEVEL = 1e-4
+
+
+def test_block_sampler_is_uniform_over_k_subsets():
+    pops = np.array([pop for pop, _ in SUBSET_CASES] * SUBSET_ROWS)
+    ks = np.array([k for _, k in SUBSET_CASES] * SUBSET_ROWS)
+    drawn = market._block_positions(np.random.default_rng(9), pops, ks)
+    for case, (pop, k) in enumerate(SUBSET_CASES):
+        rows = drawn[case::len(SUBSET_CASES), :k]
+        assert (np.diff(rows, axis=1) > 0).all()  # ascending and distinct
+        assert rows.min() >= 0 and rows.max() < pop
+        counts = Counter(map(tuple, rows.tolist()))
+        subsets = list(combinations(range(pop), k))
+        assert set(counts) <= set(subsets)
+        observed = [counts[s] for s in subsets]
+        assert chisquare(observed).pvalue > SUBSET_LEVEL, (pop, k)
+
+
+def test_block_invitations_are_deterministic_per_block():
+    # equal generators drawing equal blocks invite equal cores: each a
+    # distinct subset of its list, of ceil(fraction * |pcs|) cores
+    lists = [np.arange(0, 300, 3, dtype=np.int32), np.arange(40, dtype=np.int32),
+             np.zeros(0, dtype=np.int32)]
+    topo = replace(star_topology(300, [1]), n_periphery=3, periphery_known_cores=lists)
+    blocks = [[0, 1, 2, 0], [1], [0, 0, 1, 2, 1, 0, 0]]
+    runs = []
+    for _ in range(2):
+        invitations = Invitations(topo, 0.1, np.random.default_rng(21))
+        runs.append([list(invitations.draw(block)) for block in blocks])
+    assert runs[0] == runs[1]
+    for block, invited in zip(blocks, runs[0]):
+        for p, cores in zip(block, invited):
+            assert len(cores) == len(set(cores)) == math.ceil(0.1 * len(lists[p]))
+            assert set(cores) <= set(lists[p].tolist())
 
 
 @cache
@@ -244,25 +300,18 @@ def preset_fleet(name, seed):
     return topo, init_servers(topo, p.engine, derive_seeds(seed)[1])
 
 
-def preset_market(name, seed):
-    """The market a run of preset `name` at `seed` builds."""
-    p = preset("exp3" if name == "scale" else name)
-    rng = np.random.default_rng(derive_seeds(seed)[3])
-    return Market(*preset_fleet(name, seed), p.market, rng)
+RUN_PRESETS = ("exp1-desk", "exp2-desk", "exp3-desk", "exp4-desk", "exp5", "exp6", "scale")
 
 
-REPLAYED_PRESETS = ("exp3-desk", "exp4-desk", "exp5", "exp6", "scale")
-
-
-@pytest.mark.parametrize("name", REPLAYED_PRESETS + ("exp1-desk", "exp2-desk"))
+@pytest.mark.parametrize("name", RUN_PRESETS)
 def test_each_preset_market_picks_its_sampler(name):
-    # Both ways return the same samples, so no output shows a preset
-    # moving to its slow side: exp5 and exp6 draw once per sample, scale
-    # 3-5 times and exp3/exp4-desk 5-9 times, where exp1/exp2-desk draw
-    # 115-125 times
+    # no preset's list is large enough a share of its invitation to stall
+    # the block sampler
+    p = preset("exp3" if name == "scale" else name)
     for seed in (1, 3, 11):
-        replayed = preset_market(name, seed).invitations.replayed
-        assert replayed == (name in REPLAYED_PRESETS)
+        rng = np.random.default_rng(derive_seeds(seed)[3])
+        invitations = Invitations(preset_topology(name, seed), p.market.invited_fraction, rng)
+        assert not invitations._by_choice
 
 
 def preset_stream(name, seed, n_requests):
@@ -271,66 +320,53 @@ def preset_stream(name, seed, n_requests):
     return generate_stream(config, p.topology.n_periphery, derive_seeds(seed)[2])
 
 
-def counting_blocks(monkeypatch):
-    """Count the samples FloydSamples decodes per call, and those it hands
-    back to numpy for a redraw."""
-    blocks, redrawn = [], []
-    positions = FloydSamples.positions
-
-    def counted(self, pops, ks):
-        blocks.append(len(ks))
-        return positions(self, pops, ks)
-
-    def counted_hand_back(rng, kept, unread):
-        redrawn.append(1)
-        hand_back(rng, kept, unread)
-
-    monkeypatch.setattr(FloydSamples, "positions", counted)
-    monkeypatch.setattr(draws, "hand_back", counted_hand_back)
-    return blocks, redrawn
-
-
 PRESET_RUN_REQUESTS = 1500
 
 
-@pytest.mark.parametrize("name", REPLAYED_PRESETS)
+@pytest.mark.parametrize("name", RUN_PRESETS)
 def test_a_replayed_preset_run_decodes_every_invitation_in_blocks(monkeypatch, name):
-    # the engine hands the market one block per BLOCK_REQUESTS requests,
-    # each decoded in one pass, and no invitation meets a redraw
-    for seed in (1, 3, 11):
-        p = preset("exp3" if name == "scale" else name)
-        topo, fleet = preset_fleet(name, seed)
-        blocks, redrawn = counting_blocks(monkeypatch)
-        sink = MetricsSink(MetricsConfig(bin_size=500, n_subsets=10))
-        # with no primary contacts drawn, secondary fallbacks would scan the
-        # whole fleet; they read no invitation
-        config = replace(p.market, use_secondary_contacts=False)
-        engine.run(topo, fleet, preset_stream(name, seed, PRESET_RUN_REQUESTS), config,
-                   sink, np.random.default_rng(derive_seeds(seed)[3]))
-        n_blocks = -(-PRESET_RUN_REQUESTS // BLOCK_REQUESTS)
-        assert blocks == [BLOCK_REQUESTS] * (n_blocks - 1) + [
-            PRESET_RUN_REQUESTS - BLOCK_REQUESTS * (n_blocks - 1)]
-        assert redrawn == []
+    # a preset run's invitations are drawn a block at a time: the engine
+    # hands the market one block per BLOCK_REQUESTS requests, each drawn in
+    # one call
+    p = preset("exp3" if name == "scale" else name)
+    topo, fleet = preset_fleet(name, 1)
+    blocks = []
+    block_positions = market._block_positions
+
+    def counted(rng, pops, ks):
+        blocks.append(len(ks))
+        return block_positions(rng, pops, ks)
+
+    monkeypatch.setattr(market, "_block_positions", counted)
+    sink = MetricsSink(MetricsConfig(bin_size=500, n_subsets=10))
+    # with no primary contacts drawn, secondary fallbacks would scan the
+    # whole fleet; they read no invitation
+    config = replace(p.market, use_secondary_contacts=False)
+    engine.run(topo, fleet, preset_stream(name, 1, PRESET_RUN_REQUESTS), config,
+               sink, np.random.default_rng(derive_seeds(1)[3]))
+    n_blocks = -(-PRESET_RUN_REQUESTS // BLOCK_REQUESTS)
+    assert blocks == [BLOCK_REQUESTS] * (n_blocks - 1) + [
+        PRESET_RUN_REQUESTS - BLOCK_REQUESTS * (n_blocks - 1)]
 
 
-def test_published_scale_invitations_are_left_to_rng_choice():
+def test_published_scale_invitations_are_drawn_in_blocks():
     # a periphery of the published exp1-exp4 knows ~83,886 cores and invites
-    # 84 of them: 84 Floyd draws and 83 swaps
-    assert not _replays(83_886, math.ceil(0.001 * 83_886))
-    assert _replays(83_886, 12)  # 23 draws
+    # 84 of them, which hold a duplicate in ~4% of rows
+    assert not rejection_stalls(math.ceil(0.001 * 83_886), 83_886)
+    assert rejection_stalls(84, 84)
 
 
 def test_a_run_straddling_the_threshold_leaves_every_invitation_to_rng_choice():
-    # at 3%, the 100-core list invites 3 (5 draws), the 2,000-core list 60
-    # (119 draws): the largest list decides for the whole run
-    lists = [np.arange(0, 300, 3, dtype=np.int32), np.arange(2000, dtype=np.int32)]
+    # at 50%, the 2,000-core list invites 1,000, which stalls the block
+    # sampler, and the 10-core list 5, which does not: the worst list
+    # decides for the whole run
+    lists = [np.arange(0, 30, 3, dtype=np.int32), np.arange(2000, dtype=np.int32)]
     topo = replace(star_topology(2000, [1]), n_periphery=2, periphery_known_cores=lists)
-    config = MarketConfig("C2", invited_fraction=0.03)
+    config = MarketConfig("C2", invited_fraction=0.5)
     mkt = Market(topo, make_fleet([Mode.M1] * 2000), config, np.random.default_rng(4))
-    assert not mkt.invitations.replayed
     twin = np.random.default_rng(4)
     entries = [0, 1, 0, 0, 1, 1, 0] * 5
-    want = [twin.choice(lists[p], size=math.ceil(0.03 * len(lists[p])), replace=False).tolist()
+    want = [twin.choice(lists[p], size=len(lists[p]) // 2, replace=False).tolist()
             for p in entries]
     assert list(mkt.invitations.draw(entries)) == want
 
@@ -357,10 +393,11 @@ def outcome_rows(outcomes):
 @pytest.mark.parametrize("name", ["exp3-desk", "exp4-desk", "exp2-desk"])
 def test_auctions_with_nothing_queued_match_the_engine_run(monkeypatch, name):
     # with no block handed over, every auction draws its own invitation as
-    # a block of one: the outcomes are those of the engine's blocks, decoded
-    # (exp3/exp4-desk) or left to rng.choice (exp2-desk)
+    # a block of one: the outcomes are those of an engine run whose blocks
+    # hold one request
     p = preset(name)
     topo = organize(p.topology, 5)
+    monkeypatch.setattr(engine, "BLOCK_REQUESTS", 1)
     runs = []
     for unqueued in (False, True):
         if unqueued:
@@ -644,9 +681,10 @@ def vectorized_fill(pool, free, need):
 def vectorized_auction(request, topo, fleet, config, rng, fallbacks):
     """(member ids, allocations) of the winning coalition, or None."""
     order = ContactOrder(topo, fleet)
-    pcs = topo.periphery_known_cores[request.entry_periphery]
-    invited = rng.choice(pcs, size=int(np.ceil(config.invited_fraction * pcs.size)),
-                         replace=False)
+    # the invitation as the market draws it: this reference is of the
+    # auction, not of the draw
+    [invited] = Invitations(topo, config.invited_fraction, rng).draw([request.entry_periphery])
+    invited = np.array(invited, dtype=np.int32)
     if config.initiation == "C1":
         eligible = vectorized_eligible(fleet, invited, request.mode).tolist()
         pool = np.asarray(order.sort_ids(eligible), dtype=np.int32)

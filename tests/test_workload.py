@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+from sococ import workload
 from sococ.errors import ConfigurationError
 from sococ.workload import (
     DistributionSpec,
@@ -114,11 +115,21 @@ def test_stream_is_lazy_and_sized():
 
 def test_invalid_periphery_count_raises_at_the_call():
     # the check runs before the first request is asked for
-    with pytest.raises(ConfigurationError, match="n_periphery"):
-        generate_stream(default_config(), 0, 1)
-    # a 32-bit periphery draw reaches 2**32 entries, no more
-    with pytest.raises(ConfigurationError, match="n_periphery"):
-        generate_stream(default_config(), 2**32 + 1, 1)
+    for n_periphery in (0, -1):
+        with pytest.raises(ConfigurationError, match="n_periphery"):
+            generate_stream(default_config(), n_periphery, 1)
+    # a count past 32 bits is valid, and draws past 32 bits
+    entries = [r.entry_periphery for r in generate_stream(default_config(), 2**40, 1)]
+    assert 0 <= min(entries) and max(entries) < 2**40 and max(entries) >= 2**32
+
+
+def test_stream_does_not_depend_on_the_block_size(monkeypatch):
+    config = default_config(service=DistributionSpec("pareto", 2.0, 1.0), n_requests=1100)
+    streams = []
+    for size in (1, 7, 512):
+        monkeypatch.setattr(workload, "BLOCK_REQUESTS", size)
+        streams.append(list(generate_stream(config, 50, 17)))
+    assert streams[0] == streams[1] == streams[2]
 
 
 @pytest.mark.parametrize("interarrival,service", [
