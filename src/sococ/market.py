@@ -166,10 +166,10 @@ def _block_positions(rng: np.random.Generator, pops: np.ndarray, ks: np.ndarray)
     unspecified.
 
     Each row's positions are drawn with replacement, and the rows that hold
-    a duplicate are drawn again, all at once, until none does: accepted rows
-    are uniform over distinct k-tuples, so their sorted values are uniform
-    over k-subsets (`topology._sample_rows_rejection`'s method). A row that
-    `topology.rejection_stalls` flags may take very many rounds."""
+    a duplicate are drawn again whole, all at once, until none does:
+    accepted rows are uniform over distinct k-tuples, so their sorted values
+    are uniform over k-subsets. A row that `topology.rejection_stalls` flags
+    may take very many rounds."""
     width = int(ks.max(initial=0))
     taken = np.arange(width) < ks[:, None]
     # a row's cells past its k: distinct, and above every position, so they

@@ -7,11 +7,12 @@ that picked it.  Secondary contacts of a core are all other cores reachable
 through a shared periphery server (`secondary_mask`).
 
 Set-up works over N-row matrices one chunk of rows at a time
-(`row_chunks`). The chunked loops that draw nothing (the rejection
-sampler's duplicate checks, the contact shift and `market.ContactOrder`'s
-cost ordering) run their chunks on the process's CPUs (`for_row_chunks`).
-Their outputs cannot depend on that: each chunk writes only its own rows,
-and every random draw stays on the calling thread, in row order.
+(`row_chunks`). The chunked loops (the rejection sampler's row blocks, the
+contact shift and `market.ContactOrder`'s cost ordering) run their chunks
+on the process's CPUs (`for_row_chunks`). Their outputs cannot depend on
+that: each chunk writes only its own rows, and draws, if at all, only from
+generators of its own. The Fisher-Yates sampler draws on the calling
+thread, in row order.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ _FY_POP_LIMIT = 4096
 # draws, so changing it changes every topology drawn from a population of at
 # most _FY_POP_LIMIT.
 _FY_DRAW_CELLS = 4_000_000
+# The rejection sampler draws each row block of this many cells from its own
+# child generator. The block size fixes the draws, so changing it changes
+# every topology drawn from a population over _FY_POP_LIMIT.
+_REJECTION_BLOCK_CELLS = 1 << 18
 # Bound on the cells of any per-chunk temporary built over N-row matrices.
 # It has no effect on any output, nor has the number of threads that work
 # through the chunks of one loop (`for_row_chunks`): each holds one chunk's
@@ -58,10 +63,11 @@ def for_row_chunks(fn, n_rows: int, row_cells: int) -> None:
     """Call fn(rows) for every row_chunks(n_rows, row_cells) slice, on as
     many threads as the process has CPUs.
 
-    `fn` must write only its own rows and draw nothing; then the order in
-    which chunks run cannot show in any output. numpy releases the
-    interpreter lock in the sorts, takes and compares the callers make, so
-    the chunks run in parallel. The calling thread takes chunks too: each
+    `fn` must write only its own rows and draw only from generators no
+    other chunk reads; then the order in which chunks run cannot show in
+    any output. numpy releases the interpreter lock in the bounded integer
+    draws, sorts, takes and compares the callers make, so the chunks run in
+    parallel. The calling thread takes chunks too: each
     helper thread's glibc malloc arena keeps the chunk temporaries it
     freed, and with two helpers and an idle caller that raised peak RSS at
     N=200,000, n=500 by ~8 MB on a 2-CPU host, against ~2.4 MB with one
@@ -138,8 +144,9 @@ class ContactTopology:
     known_cores[known_core_starts[p]:known_core_starts[p + 1]]. A topology
     built by hand leaves both None.
 
-    A row of core_primary_contacts is an unordered set: `market.ContactOrder`
-    takes the matrix over and re-orders every row in place by (unit cost, id).
+    A row of core_primary_contacts is a set, and `organize` returns each row
+    ascending by id. `market.ContactOrder` takes the matrix over and
+    re-orders every row in place by (unit cost, id).
     """
 
     n_core: int
@@ -217,34 +224,63 @@ def _sample_rows_fisher_yates(
 def _sample_rows_rejection(
     rng: np.random.Generator, n_rows: int, k: int, pop: int
 ) -> np.ndarray:
-    """Same contract as the Fisher-Yates sampler, for large populations.
+    """k-of-pop uniform draws without replacement per row, for large
+    populations; each row comes out ascending.
 
-    Rows are drawn with replacement and redrawn whole while they contain a
-    duplicate; accepted rows are uniform over distinct k-tuples. Duplicates
-    are found by sorting copies of the pending rows, chunk by chunk on the
-    process's CPUs (`for_row_chunks`): a chunk draws nothing and writes only
-    its own rows' flags. The pending rows are then redrawn on the calling
-    thread, one chunk at a time, in row order. Bounded int32 draws consume
-    the bit stream value by value (PCG64 keeps a spare 32-bit half in its
-    state), so splitting a redraw into chunks changes neither the values nor
-    the generator state that follows.
+    Every row is drawn with replacement and sorted. Each value a row holds
+    more than once keeps its first copy, and only the surplus copies are
+    drawn again; the rows that changed are sorted again, until no row holds
+    a duplicate. A row is uniform over k-subsets: each round's result
+    depends on the previous one only through its distinct values and its
+    surplus count, plus fresh iid uniform draws, so any relabeling of
+    range(pop) maps the process onto itself. The law of the final set is
+    then invariant under every permutation of range(pop), and those act
+    transitively on k-subsets.
+
+    The rows are drawn in fixed blocks of _REJECTION_BLOCK_CELLS cells (at
+    least one row), each from its own child generator (`rng.spawn`), and
+    the blocks run on the process's CPUs (`for_row_chunks`). A block reads
+    only its own generator and writes only its own rows, so no output
+    depends on CHUNK_CELLS or on the number of threads; `rng` itself draws
+    nothing.
     """
-    out = rng.integers(0, pop, size=(n_rows, k), dtype=np.int32)
-    pending = np.arange(n_rows)
-    while pending.size:
-        bad = np.empty(pending.size, dtype=bool)
+    out = np.empty((n_rows, k), dtype=np.int32)
+    blocks = list(row_chunks(n_rows, k, _REJECTION_BLOCK_CELLS))
+    gens = rng.spawn(len(blocks))
 
-        def check(rows: slice) -> None:
-            srt = out[pending[rows]]
-            srt.sort(axis=1)
-            bad[rows] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+    def draw(which: slice) -> None:
+        for b in range(which.start, which.stop):
+            out[blocks[b]] = _distinct_sorted_rows(
+                gens[b], blocks[b].stop - blocks[b].start, k, pop)
 
-        for_row_chunks(check, pending.size, k)
-        pending = pending[bad]
-        for rows in row_chunks(pending.size, k):
-            out[pending[rows]] = rng.integers(
-                0, pop, size=(rows.stop - rows.start, k), dtype=np.int32)
+    for_row_chunks(draw, len(blocks), _REJECTION_BLOCK_CELLS)
     return out
+
+
+def _distinct_sorted_rows(
+    gen: np.random.Generator, n_rows: int, k: int, pop: int
+) -> np.ndarray:
+    """One block of `_sample_rows_rejection`: n_rows rows of k distinct
+    values from range(pop), ascending, all drawn from `gen`.
+
+    Each round compares the pending rows as one flat array, with the pairs
+    that straddle two rows masked off, and redraws its surplus cells in
+    flat order."""
+    block = gen.integers(0, pop, size=(n_rows, k), dtype=np.int32)
+    block.sort(axis=1)
+    pending, rows = block, np.arange(n_rows)  # `pending` holds block[rows]
+    while True:
+        flat = pending.reshape(-1)
+        surplus = flat[1:] == flat[:-1]
+        surplus[k - 1 :: k] = False
+        cells = np.flatnonzero(surplus) + 1
+        if not cells.size:
+            return block
+        flat[cells] = gen.integers(0, pop, size=cells.size, dtype=np.int32)
+        changed = np.unique(cells // k)
+        pending, rows = pending[changed], rows[changed]
+        pending.sort(axis=1)
+        block[rows] = pending
 
 
 def _sample_rows(rng: np.random.Generator, n_rows: int, k: int, pop: int) -> np.ndarray:
@@ -253,16 +289,24 @@ def _sample_rows(rng: np.random.Generator, n_rows: int, k: int, pop: int) -> np.
         return np.empty((n_rows, 0), dtype=np.int32)
     if k > pop:
         raise ConfigurationError(f"cannot draw {k} distinct values from {pop}")
-    if pop <= _FY_POP_LIMIT or rejection_stalls(k, pop):
+    if _by_fisher_yates(k, pop):
         return _sample_rows_fisher_yates(rng, n_rows, k, pop)
     return _sample_rows_rejection(rng, n_rows, k, pop)
 
 
+def _by_fisher_yates(k: int, pop: int) -> bool:
+    """Whether `_sample_rows` draws k of pop by Fisher-Yates: rows in draw
+    order, not ascending as the rejection sampler leaves them."""
+    return pop <= _FY_POP_LIMIT or rejection_stalls(k, pop)
+
+
 def rejection_stalls(k: int, pop: int) -> bool:
-    """Whether redrawing rows of k draws from range(pop) with replacement
-    until they hold no duplicate is too slow to use: when the expected share
-    of rows holding one is over 90%. It is once k nears pop: a row of k = pop
-    draws is accepted with probability k! / k**k."""
+    """Whether drawing rows of k values from range(pop) with replacement and
+    redrawing until they hold no duplicate is too slow to use: when the
+    expected share of rows holding one is over 90%. It is once k nears pop:
+    a row of k = pop draws is accepted whole with probability k! / k**k, and
+    redrawing only its surplus cells (`_sample_rows_rejection`) slows too,
+    since a redrawn cell repeats a kept value with probability ~k / pop."""
     return 1.0 - math.exp(-k * (k - 1) / (2.0 * pop)) > 0.9
 
 
@@ -284,13 +328,17 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
     known_cores, starts = _invert_selection(known_periphery, config.n_periphery)
     periphery_known = np.split(known_cores, starts[1:-1])
 
-    # Contacts are drawn from N-1 slots and shifted past the owner so the
-    # owner can never appear in its own list.
-    contacts = _sample_rows(rng, n, n_contacts, config.n_core - 1) if config.n_core > 1 \
+    # Contacts are drawn from N-1 slots, sorted (the rejection sampler draws
+    # them sorted) and shifted past the owner, so the owner can never appear
+    # in its own list and every row stays ascending.
+    contacts = _sample_rows(rng, n, n_contacts, n - 1) if n > 1 \
         else np.empty((n, 0), dtype=np.int32)
+    unsorted = _by_fisher_yates(n_contacts, n - 1)
 
     def shift(rows: slice) -> None:
         block = contacts[rows]
+        if unsorted:
+            block.sort(axis=1)
         block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
 
     for_row_chunks(shift, n, n_contacts)

@@ -66,20 +66,20 @@ GOLDEN = {
     "exp1-desk": (
         "ad5e0d44628fa1ab9cb42e8b63764dcf",
         "34d7c8a7f6b5d47a55d7179abf0ebf6a3a704185955e4ac37d4eec511e1b3876",
-        "4ab77d7fffd6bb23ca6e80231c867eec86a7fe6954f6a3f5bcd22ec8453d0c07",
-        "42c5bb9ba81a14f8dd910da44df5533364bd319cdeea89d53424334e9aaec6f9",
+        "e0ee8c5425b1009c5a788b8ee7dcb41922e811dced91f17987569e6c450d9305",
+        "52e8446bc18063224c5171e943ca847b05eca40c95c43dbf1820af81f0764eec",
     ),
     "exp2-desk": (
         "ad5e0d44628fa1ab9cb42e8b63764dcf",
         "34d7c8a7f6b5d47a55d7179abf0ebf6a3a704185955e4ac37d4eec511e1b3876",
-        "34313d9909e36a0b512c45dc02067971375df5b20d4844a94e03dc8b63620732",
-        "1ca3937f150f160045f31d5275f2138f9b91ffd7770ebb7c8b840cb5b5ad3443",
+        "9e62341489160af62b9dab532526815830e7adce20740c1e97238c97bc45f708",
+        "5cf14b4a374f5d48ce4707a27503d576add8281f573b0cbd9be5b26a9f604c87",
     ),
     "exp3-desk": (
-        "6666195e05aef295d836f73d1519cd2a",
-        "1877c61b9454f91c4c7c769b9f492d9aa96dc9984f44b83dd607a6d669035423",
-        "3edc74224cc2e1383e37df26fd0d4a16c3cd8af7be36ea17e08def11cefe0b4c",
-        "c485355f26cef36f1a9849c754b4c9650a5c727a918431d61c392baa23760065",
+        "77efa2620027ca9ac899733c7b4f89d3",
+        "e8f498f8b287514a520b0591eb65b0801de2e3471bf24845cee2461e2fa81bdd",
+        "09b8f4a9fbb1f5113b0d1c48cea26021a8eb3b8fc88cfc6daefc5ce69334221e",
+        "c0aa71c06aba6cab0bc32fc86793df618e1215d77139c554d28146238b3f4148",
     ),
     "exp4-desk": (
         "5ad0e1788b17f307dc985939a512f513",
@@ -90,8 +90,8 @@ GOLDEN = {
     "scale": (
         "45147f902d25f6f7141f4ad3b7847ce2",
         "dc9b4c9cbe6d94a460c415e3a4e373eaf94903a292556dae7c1a05f27c5ca2cd",
-        "7a0743f6ef687eebac82f06e93f33abb6fc22a66942a2559e6c96f78036e1f3b",
-        "2092de571424690b1688c92fb80d639d911418fa8810c34efba570842bc6dbec",
+        "8fba146215e57d1b6fa220851799989696c43a5953097caa9440ac9ae1d99580",
+        "e44ae02fe75d69d7f280a75bc9be9ffcf081e24dd34f1e243788ec1e02e90ec0",
     ),
 }
 
@@ -99,22 +99,22 @@ GOLDEN = {
 SUMMARY = {
     "exp5": "c8923ca47bb9998578ce5633de5606cf2de712665424a954e08bc1f48920c32c",
     "exp6": "fde610b08df5ff0535c7a0f77b38367bd27d892b043d02f5419fe7470548be2c",
-    "exp1-desk": "3368f8b0ea471abeead1942fdbb6c33fbaeca30475406041e9d292d56198bc2f",
-    "exp2-desk": "43db1654a1a586ea83ba4395fdc602b5e8742d37bb557c12e7c4d0158918546a",
-    "exp3-desk": "40e12c005db942a70879e6bd7d8e2d390c9e51c9573d86cdd64e385e553bbc9b",
+    "exp1-desk": "ce0919ecc08b9b3be36c6b547cd4940675eef77510cf12f1d920f86823ae420c",
+    "exp2-desk": "bededb0ae16a726182587079d4bdfd138be9b4ff8f4f9b2dda8eca97a73360be",
+    "exp3-desk": "c0ee9a5577ea2e26175923603d656fa74498839b09fbfd8e738496abd539f251",
     "exp4-desk": "326e66d1061faf691d0af1e64cccd8bdd920619c405f1061199cbbd44ee623ce",
-    "scale": "342a67ebeaac9536ae0a6359af535dcacefeade0d4470c92fbf842e78b20f160",
+    "scale": "124d6672d9088353cfd8900e92fee4c915b3eb7e99bd3db78ce9ae60c68cff1f",
 }
 
 # preset -> sha256 of the "<d" bytes of every won bid's price, in arrival order
 PRICES = {
     "exp5": "c5922e305fd059ef16d2b08afeaa8e999c3d69b9d368c137868b3b455f7084e2",
     "exp6": "ad9a4b0eb4d748b54b3e77a7e7d285c1cb0ebeabd7f67d772e6f2fc8c5278259",
-    "exp1-desk": "e4a5a96c13013638f9e31c80f7c447039de7cf3808774d4d8bc8bcc77e6648d7",
-    "exp2-desk": "0a8bd0ee54ef72dccdbaf3c1fce7ae6e984d1c29d9ac1736e0d20ff046f9894a",
-    "exp3-desk": "8febe9126469296adc1aba093ea4d68f1eda7e47b89a0c25d4f265c6ee37a330",
+    "exp1-desk": "ff4faa444937c3e39171c2222fc5a18f6829a087e95b7d9cce99637b5f92581c",
+    "exp2-desk": "eefc02d66ea0c21127c307f275e3d03e6c4174c77f5b7df65044726a17d867a2",
+    "exp3-desk": "c58c3d6a1a352e9289396129240a202b30a8d63acaf7ece5f9e1875afc6bdb72",
     "exp4-desk": "199e74939c13717b1ba03faad516823230eac56a736b74fe594a38b87701afad",
-    "scale": "86ab12f8abcbba4e5f97b47d64de34797060e8789d6509fe91f1b3f90d3df27a",
+    "scale": "8d50a91e6da06277e23b69c6b4d075181b8642ac5cd562866d459473af12e9b3",
 }
 
 
@@ -123,11 +123,11 @@ PRICES = {
 FALLBACK = (
     "8f158d3cecd0c21708c95f45e26a9b9b",
     "5d241d93e5dc8f5441e87dbfd3854efb27f1e3d4f857acfba5ff9b1f29ec26a6",
-    "ef6c6cd46c67ce3b939513ba8769113ddb33799c022a79513cc3cfae90a521d4",
-    "f9e6577f24b62342a187208b3bf66acce69fbcea4979342a4e8b5f1393003032",
+    "eb65ffef73a548f6bcbbd8645c214c83d54bb4f452171e507a164f14f8b0a649",
+    "41ee080c884f26172d5534ade45f1153d8a58a6df1f8affe023ca6933f030d37",
 )
-FALLBACK_SECONDARY_CALLS = 695
-FALLBACK_SUMMARY = "ac518ff12abfe848a1f3678d262f21180981d0565e04aa5a8bd8920362cdc658"
+FALLBACK_SECONDARY_CALLS = 721
+FALLBACK_SUMMARY = "61ab697d8f2018a7f1b54d8534224df9c585ff73126ced5aabd5753c6bfc0af2"
 
 
 def golden_preset(name):

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from sococ import market, topology
 from sococ.errors import ConfigurationError
@@ -136,30 +138,78 @@ def test_large_population_contact_sampler_stays_uniform():
     assert freq.min() > expected - 6 * sigma
 
 
-def reference_rejection(rng, n_rows, k, pop):
-    """The rejection sampler stated over one int64 block: draw every row,
-    then redraw whole each row that holds a duplicate, until none does."""
-    out = rng.integers(0, pop, size=(n_rows, k), dtype=np.int64)
-    pending = np.arange(n_rows)
-    while pending.size:
-        srt = np.sort(out[pending], axis=1)
-        pending = pending[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
-        if pending.size:
-            out[pending] = rng.integers(0, pop, size=(pending.size, k), dtype=np.int64)
-    return out
+def reference_rejection(rng, n_rows, k, pop, block_rows):
+    """The rejection sampler stated serially: each block of `block_rows`
+    rows draws from its own child generator, in turn. A block draws every
+    row, then round after round sorts its rows and redraws each cell that
+    repeats the cell before it, in row order, until no row holds one."""
+    starts = range(0, n_rows, block_rows)
+    out = []
+    for lo, gen in zip(starts, rng.spawn(len(starts))):
+        rows = gen.integers(0, pop, size=(min(block_rows, n_rows - lo), k),
+                            dtype=np.int32).tolist()
+        while True:
+            for row in rows:
+                row.sort()
+            repeats = [(row, c) for row in rows for c in range(1, k) if row[c] == row[c - 1]]
+            if not repeats:
+                break
+            redrawn = gen.integers(0, pop, size=len(repeats), dtype=np.int32).tolist()
+            for (row, c), value in zip(repeats, redrawn):
+                row[c] = value
+        out += rows
+    return np.array(out, dtype=np.int32).reshape(n_rows, k)
 
 
-def test_rejection_sampler_is_unchanged_across_chunk_boundaries(monkeypatch):
-    # ~50 draws from 2000 collide in ~45% of rows, forcing several redraw
-    # rounds; 3 rows to a chunk makes every round cross chunk boundaries,
-    # and k = 49 gives each chunk an odd number of draws
-    for k in (49, 50):
-        monkeypatch.setattr(topology, "CHUNK_CELLS", 3 * k)
-        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = _sample_rows_rejection(rng, 1000, k, 2000)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, reference_rejection(ref_rng, 1000, k, 2000))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("chunk_rows", [3, None])
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+@pytest.mark.parametrize("k, pop", [(49, 2000), (4, 9)])
+def test_rejection_sampler_matches_its_serial_reference(
+        monkeypatch, cpus, chunk_rows, block_rows, k, pop):
+    # 49 draws from 2000 repeat a value in ~45% of rows, forcing several
+    # redraw rounds; 4 of 9 puts equal values at the ends of adjacent rows,
+    # which are not duplicates. Blocks of 1 or 7 rows, or of the default
+    # size (every row), run in chunks of 3 blocks or of the default size.
+    report_cpus(monkeypatch, cpus)
+    if block_rows is None:
+        block_rows = topology._REJECTION_BLOCK_CELLS // k
+    else:
+        monkeypatch.setattr(topology, "_REJECTION_BLOCK_CELLS", block_rows * k)
+    if chunk_rows is not None:
+        monkeypatch.setattr(topology, "CHUNK_CELLS", chunk_rows * block_rows * k)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = _sample_rows_rejection(rng, 1000, k, pop)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, reference_rejection(ref_rng, 1000, k, pop, block_rows))
+    # each block draws from its own child: the parent draws nothing
+    assert rng.bit_generator.state == ref_rng.bit_generator.state == \
+        np.random.default_rng(11).bit_generator.state
+
+
+@pytest.mark.parametrize("k, pop", [(3, 7), (4, 9)])
+def test_rejection_sampler_is_uniform_over_k_subsets(monkeypatch, k, pop):
+    # a population over _FY_POP_LIMIT takes the rejection sampler; rows of
+    # 3 of 7 and 4 of 9 hold a duplicate ~30% and ~45% of the time, and the
+    # ends of adjacent rows are often equal
+    monkeypatch.setattr(topology, "_FY_POP_LIMIT", pop - 1)
+    subsets = list(combinations(range(pop), k))
+    rows = _sample_rows(np.random.default_rng(8), 1000 * len(subsets), k, pop)
+    assert (np.diff(rows, axis=1) > 0).all()  # ascending and distinct
+    assert rows.min() >= 0 and rows.max() < pop
+    counts = Counter(map(tuple, rows.tolist()))
+    assert chisquare([counts[s] for s in subsets]).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("n_core", [300, 5000])
+def test_contact_rows_are_ascending_distinct_and_skip_their_owner(n_core):
+    # N - 1 = 299 takes the Fisher-Yates sampler, 4999 the rejection
+    # sampler; 60 of 4999 repeat a value in ~30% of rows
+    contacts = make(n_core, 20, 3, 60, seed=7).core_primary_contacts
+    assert contacts.shape == (n_core, 60)
+    assert (np.diff(contacts, axis=1) > 0).all()
+    assert contacts.min() >= 0 and contacts.max() < n_core
+    assert not (contacts == np.arange(n_core)[:, None]).any()
 
 
 def reference_fisher_yates(rng, n_rows, k, pop, draw_rows):
@@ -243,9 +293,10 @@ def threads_per_call(monkeypatch):
 
 def test_set_up_is_unchanged_on_two_threads(monkeypatch):
     # N - 1 > _FY_POP_LIMIT sends the contacts through the rejection
-    # sampler; 4 rows to a chunk gives its first duplicate check, the
+    # sampler; 4 rows to a block and to a chunk gives its block loop, the
     # contact shift and the cost ordering hundreds of chunks each
     monkeypatch.setattr(topology, "CHUNK_CELLS", 4 * 9)
+    monkeypatch.setattr(topology, "_REJECTION_BLOCK_CELLS", 4 * 9)
     n = 5000
     config = TopologyConfig(n_core=n, n_periphery=20,
                             primary_contacts_per_core=9, periphery_per_core=3)
@@ -268,8 +319,8 @@ def test_set_up_is_unchanged_on_two_threads(monkeypatch):
     assert np.array_equal(two[1], ordered)
     assert np.array_equal(two[2], rows)
     assert two[3] == state
-    # at least organize's first duplicate check, its shift, the ordering
-    # and the sampler's first check above
+    # at least organize's block loop, its shift, the ordering and the
+    # sampler's block loop above (1,000 blocks of one row)
     assert sum(1 for chunks, _ in calls if chunks > 100) >= 4
     assert all(ran == min(2, chunks) for chunks, ran in calls)
 
