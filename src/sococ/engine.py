@@ -69,6 +69,9 @@ class EngineConfig:
 class Fleet:
     """Mutable state of all core servers, stored column-wise.
 
+    `init_servers` numbers the servers cheapest first, so `unit_cost` is
+    non-decreasing; a fleet built by hand may list its costs in any order.
+
     `committed_view`, `modes_view`, `count_view` and `recruited_view` are
     memoryviews of `committed`, `modes`, `coalition_count` and
     `recruited_from_sleep`: the same buffers, read and written one Python
@@ -164,11 +167,21 @@ class Fleet:
 
 
 def init_servers(topology: ContactTopology, config: EngineConfig, seed: int) -> Fleet:
-    """Draw each server's mode, background load and unit cost.
+    """Draw each server's mode, background load and unit cost, and number
+    the servers cheapest first.
 
     The draws come from a generator seeded with `seed`, in this order per
     fleet: modes, unit costs, background loads. Sleeping servers always
-    start with zero background load.
+    start with zero background load. The drawn servers are then reordered
+    by the stable order of their costs, all three columns together, so
+    server i is the i-th cheapest and the (unit cost, id) order that every
+    auction choice follows is plain id order (`market.ContactOrder`).
+
+    This renumbers the same servers and leaves the model as it was. The
+    topology and fleet sub-seeds are independent, and `organize`'s law does
+    not change when cores are renumbered, so a topology paired with the
+    renumbered fleet has the law of one paired with the fleet as drawn.
+    Every reported statistic is label-free.
     """
     rng = np.random.default_rng(seed)
     n = topology.n_core
@@ -176,7 +189,9 @@ def init_servers(topology: ContactTopology, config: EngineConfig, seed: int) -> 
     costs = rng.uniform(config.cost_range[0], config.cost_range[1], size=n)
     lo, hi = config.initial_load_range
     loads = rng.uniform(lo, hi, size=n) * config.capacity_scu
-    background = np.where(modes == _SLEEP, 0.0, loads)
+    cheapest_first = np.argsort(costs, kind="stable")
+    modes, costs = modes[cheapest_first], costs[cheapest_first]
+    background = np.where(modes == _SLEEP, 0.0, loads[cheapest_first])
     return Fleet(modes=modes, capacity=config.capacity_scu,
                  background=background, unit_cost=costs)
 

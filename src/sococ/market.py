@@ -108,17 +108,21 @@ class ContactOrder:
     once: `by_rank` lists the ids in that order (a stable sort by cost
     breaks ties by id) and `rank` is its inverse permutation. A set of ids
     is cost-ordered by sorting it by rank; its first member in that order is
-    the one of lowest rank.
+    the one of lowest rank. On a fleet numbered cheapest first, as
+    `engine.init_servers` numbers it, that order is id order: `rank` and
+    `by_rank` are the identity and ids sort by value. An O(N) check that
+    `unit_cost` is non-decreasing tells such a fleet.
 
-    The order owns the topology's primary-contact matrix: it sorts every
-    row in place, and `primary_sorted` is that same array, so set-up holds
-    one N x n matrix. A row's sorted order does not depend on its starting
-    order, so a topology reused with another fleet is re-sorted correctly.
-    The rows are sorted in chunks on the process's CPUs
+    The order owns the topology's primary-contact matrix: it puts every
+    row in order in place, and `primary_sorted` is that same array, so
+    set-up holds one N x n matrix. On a numbered fleet a chunk sorts only
+    the rows not ascending by id: `organize` leaves none, and a topology
+    that an earlier fleet left in another order comes back in id order. For
+    any other fleet it gathers each row's ranks, sorts them and gathers the
+    ids back. Either way a contact id outside the fleet raises IndexError.
+    The rows are ordered in chunks on the process's CPUs
     (`topology.for_row_chunks`); a chunk draws nothing and writes only its
     own rows, so the result cannot depend on how the chunks were shared.
-    The gathers are bounds-checked `np.take`s: a contact id outside the
-    fleet raises IndexError.
     Assembly reads a row through a memoryview, one Python int at a time.
     Secondary contacts are recomputed from the topology on every call
     (`topology.secondary_mask`); the order keeps no per-core state.
@@ -127,25 +131,42 @@ class ContactOrder:
     def __init__(self, topology: ContactTopology, fleet):
         self.topology = topology
         n = topology.n_core
-        self.by_rank = np.argsort(fleet.unit_cost, kind="stable").astype(np.int32)
-        self.rank = np.empty(n, dtype=np.int32)
-        self.rank[self.by_rank] = np.arange(n, dtype=np.int32)
+        cost = fleet.unit_cost
         contacts = topology.core_primary_contacts
 
-        def order(rows: slice) -> None:
-            # np.take costs about half what fancy indexing with int32 ids does
-            ranks = np.take(self.rank, contacts[rows])
-            ranks.sort(axis=1)
-            contacts[rows] = np.take(self.by_rank, ranks)
+        if (cost[1:] >= cost[:-1]).all():
+            self.by_rank = self.rank = np.arange(n, dtype=np.int32)
+            self._rank_of = None  # ids sort by value
+
+            def order(rows: slice) -> None:
+                block = contacts[rows]
+                unsorted = np.flatnonzero((block[:, 1:] < block[:, :-1]).any(axis=1))
+                if unsorted.size:
+                    block[unsorted] = np.sort(block[unsorted], axis=1)
+                # every row is ascending now, so its ends bound it
+                if block.size and (block[:, 0].min() < 0 or block[:, -1].max() >= n):
+                    raise IndexError(f"a primary contact lies outside the fleet of {n} cores")
+        else:
+            self.by_rank = np.argsort(cost, kind="stable").astype(np.int32)
+            self.rank = np.empty(n, dtype=np.int32)
+            self.rank[self.by_rank] = np.arange(n, dtype=np.int32)
+            self._rank_of = memoryview(self.rank).__getitem__
+
+            def order(rows: slice) -> None:
+                # np.take costs about half what fancy indexing with int32
+                # ids does, and checks bounds
+                ranks = np.take(self.rank, contacts[rows])
+                ranks.sort(axis=1)
+                contacts[rows] = np.take(self.by_rank, ranks)
 
         for_row_chunks(order, n, contacts.shape[1])
         self.primary_sorted = contacts
-        self._rank_of = memoryview(self.rank).__getitem__
 
     def sort_ids(self, ids: list[int]) -> list[int]:
         """`ids` in (unit cost, id) order. Ranks are unique, so this is the
         order of `by_rank[np.sort(rank[ids])]`; sorting a few Python ints by
-        their rank costs less than the numpy round trip."""
+        their rank, or by value on a numbered fleet, costs less than the
+        numpy round trip."""
         return sorted(ids, key=self._rank_of)
 
     def secondary(self, core: int) -> np.ndarray:

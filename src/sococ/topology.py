@@ -8,11 +8,13 @@ through a shared periphery server (`secondary_mask`).
 
 Set-up works over N-row matrices one chunk of rows at a time
 (`row_chunks`). The chunked loops (the rejection sampler's row blocks, the
-contact shift and `market.ContactOrder`'s cost ordering) run their chunks
-on the process's CPUs (`for_row_chunks`). Their outputs cannot depend on
-that: each chunk writes only its own rows, and draws, if at all, only from
+contact shift and `market.ContactOrder`'s row pass, which checks each row
+and re-sorts only the rows out of cost order) run their chunks on the
+process's CPUs (`for_row_chunks`). Their outputs cannot depend on that:
+each chunk writes only its own rows, and draws, if at all, only from
 generators of its own. The Fisher-Yates sampler draws on the calling
-thread, in row order.
+thread, in row order, and so does the counting sort that inverts the
+periphery lists (`_invert_selection`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ _REJECTION_BLOCK_CELLS = 1 << 18
 # through the chunks of one loop (`for_row_chunks`): each holds one chunk's
 # temporaries at a time.
 CHUNK_CELLS = 1 << 18
+# Cells of the periphery lists that `_invert_selection` places at a time:
+# small, so its per-cell int64 temporaries stay small.
+_INVERT_CELLS = 1 << 13
 
 
 def row_chunks(n_rows: int, row_cells: int, cells: int | None = None):
@@ -145,8 +150,14 @@ class ContactTopology:
     built by hand leaves both None.
 
     A row of core_primary_contacts is a set, and `organize` returns each row
-    ascending by id. `market.ContactOrder` takes the matrix over and
-    re-orders every row in place by (unit cost, id).
+    ascending by id, as it returns each known-core list. Core ids are fleet
+    positions, and `engine.init_servers` numbers the fleet cheapest first,
+    so for its fleets id order is (unit cost, id) order. The topology is
+    drawn without the fleet, from its own sub-seed, and its law does not
+    change when cores are renumbered, so which cores a list holds depends
+    on that numbering but its law does not. `market.ContactOrder` takes
+    the matrix over and puts every row in (unit cost, id) order in place;
+    for such a fleet `organize`'s rows already are.
     """
 
     n_core: int
@@ -359,17 +370,42 @@ def _invert_selection(
     known_periphery: np.ndarray, n_periphery: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The exact inverse relation: the cores knowing each periphery server,
-    all in one array, and the M + 1 offsets of each server's list in it."""
-    m = known_periphery.shape[1]
-    flat = known_periphery.ravel()
-    # the offsets outlive the sort's temporaries and are made before them:
-    # made after them, they raised peak RSS at N=200,000 from 451 to 455 MB
-    # (perfbench `scale`, where a repeat's organize lands in the heap the
-    # previous repeat left)
-    starts = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n_periphery))))
-    # entry j of the flat matrix belongs to core j // m; stable keeps owners
-    # ascending within each periphery server
-    owners = (np.argsort(flat, kind="stable") // m).astype(np.int32)
+    all in one array, and the M + 1 offsets of each server's list in it.
+
+    A distribution counting sort (Knuth, TAOCP vol. 3, section 5.2): each
+    list's cursor starts at its offset, and the cores are placed a chunk of
+    _INVERT_CELLS cells at a time, in core order, so every list comes out
+    ascending, as a stable argsort of the whole matrix would leave it. A
+    chunk sorts its keys stably in their smallest dtype (numpy radix-sorts
+    keys of 16 bits or less), and writes each
+    owner at its list's cursor plus its place among the chunk's cells of
+    that list. Chunks, not one argsort of the whole matrix: that held an
+    int64 per cell beside the result, and where those landed moved
+    perfbench `scale`'s peak RSS between 451 and 455 MB. A chunk's
+    temporaries take a few hundred kB; the largest temporary left is
+    `np.bincount`'s int64 copy of the matrix, freed before the result is
+    made.
+    """
+    n, m = known_periphery.shape
+    counts = np.bincount(known_periphery.ravel(), minlength=n_periphery)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    cursor = starts[:-1].copy()
+    owners = np.empty(n * m, dtype=np.int32)
+    key_type = np.min_scalar_type(n_periphery - 1)
+    for rows in row_chunks(n, m, _INVERT_CELLS):
+        keys = known_periphery[rows].astype(key_type).ravel()
+        cells = np.argsort(keys, kind="stable")
+        keys = keys[cells]
+        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        lists = keys[heads]
+        sizes = np.diff(heads, append=keys.size)
+        # sorted cell i goes to its list's cursor plus i minus its run's head
+        at = np.repeat(cursor[lists] - heads, sizes)
+        at += np.arange(keys.size)
+        cells //= m  # cell j of the chunk belongs to its core j // m
+        cells += rows.start
+        owners[at] = cells
+        cursor[lists] += sizes
     return owners, starts
 
 

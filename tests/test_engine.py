@@ -1,12 +1,14 @@
 """Fleet initialization, commit/release accounting and the event loop."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sococ.engine import CAPACITY_TOL, EngineConfig, Fleet, init_servers, run
 from sococ.errors import ConfigurationError, InternalConsistencyError
+from sococ.harness import PRESET_NAMES, preset
 from sococ.market import Coalition, Market, MarketConfig, _eligible
 from sococ.metrics import MetricsConfig, MetricsSink, build_report
 from sococ.topology import ContactTopology, TopologyConfig, organize
@@ -112,6 +114,27 @@ def test_init_is_deterministic_per_seed():
     c = init_servers(topo, EngineConfig(), 6)
     assert (a.modes == b.modes).all() and (a.unit_cost == b.unit_cost).all()
     assert not ((a.modes == c.modes).all() and (a.unit_cost == c.unit_cost).all())
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_init_servers_numbers_the_drawn_servers_cheapest_first(name):
+    # each preset's fleet law, at no more than desk size: the columns come
+    # out in cost order, and the (mode, cost, background) triples are the
+    # servers drawn in the documented order, renumbered whole
+    config = preset(name).engine
+    n = min(preset(name).topology.n_core, 20_000)
+    fleet = init_servers(SimpleNamespace(n_core=n), config, 7)
+    assert (np.diff(fleet.unit_cost) >= 0).all()
+
+    rng = np.random.default_rng(7)
+    modes = rng.choice(4, size=n, p=list(config.initial_state_mix))
+    costs = rng.uniform(*config.cost_range, size=n)
+    loads = rng.uniform(*config.initial_load_range, size=n) * config.capacity_scu
+    background = np.where(modes == Mode.SLEEP, 0.0, loads)
+    drawn = zip(modes.tolist(), costs.tolist(), background.tolist())
+    got = zip(fleet.modes.tolist(), fleet.unit_cost.tolist(), fleet.background.tolist())
+    assert sorted(got) == sorted(drawn)
+    assert (fleet.committed == fleet.background).all()
 
 
 # -- commit / release accounting ---------------------------------------------------

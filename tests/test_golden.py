@@ -52,69 +52,69 @@ SCALE_REQUESTS = 2_000
 #            commit digest)
 GOLDEN = {
     "exp5": (
-        "e169ca33928aa0b053747483a28b87af",
-        "6e7464531aa087199b48018804dcd489fe98e4a13a0d177fc79d08c10a23422e",
-        "7c7fb019e511c39a4543e27c862fcf760b1eb46a570d0a01882b82fa3b306fbe",
-        "74d2bc44eb69136db45c693ae7808f981f8b3913c548808207742a051520d5cc",
+        "ae3fdbe0d55f0b69ac876a6a8eeafb24",
+        "e4a1575c0d50def79f39fdc50af7b58a43c079b23347b7b26054bbaede6c0315",
+        "003d94835abf28094c3b4a77c7b1c2b61c32ee49d0b1b29d1a8a48b256c04306",
+        "659f4ac38ff9dd3cc4f7009c69471563785f4dff14a2db412ac297440f8e6b8c",
     ),
     "exp6": (
-        "543a225b0df20028ac15bcbbc957dc6f",
-        "0a71ff2e7ae35426c8a81d1cccd9f3d5dbc080993874707efddaef31d25df99c",
-        "cff3ec95e1617dd52b27cbb5e8976ab2a969537665135fe8e210192a9a5d24fe",
-        "223e5e69bf2dc9c04d94971142b7d1ef2b81040b67a0282208d8fa5fe238759c",
+        "32741b09522d8c41e3543dd5be35bcb2",
+        "796910b46f03e88c17059e96178e778dd37c534ac905b3cdc0dc8f8c088527bc",
+        "9c10306a1031f8dda47c682d52ec59ab9081d321c827857093c93523180dd270",
+        "2f846e5615b165e87848c942475bd38668d8b88185490a9756ab4b5414b80168",
     ),
     "exp1-desk": (
         "ad5e0d44628fa1ab9cb42e8b63764dcf",
         "34d7c8a7f6b5d47a55d7179abf0ebf6a3a704185955e4ac37d4eec511e1b3876",
-        "e0ee8c5425b1009c5a788b8ee7dcb41922e811dced91f17987569e6c450d9305",
-        "52e8446bc18063224c5171e943ca847b05eca40c95c43dbf1820af81f0764eec",
+        "d5fc52f34ec7ece2641f3273fbed0c9e358170a809692138fa665e907c390d19",
+        "03a876f7f1fbe49a147fd70a91356a6dfb96210e6db5a6e7ab55678bd506893f",
     ),
     "exp2-desk": (
         "ad5e0d44628fa1ab9cb42e8b63764dcf",
         "34d7c8a7f6b5d47a55d7179abf0ebf6a3a704185955e4ac37d4eec511e1b3876",
-        "9e62341489160af62b9dab532526815830e7adce20740c1e97238c97bc45f708",
-        "5cf14b4a374f5d48ce4707a27503d576add8281f573b0cbd9be5b26a9f604c87",
+        "e537ac4f385360d7b8432a8b6132506099fbae31f0529e353452769966a00513",
+        "855e0eb8de6685dd9e402bb6037404e7908aca0fe5f608c85d94fb3e65fc06bf",
     ),
     "exp3-desk": (
-        "77efa2620027ca9ac899733c7b4f89d3",
-        "e8f498f8b287514a520b0591eb65b0801de2e3471bf24845cee2461e2fa81bdd",
-        "09b8f4a9fbb1f5113b0d1c48cea26021a8eb3b8fc88cfc6daefc5ce69334221e",
-        "c0aa71c06aba6cab0bc32fc86793df618e1215d77139c554d28146238b3f4148",
+        "3982877b39ee10c8efc1bb30c8fef2b7",
+        "9576accd19c0abda78bbd17423a8f6b8c3655405a76d1e5e0fb5e497ff4faf68",
+        "9d506d8f5f603e1fb08d69964e1f6d6c57abd4aac5dea6a0d54fe7861feaf292",
+        "745deed79cbfe940406274c841292f66efb8cd232eee51e994ca0b5df8fec488",
     ),
     "exp4-desk": (
-        "5ad0e1788b17f307dc985939a512f513",
-        "91d0b60bf979db5c0a95c22e120026eb9ddd1163e71315d63d4d79fb5ea04863",
-        "c09e624b12e1e41cb1073baedf3433b97b4700a1bcfa4ab7447acbeaf08ffc5b",
-        "84f78b8e6b9e3dc1c4086f80200307cc7f9f6c9591124b9c777a5037fc702c43",
+        "59a339363cc0e05b6e28a9de9f38638e",
+        "f7244ece1894afa6a343ef175e6b81fcaf67c5cd8403eb124fab56ca250d5f43",
+        "cecbabde0696614901a60f28fcbda8747e8b0a6b6ce304eb1de39788eed4a7d9",
+        "4b0e9ab8997d9f048fef15456d701a93ff8e75fdce935e4d7843a14e0d9dbcf5",
     ),
     "scale": (
-        "45147f902d25f6f7141f4ad3b7847ce2",
-        "dc9b4c9cbe6d94a460c415e3a4e373eaf94903a292556dae7c1a05f27c5ca2cd",
-        "8fba146215e57d1b6fa220851799989696c43a5953097caa9440ac9ae1d99580",
-        "e44ae02fe75d69d7f280a75bc9be9ffcf081e24dd34f1e243788ec1e02e90ec0",
+        "f4a1d27d8f2fd230c4140222410c5be6",
+        "d43c9a7a176f59fbaa8619a60a840643ff930f8ae63a23e09f75205db1270f0b",
+        "6b5d093dcaa015cbbe6b6b63b520a81a1ae911bfe4d2071fb19f5cf8dacb81bc",
+        "164c25ccf0a5b06515836b312945c72ba040dd5b8c338e5b94ce206be8d8c3d7",
     ),
 }
 
 # preset -> sha256(summary.json)
 SUMMARY = {
-    "exp5": "c8923ca47bb9998578ce5633de5606cf2de712665424a954e08bc1f48920c32c",
-    "exp6": "fde610b08df5ff0535c7a0f77b38367bd27d892b043d02f5419fe7470548be2c",
-    "exp1-desk": "ce0919ecc08b9b3be36c6b547cd4940675eef77510cf12f1d920f86823ae420c",
-    "exp2-desk": "bededb0ae16a726182587079d4bdfd138be9b4ff8f4f9b2dda8eca97a73360be",
-    "exp3-desk": "c0ee9a5577ea2e26175923603d656fa74498839b09fbfd8e738496abd539f251",
-    "exp4-desk": "326e66d1061faf691d0af1e64cccd8bdd920619c405f1061199cbbd44ee623ce",
-    "scale": "124d6672d9088353cfd8900e92fee4c915b3eb7e99bd3db78ce9ae60c68cff1f",
+    "exp5": "378c836edc87dfd06da45149f866409b94e3e9989bf4af9d0a1a702785e86ccb",
+    "exp6": "79b2273e742811947ea9e2fbca0fe2c510cc811b9a8db90fe51674d0243a6506",
+    "exp1-desk": "d5b724a29db8c66badbb3aaea2f630680684b09bdfb2584660df31d4c2170b4f",
+    "exp2-desk": "d6e6bf5310b04e7598070c964f1eee980350034a8726111916ecb09ad2c9ee29",
+    "exp3-desk": "15ff04c122eeab4313c3b66bdea9bd0e142d14ab17cf9ffa2ab93067b113fbad",
+    "exp4-desk": "c02d7470ab1f2adeccdc217610119f3d9814426eaa8e6db321a786f0191269ef",
+    "scale": "66df20e0175d89b23b033bf1a654839b574e500758643fd97d090c2a6d439dbe",
 }
 
 # preset -> sha256 of the "<d" bytes of every won bid's price, in arrival order
 PRICES = {
-    "exp5": "c5922e305fd059ef16d2b08afeaa8e999c3d69b9d368c137868b3b455f7084e2",
-    "exp6": "ad9a4b0eb4d748b54b3e77a7e7d285c1cb0ebeabd7f67d772e6f2fc8c5278259",
-    "exp1-desk": "ff4faa444937c3e39171c2222fc5a18f6829a087e95b7d9cce99637b5f92581c",
-    "exp2-desk": "eefc02d66ea0c21127c307f275e3d03e6c4174c77f5b7df65044726a17d867a2",
-    "exp3-desk": "c58c3d6a1a352e9289396129240a202b30a8d63acaf7ece5f9e1875afc6bdb72",
-    "exp4-desk": "199e74939c13717b1ba03faad516823230eac56a736b74fe594a38b87701afad",
-    "scale": "8d50a91e6da06277e23b69c6b4d075181b8642ac5cd562866d459473af12e9b3",
+    "exp5": "404fa6a030d7266be8bfdc410386f920ca452e4185bce849b114381a6c534c1d",
+    "exp6": "5a89a808d9102cca04baccf570704fba503fad064132652381f49eb747bf3bea",
+    "exp1-desk": "5fcbf08f6ab1c3533836a01a151eef691c47cdb9835526707419080f51ebb8a4",
+    "exp2-desk": "3b45b0900223471a24a284cd55e5da93b0bc8422212313cd43e5c30d0a9b3024",
+    "exp3-desk": "997e6a000422fd4750a030422646d88400ace1b18a759a807970444daa8d3d8c",
+    "exp4-desk": "dcd19d76864c2ebdbc73de55f9410a2f10354e96eb65256b2810930261186276",
+    "scale": "df248d1c92a26b56d21fc9457b6f0891565ee549dde1a9a68b5cfd326a19eadf",
 }
 
 
@@ -123,11 +123,11 @@ PRICES = {
 FALLBACK = (
     "8f158d3cecd0c21708c95f45e26a9b9b",
     "5d241d93e5dc8f5441e87dbfd3854efb27f1e3d4f857acfba5ff9b1f29ec26a6",
-    "eb65ffef73a548f6bcbbd8645c214c83d54bb4f452171e507a164f14f8b0a649",
-    "41ee080c884f26172d5534ade45f1153d8a58a6df1f8affe023ca6933f030d37",
+    "5ba3dfe87d637f11237c45c6cf0e5e645b34c83d3bec5f4bdff052a8cb1d0317",
+    "6b16646630666eaf9e4f8c055f1e5531a8c7c4427e499883e6098819603d22db",
 )
-FALLBACK_SECONDARY_CALLS = 721
-FALLBACK_SUMMARY = "61ab697d8f2018a7f1b54d8534224df9c585ff73126ced5aabd5753c6bfc0af2"
+FALLBACK_SECONDARY_CALLS = 707
+FALLBACK_SUMMARY = "695e55352ac79c477c1eafb1c233eddeb1dabb17db18ba6ef7510bdb6fae8257"
 
 
 def golden_preset(name):

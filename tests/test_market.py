@@ -877,14 +877,17 @@ def test_contact_order_ranks_by_cost_then_id():
 
 
 def test_sort_ids_matches_the_rank_gather_sort():
-    # the numpy statement of the order: gather ranks, sort, map back
+    # the numpy statement of the order: gather ranks, sort, map back; the
+    # second fleet is numbered cheapest first, so its ids sort by value
     rng = np.random.default_rng(5)
-    costs = rng.integers(1, 6, size=300).astype(float)  # many ties
-    order = ContactOrder(star_topology(300, [1]), make_fleet([Mode.M1] * 300, costs=costs))
-    for size in [0, 1, 1, 2, 3, 17, 60, 300]:
-        ids = rng.permutation(300)[:size].astype(np.int32)
-        want = order.by_rank[np.sort(order.rank[ids])]
-        assert order.sort_ids(ids.tolist()) == want.tolist()
+    drawn = rng.integers(1, 6, size=300).astype(float)  # many ties
+    for costs in (drawn, np.sort(drawn)):
+        order = ContactOrder(star_topology(300, [1]), make_fleet([Mode.M1] * 300, costs=costs))
+        for size in [0, 1, 1, 2, 3, 17, 60, 300]:
+            ids = rng.permutation(300)[:size].astype(np.int32)
+            want = order.by_rank[np.sort(order.rank[ids])]
+            assert order.sort_ids(ids.tolist()) == want.tolist()
+            assert want.tolist() == sorted(ids.tolist(), key=lambda i: (costs[i], i))
 
 
 def test_contact_order_is_unchanged_across_chunk_boundaries(monkeypatch):
@@ -903,28 +906,35 @@ def test_contact_order_is_unchanged_across_chunk_boundaries(monkeypatch):
 
 @pytest.mark.parametrize("bad_id", [5, 1000])
 def test_contact_order_rejects_a_contact_outside_the_fleet(bad_id):
-    # ids are gathered bounds-checked: a wrapped or clipped gather would
-    # order a hand-built topology's stray id as some other core
-    topo = star_topology(5, [1, 2])
-    topo.core_primary_contacts[3, 1] = bad_id
-    with pytest.raises(IndexError):
-        ContactOrder(topo, make_fleet([Mode.M1] * 5))
+    # ids are checked on both paths, the numbered fleet's (equal costs) and
+    # the rank gather's (random costs): a wrapped or clipped gather, or no
+    # check, would order a hand-built topology's stray id as some other
+    # core; row 3 is [4, bad_id], ascending
+    for costs in (None, [4.0, 2.0, 9.0, 1.0, 3.0]):
+        topo = star_topology(5, [1, 2])
+        topo.core_primary_contacts[3, 1] = bad_id
+        with pytest.raises(IndexError):
+            ContactOrder(topo, make_fleet([Mode.M1] * 5, costs=costs))
 
 
 def test_contact_order_reuses_the_topology_matrix():
-    # two fleets in turn on one topology: each order sorts the rows of the
-    # topology's own matrix, whatever order the previous fleet left them in
+    # three fleets in turn on one topology: each order sorts the rows of the
+    # topology's own matrix, whatever order the previous fleet left them in;
+    # the third is numbered cheapest first, so its rows go back to id order
     topo = organize(TopologyConfig(n_core=80, n_periphery=6,
                                    primary_contacts_per_core=9,
                                    periphery_per_core=2), 6)
     drawn = topo.core_primary_contacts.copy()
-    for seed in (6, 7):
+    for seed in (6, 7, 8):
         costs = np.random.default_rng(seed).integers(1, 4, size=80).astype(float)
+        if seed == 8:
+            costs.sort()
         order = ContactOrder(topo, make_fleet([Mode.M1] * 80, costs=costs))
         assert np.shares_memory(order.primary_sorted, topo.core_primary_contacts)
         for c in range(80):
             assert order.primary_sorted[c].tolist() == sorted(
                 drawn[c].tolist(), key=lambda i: (costs[i], i))
+    assert np.array_equal(order.primary_sorted, drawn)
 
 
 def test_setup_peak_memory_stays_near_one_contact_matrix():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -20,6 +21,7 @@ from sococ.market import ContactOrder
 from sococ.topology import (
     ContactTopology,
     TopologyConfig,
+    _invert_selection,
     _sample_rows,
     _sample_rows_fisher_yates,
     _sample_rows_rejection,
@@ -93,6 +95,51 @@ def test_inverse_relation_is_exact():
                 rebuilt[p].append(c)
         for p in range(20):
             assert sorted(rebuilt[p]) == topo.periphery_known_cores[p].tolist()
+
+
+def argsort_inverse(known_periphery):
+    """The cores of each periphery list by a stable argsort of the whole
+    matrix: the inversion's reference."""
+    m = known_periphery.shape[1]
+    return (np.argsort(known_periphery.ravel(), kind="stable") // m).astype(np.int32)
+
+
+@pytest.mark.parametrize("n_core, m, n_periphery", [
+    (20_000, 3, 5),           # uint8 keys; every list in every chunk
+    (9_000, 7, 256),          # uint8, the largest M
+    (9_000, 7, 257),          # uint16
+    (6_000, 10, 65_536),      # uint16, the largest M
+    (6_000, 10, 65_537),      # uint32
+    (3_000, 30, 1_000_000),   # uint32, most lists empty
+])
+def test_counting_sort_inversion_matches_a_stable_argsort(n_core, m, n_periphery):
+    # 60,000 cells or more, so the counting sort's lists span several
+    # chunks; rows drawn with replacement may name a server twice
+    known = np.random.default_rng(n_periphery).integers(
+        0, n_periphery, size=(n_core, m), dtype=np.int32)
+    owners, starts = _invert_selection(known, n_periphery)
+    assert owners.dtype == np.int32
+    assert np.array_equal(owners, argsort_inverse(known))
+    counts = np.bincount(known.ravel(), minlength=n_periphery)
+    assert np.array_equal(starts, np.concatenate(([0], np.cumsum(counts))))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_core", [10_000, 200_000])
+def test_counting_sort_inversion_peaks_no_higher_than_the_argsort(n_core):
+    # m=10 of M=1000 at N*m = 10^5 (perfbench c1-pool) and 2*10^6 (scale);
+    # both peaks include the int32 result (tracemalloc sees numpy buffers)
+    known = np.random.default_rng(3).integers(0, 1000, size=(n_core, 10), dtype=np.int32)
+    counting = traced_peak(lambda: _invert_selection(known, 1000))
+    assert counting <= traced_peak(lambda: argsort_inverse(known))
 
 
 def test_pcs_sizes_sum_is_exactly_n_times_m():
