@@ -16,21 +16,21 @@ coalitions take a few servers out of hundreds of contacts.
 An invitation depends only on the entry periphery and the market's
 generator, never on fleet state. So the engine hands the market each block
 of upcoming requests before auctioning them (`Market.invite`), and
-`Invitations` draws the block's invitations in one numpy pass
-(`_block_positions`)."""
+`Invitations` draws the block's invitations together, through the
+topology's sampler of distinct values (`topology._distinct_sorted_rows`)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .topology import ContactTopology, for_row_chunks, rejection_stalls, secondary_mask
+from .topology import (
+    ContactTopology, _distinct_sorted_rows, for_row_chunks, secondary_mask)
 from .workload import Mode, ServiceRequest
 
 # Smallest allocation a server is recruited for, in SCU.
@@ -170,54 +170,23 @@ class ContactOrder:
         return sorted(ids, key=self._rank_of)
 
     def secondary(self, core: int) -> np.ndarray:
-        """All cores sharing a periphery server with `core`, cost-ordered."""
+        """All cores sharing a periphery server with `core`, cost-ordered:
+        in id order on a numbered fleet."""
         mask = secondary_mask(self.topology, core)
+        if self._rank_of is None:
+            return np.flatnonzero(mask)
         return self.by_rank[mask[self.by_rank]]
-
-
-def _choice(rng: np.random.Generator, pcs: np.ndarray, k: int) -> list[int]:
-    # drawing positions draws what drawing elements does, and leaves `pcs`
-    # unconverted
-    return pcs[rng.choice(len(pcs), size=k, replace=False)].tolist()
-
-
-def _block_positions(rng: np.random.Generator, pops: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """A (len(ks), max(ks)) matrix whose row r begins with a uniform random
-    ks[r]-subset of range(pops[r]), ascending; the rest of the row is
-    unspecified.
-
-    Each row's positions are drawn with replacement, and the rows that hold
-    a duplicate are drawn again whole, all at once, until none does:
-    accepted rows are uniform over distinct k-tuples, so their sorted values
-    are uniform over k-subsets. A row that `topology.rejection_stalls` flags
-    may take very many rounds."""
-    width = int(ks.max(initial=0))
-    taken = np.arange(width) < ks[:, None]
-    # a row's cells past its k: distinct, and above every position, so they
-    # neither match a position nor sort before one
-    out = np.broadcast_to(int(pops.max(initial=0)) + np.arange(width), taken.shape).copy()
-    rows = np.arange(len(ks))
-    while rows.size:
-        block = out[rows]
-        block[taken[rows]] = rng.integers(np.repeat(pops[rows], ks[rows]))
-        block.sort(axis=1)
-        out[rows] = block
-        rows = rows[(block[:, 1:] == block[:, :-1]).any(axis=1)]
-    return out
 
 
 class Invitations:
     """The invitations of one run. A request entering at periphery p
     invites a uniform random subset of ceil(fraction * |pcs|) of the cores
-    p knows; none, with no draw, when p knows none. It takes over `rng`.
+    p knows, in list order; none, with no draw, when p knows none. It takes
+    over `rng`.
 
-    The invitations of a block of requests are drawn together
-    (`_block_positions`), so they depend on how the requests are split into
-    blocks. That sampler stalls on an invitation of most of a list
-    (`topology.rejection_stalls`), such as all of a list of six cores. A run
-    with a list whose invitation would stall it draws every invitation by
-    `rng.choice` instead, one request at a time as they are read. No
-    preset's run does.
+    The invitations of a block of requests are drawn together, one row of
+    positions per request (`topology._distinct_sorted_rows`), so they
+    depend on how the requests are split into blocks.
     """
 
     def __init__(self, topology: ContactTopology, fraction: float, rng: np.random.Generator):
@@ -226,22 +195,12 @@ class Invitations:
         self._pops = topology.pcs_sizes()
         # math.ceil(fraction * len(pcs)) for every list at once
         self._ks = np.ceil(fraction * self._pops).astype(np.int64)
-        listed = self._pops > 0
-        self._by_choice = any(map(
-            rejection_stalls, self._ks[listed].tolist(), self._pops[listed].tolist()))
-        if self._by_choice:
-            self._choice = partial(_choice, rng)
-            self._pcs = topology.periphery_known_cores
-            self._k_of = self._ks.tolist()
 
-    def draw(self, peripheries: list[int]) -> Iterable[list[int]]:
+    def draw(self, peripheries: list[int]) -> list[list[int]]:
         """The invitations of requests entering at `peripheries`, in turn."""
-        if self._by_choice:
-            pcs, k_of, choice = self._pcs, self._k_of, self._choice
-            return (choice(pcs[p], k_of[p]) for p in peripheries)
         at = np.array(peripheries, np.intp)
         ks = self._ks[at]
-        drawn = _block_positions(self._rng, self._pops[at], ks)
+        drawn = _distinct_sorted_rows(self._rng, len(at), ks, self._pops[at])
         taken = np.arange(drawn.shape[1]) < ks[:, None]
         ids = self._ids[(drawn + self._starts[at, None])[taken]].tolist()
         ends = np.cumsum(ks).tolist()

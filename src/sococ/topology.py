@@ -7,19 +7,18 @@ that picked it.  Secondary contacts of a core are all other cores reachable
 through a shared periphery server (`secondary_mask`).
 
 Set-up works over N-row matrices one chunk of rows at a time
-(`row_chunks`). The chunked loops (the rejection sampler's row blocks, the
-contact shift and `market.ContactOrder`'s row pass, which checks each row
-and re-sorts only the rows out of cost order) run their chunks on the
-process's CPUs (`for_row_chunks`). Their outputs cannot depend on that:
-each chunk writes only its own rows, and draws, if at all, only from
-generators of its own. The Fisher-Yates sampler draws on the calling
-thread, in row order, and so does the counting sort that inverts the
-periphery lists (`_invert_selection`).
+(`row_chunks`). The chunked loops (the block sampler's row blocks, which
+draw the known-periphery lists and the primary contacts, and
+`market.ContactOrder`'s row pass, which checks each row and re-sorts only
+the rows out of cost order) run their chunks on the process's CPUs
+(`for_row_chunks`). Their outputs cannot depend on that: each chunk writes
+only its own rows, and draws, if at all, only from generators of its own.
+The counting sort that inverts the periphery lists (`_invert_selection`)
+runs on the calling thread, in row order.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -27,18 +26,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Chunked Fisher-Yates is used when the sampling population fits a per-row
-# scratch matrix; larger populations go through rejection sampling.
-_FY_POP_LIMIT = 4096
-# The Fisher-Yates swap targets are drawn in row blocks of this many
-# population cells, one step at a time. The block size fixes the order of the
-# draws, so changing it changes every topology drawn from a population of at
-# most _FY_POP_LIMIT.
-_FY_DRAW_CELLS = 4_000_000
-# The rejection sampler draws each row block of this many cells from its own
-# child generator. The block size fixes the draws, so changing it changes
-# every topology drawn from a population over _FY_POP_LIMIT.
-_REJECTION_BLOCK_CELLS = 1 << 18
+# The block sampler (`_sample_rows`) draws each row block of this many cells
+# from its own child generator. The block size fixes the draws, so changing
+# it changes every topology.
+_BLOCK_CELLS = 1 << 18
 # Bound on the cells of any per-chunk temporary built over N-row matrices.
 # It has no effect on any output, nor has the number of threads that work
 # through the chunks of one loop (`for_row_chunks`): each holds one chunk's
@@ -203,122 +194,112 @@ class TopologyStats:
     exact: bool
 
 
-def _sample_rows_fisher_yates(
-    rng: np.random.Generator, n_rows: int, k: int, pop: int
+def _sample_rows(
+    rng: np.random.Generator, n_rows: int, k: int, pop: int, skip_own: bool = False
 ) -> np.ndarray:
-    """k-of-pop uniform draws without replacement, one row at a time,
-    via a partial Fisher-Yates shuffle vectorized across row chunks.
+    """n_rows rows of k distinct values from range(pop), each row ascending
+    and uniform over k-subsets (`_distinct_sorted_rows`). With `skip_own`,
+    row r holds k values of range(pop) other than r: drawn from range(pop -
+    1), then each value from r up shifted by one, in the block that draws
+    them, so the matrix is written once and every row stays ascending.
 
-    The swap targets of every row are drawn first, into `out`; the shuffle
-    then replaces them with the drawn values, one CHUNK_CELLS block of rows
-    at a time on a reused scratch matrix."""
-    out = np.empty((n_rows, k), dtype=np.int32)
-    for rows in row_chunks(n_rows, pop, _FY_DRAW_CELLS):
-        for s in range(k):
-            out[rows, s] = rng.integers(s, pop, size=rows.stop - rows.start)
-    scratch = np.empty((min(n_rows, max(1, CHUNK_CELLS // pop)), pop), dtype=np.int32)
-    ridx = np.arange(len(scratch))
-    for rows in row_chunks(n_rows, pop):
-        c = rows.stop - rows.start
-        base, r = scratch[:c], ridx[:c]
-        base[:] = np.arange(pop, dtype=np.int32)
-        targets = out[rows]
-        for s in range(k):
-            j = targets[:, s]
-            picked = base[r, j]
-            base[r, j] = base[:, s]
-            base[:, s] = picked
-        targets[:] = base[:, :k]
-    return out
-
-
-def _sample_rows_rejection(
-    rng: np.random.Generator, n_rows: int, k: int, pop: int
-) -> np.ndarray:
-    """k-of-pop uniform draws without replacement per row, for large
-    populations; each row comes out ascending.
-
-    Every row is drawn with replacement and sorted. Each value a row holds
-    more than once keeps its first copy, and only the surplus copies are
-    drawn again; the rows that changed are sorted again, until no row holds
-    a duplicate. A row is uniform over k-subsets: each round's result
-    depends on the previous one only through its distinct values and its
-    surplus count, plus fresh iid uniform draws, so any relabeling of
-    range(pop) maps the process onto itself. The law of the final set is
-    then invariant under every permutation of range(pop), and those act
-    transitively on k-subsets.
-
-    The rows are drawn in fixed blocks of _REJECTION_BLOCK_CELLS cells (at
-    least one row), each from its own child generator (`rng.spawn`), and
-    the blocks run on the process's CPUs (`for_row_chunks`). A block reads
-    only its own generator and writes only its own rows, so no output
-    depends on CHUNK_CELLS or on the number of threads; `rng` itself draws
-    nothing.
+    The rows are drawn in fixed blocks of _BLOCK_CELLS cells (at least one
+    row), each from its own child generator (`rng.spawn`), and the blocks
+    run on the process's CPUs (`for_row_chunks`). A block reads only its
+    own generator and writes only its own rows, so no output depends on
+    CHUNK_CELLS or on the number of threads; `rng` itself draws nothing.
     """
+    if k == 0:
+        return np.empty((n_rows, 0), dtype=np.int32)
+    pop -= skip_own
+    if k > pop:
+        raise ConfigurationError(f"cannot draw {k} distinct values from {pop}")
     out = np.empty((n_rows, k), dtype=np.int32)
-    blocks = list(row_chunks(n_rows, k, _REJECTION_BLOCK_CELLS))
+    blocks = list(row_chunks(n_rows, k, _BLOCK_CELLS))
     gens = rng.spawn(len(blocks))
 
     def draw(which: slice) -> None:
         for b in range(which.start, which.stop):
-            out[blocks[b]] = _distinct_sorted_rows(
-                gens[b], blocks[b].stop - blocks[b].start, k, pop)
+            rows = blocks[b]
+            block = _distinct_sorted_rows(gens[b], rows.stop - rows.start, k, pop)
+            if skip_own:
+                block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
+            out[rows] = block
 
-    for_row_chunks(draw, len(blocks), _REJECTION_BLOCK_CELLS)
+    for_row_chunks(draw, len(blocks), _BLOCK_CELLS)
     return out
 
 
-def _distinct_sorted_rows(
-    gen: np.random.Generator, n_rows: int, k: int, pop: int
-) -> np.ndarray:
-    """One block of `_sample_rows_rejection`: n_rows rows of k distinct
-    values from range(pop), ascending, all drawn from `gen`.
+def _distinct_sorted_rows(gen: np.random.Generator, n_rows: int, k, pop) -> np.ndarray:
+    """n_rows rows, row r beginning with k[r] distinct values from
+    range(pop[r]), ascending: a uniform random k[r]-subset, all drawn from
+    `gen`. k and pop are ints, alike for every row, giving an int32
+    (n_rows, k) matrix; or int64 arrays of one entry per row, giving an
+    int64 (n_rows, max(k)) matrix whose cells past a row's k hold no value
+    of use.
+
+    A row of k > pop / 2 draws the pop - k values it leaves out, and returns
+    the others. Every row draws its values with replacement and sorts them.
+    Each value a row holds more than once keeps its first copy, and only
+    the surplus copies are drawn again; the rows that changed are sorted
+    again, until no row holds a duplicate. A row is uniform over subsets of
+    its size: each round's result depends on the previous one only through
+    its distinct values and its surplus count, plus fresh iid uniform
+    draws, so any relabeling of range(pop) maps the process onto itself.
+    The law of the final set is then invariant under every permutation of
+    range(pop), and those act transitively on subsets of one size. A
+    redrawn cell repeats a kept value with probability below 1/2, as a row
+    draws at most pop / 2 values, so the rounds end quickly.
 
     Each round compares the pending rows as one flat array, with the pairs
     that straddle two rows masked off, and redraws its surplus cells in
-    flat order."""
-    block = gen.integers(0, pop, size=(n_rows, k), dtype=np.int32)
+    flat order, in one `gen.integers` call: with a scalar bound for int
+    arguments, with each cell's row bound for arrays.
+    """
+    k, pop = np.asarray(k), np.asarray(pop)
+    flip = 2 * k > pop
+    drawn = np.where(flip, pop - k, k)  # values each row draws
+    width = int(drawn.max(initial=0))
+    if pop.ndim:
+        # a cell past a row's draws holds a value of its own above every
+        # position: it neither matches one nor sorts before one
+        taken = np.arange(width) < drawn[:, None]
+        block = np.broadcast_to(pop.max(initial=0) + np.arange(width), taken.shape).copy()
+        block[taken] = gen.integers(0, np.repeat(pop, drawn), dtype=block.dtype)
+    else:
+        block = gen.integers(0, pop, size=(n_rows, width), dtype=np.int32)
     block.sort(axis=1)
     pending, rows = block, np.arange(n_rows)  # `pending` holds block[rows]
-    while True:
+    while width > 1:
         flat = pending.reshape(-1)
         surplus = flat[1:] == flat[:-1]
-        surplus[k - 1 :: k] = False
+        surplus[width - 1 :: width] = False
         cells = np.flatnonzero(surplus) + 1
         if not cells.size:
-            return block
-        flat[cells] = gen.integers(0, pop, size=cells.size, dtype=np.int32)
-        changed = np.unique(cells // k)
+            break
+        at = cells // width  # the pending row of each surplus cell, ascending
+        high = pop[rows[at]] if pop.ndim else pop
+        flat[cells] = gen.integers(0, high, size=cells.size, dtype=block.dtype)
+        # not np.unique, whose first call imports numpy.ma (~1.5 MB of RSS)
+        changed = at[np.diff(at, prepend=-1) > 0]
         pending, rows = pending[changed], rows[changed]
         pending.sort(axis=1)
         block[rows] = pending
-
-
-def _sample_rows(rng: np.random.Generator, n_rows: int, k: int, pop: int) -> np.ndarray:
-    """Per-row uniform sampling of k distinct values from range(pop)."""
-    if k == 0:
-        return np.empty((n_rows, 0), dtype=np.int32)
-    if k > pop:
-        raise ConfigurationError(f"cannot draw {k} distinct values from {pop}")
-    if _by_fisher_yates(k, pop):
-        return _sample_rows_fisher_yates(rng, n_rows, k, pop)
-    return _sample_rows_rejection(rng, n_rows, k, pop)
-
-
-def _by_fisher_yates(k: int, pop: int) -> bool:
-    """Whether `_sample_rows` draws k of pop by Fisher-Yates: rows in draw
-    order, not ascending as the rejection sampler leaves them."""
-    return pop <= _FY_POP_LIMIT or rejection_stalls(k, pop)
-
-
-def rejection_stalls(k: int, pop: int) -> bool:
-    """Whether drawing rows of k values from range(pop) with replacement and
-    redrawing until they hold no duplicate is too slow to use: when the
-    expected share of rows holding one is over 90%. It is once k nears pop:
-    a row of k = pop draws is accepted whole with probability k! / k**k, and
-    redrawing only its surplus cells (`_sample_rows_rejection`) slows too,
-    since a redrawn cell repeats a kept value with probability ~k / pop."""
-    return 1.0 - math.exp(-k * (k - 1) / (2.0 * pop)) > 0.9
+    if not flip.any():
+        return block
+    # the complement of each flipped row's draws, ascending
+    k, pop, drawn, flip = (np.broadcast_to(a, n_rows) for a in (k, pop, drawn, flip))
+    out = np.empty((n_rows, int(k.max())), dtype=block.dtype)
+    out[:, :width] = block
+    rows = np.flatnonzero(flip)
+    keep = np.arange(pop[rows].max()) < pop[rows, None]
+    left = block[rows][np.arange(width) < drawn[rows, None]]
+    keep[np.repeat(np.arange(rows.size), drawn[rows]), left] = False
+    flipped = out[rows]
+    flipped[np.arange(out.shape[1]) < k[rows, None]] = \
+        np.broadcast_to(np.arange(keep.shape[1]), keep.shape)[keep]
+    out[rows] = flipped
+    return out
 
 
 def organize(config: TopologyConfig, seed: int) -> ContactTopology:
@@ -339,20 +320,9 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
     known_cores, starts = _invert_selection(known_periphery, config.n_periphery)
     periphery_known = np.split(known_cores, starts[1:-1])
 
-    # Contacts are drawn from N-1 slots, sorted (the rejection sampler draws
-    # them sorted) and shifted past the owner, so the owner can never appear
-    # in its own list and every row stays ascending.
-    contacts = _sample_rows(rng, n, n_contacts, n - 1) if n > 1 \
-        else np.empty((n, 0), dtype=np.int32)
-    unsorted = _by_fisher_yates(n_contacts, n - 1)
-
-    def shift(rows: slice) -> None:
-        block = contacts[rows]
-        if unsorted:
-            block.sort(axis=1)
-        block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
-
-    for_row_chunks(shift, n, n_contacts)
+    # a core's contacts are drawn from the other N - 1 cores, so the owner
+    # can never appear in its own list
+    contacts = _sample_rows(rng, n, n_contacts, n, skip_own=True)
 
     return ContactTopology(
         n_core=n,
@@ -381,13 +351,15 @@ def _invert_selection(
     owner at its list's cursor plus its place among the chunk's cells of
     that list. Chunks, not one argsort of the whole matrix: that held an
     int64 per cell beside the result, and where those landed moved
-    perfbench `scale`'s peak RSS between 451 and 455 MB. A chunk's
-    temporaries take a few hundred kB; the largest temporary left is
-    `np.bincount`'s int64 copy of the matrix, freed before the result is
-    made.
+    perfbench `scale`'s peak RSS between 451 and 455 MB. The list sizes
+    are counted a CHUNK_CELLS chunk at a time too, since `np.bincount`
+    copies its input to int64. A chunk's temporaries take a few hundred kB,
+    and a counting chunk's up to 8 bytes a cell plus 8 a list.
     """
     n, m = known_periphery.shape
-    counts = np.bincount(known_periphery.ravel(), minlength=n_periphery)
+    counts = np.zeros(n_periphery, dtype=np.int64)
+    for rows in row_chunks(n, m):
+        counts += np.bincount(known_periphery[rows].ravel(), minlength=n_periphery)
     starts = np.concatenate(([0], np.cumsum(counts)))
     cursor = starts[:-1].copy()
     owners = np.empty(n * m, dtype=np.int32)

@@ -1,19 +1,18 @@
 """The run's random draws against numpy's scalar calls, which are the oracle.
 
 The request stream (`workload`) draws B x 4 doubles and B entries per block
-of B requests, and the market draws a block's invitation positions in one
-`rng.integers` call (`market._block_positions`). numpy's block calls read
-the generator as its scalar calls do, one draw after the other, so each
-block draw must equal a scalar reference drawn on a twin generator, and
-leave the twin's state. Where the market draws an invitation by
-`rng.choice`, rng.choice is the oracle itself; a sample the block sampler
-draws holds what rng.choice's does: k distinct members of the list.
-Uniformity over k-subsets is `test_market`'s."""
+of B requests, and the market draws a block's invitation positions through
+the topology's sampler of distinct values (`topology._distinct_sorted_rows`):
+one `rng.integers` call for the first draws, and one for each round of
+redraws. numpy's block calls read the generator as its scalar calls do, one
+draw after the other, so each block draw must equal a scalar reference
+drawn on a twin generator, and leave the twin's state. A sample holds what
+rng.choice's does: k distinct members of the list. Uniformity over
+k-subsets is `test_market`'s and `test_topology`'s."""
 
 import math
 import random
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from hypothesis import strategies as st
 
 from sococ import workload
 from sococ.harness import PRESET_NAMES, derive_seeds, preset
-from sococ.market import Invitations, _block_positions, _choice
-from sococ.topology import ContactTopology, organize, rejection_stalls
+from sococ.market import Invitations
+from sococ.topology import ContactTopology, _distinct_sorted_rows, organize
 from sococ.workload import (
     REQUEST_MODES,
     DistributionSpec,
@@ -55,16 +54,26 @@ def drew_exactly(rng, seed, halves):
 # -- samples of k of a list ------------------------------------------------------
 
 def scalar_positions(rng, pops, ks):
-    """`_block_positions` in scalar calls: each row's k positions drawn in
-    turn with replacement, and the rows holding a duplicate drawn again, in
-    row order, until none does. Rows ascending, of k positions each."""
-    rows = [[] for _ in ks]
-    pending = list(range(len(ks)))
-    while pending:
-        for r in pending:
-            rows[r] = sorted(int(rng.integers(pops[r])) for _ in range(ks[r]))
-        pending = [r for r in pending if len(set(rows[r])) < ks[r]]
-    return rows
+    """The sampler in scalar calls: each row draws min(k, pop - k)
+    positions in turn, with replacement; then, round after round, with
+    every row sorted, each position that repeats the one before it is drawn
+    again, in row order, until no row holds a repeat. A row of k > pop / 2
+    has drawn the positions it leaves out, and holds the others. Rows
+    ascending, of k positions each."""
+    flips = [2 * k > pop for pop, k in zip(pops, ks)]
+    rows = [[int(rng.integers(pop)) for _ in range(pop - k if flip else k)]
+            for pop, k, flip in zip(pops, ks, flips)]
+    while True:
+        for row in rows:
+            row.sort()
+        repeats = [(row, c, pop) for row, pop in zip(rows, pops)
+                   for c in range(1, len(row)) if row[c] == row[c - 1]]
+        if not repeats:
+            break
+        for row, c, pop in repeats:
+            row[c] = int(rng.integers(pop))
+    return [sorted(set(range(pop)) - set(row)) if flip else row
+            for row, pop, flip in zip(rows, pops, flips)]
 
 
 def flat_topology(sizes):
@@ -94,8 +103,8 @@ def fraction_of(pop, k):
     return fraction
 
 
-# Floyd's algorithm below pop // 50, the tail shuffle above it once
-# pop > 10,000, and the edges: nothing drawn, everything drawn, one element
+# rows drawn directly and as complements (k > pop / 2), the edges among
+# them: nothing drawn, everything drawn, one element
 SAMPLE_TABLE = [
     (0, 0), (1, 0), (1, 1), (2, 2), (7, 0), (7, 7), (100, 100), (3000, 80),
     (10000, 201), (10000, 10000),
@@ -104,36 +113,30 @@ SAMPLE_TABLE = [
     (50000, 1000), (50000, 1001),
 ]
 
-# The samplers a sample can be drawn by, each with its oracle on a twin
-# generator: `numpy` is the market's rng.choice sampler, `python` the block
-# sampler against its scalar reference, and `default` the market's pick
-# for a run whose worst invitation draws k of pop: rng.choice or blocks.
+# The calls a sample can be drawn by, each against the scalar reference on
+# a twin generator: `default` is the market's (`Invitations.draw`), `python`
+# the sampler given per-row arrays of k and pop, as the market calls it, and
+# `numpy` the sampler given one k and one pop for all its rows, as
+# `organize` calls it, whose every draw is one numpy call with a scalar
+# bound into an int32 block.
 SIDES = ("default", "python", "numpy")
 
 
 def samplers(side, rng, twin, pop, k):
     """(sample, oracle): functions of no argument that draw one k-sample
-    of population(pop), the side's on `rng` and its oracle's on `twin`."""
+    of population(pop), the side's on `rng` and the reference on `twin`."""
     ids = population(pop)
 
-    def by_choice():
-        return twin.choice(ids, size=k, replace=False).tolist()
-
-    def by_blocks():
+    def by_reference():
         return ids[scalar_positions(twin, [pop], [k])[0]].tolist()
 
     if side == "numpy":
-        return partial(_choice, rng, ids, k), by_choice
+        return (lambda: ids[_distinct_sorted_rows(rng, 1, k, pop)[0]].tolist()), by_reference
     if side == "python":
         pops, ks = np.array([pop]), np.array([k])
-        return (lambda: ids[_block_positions(rng, pops, ks)[0, :k]].tolist()), by_blocks
+        return (lambda: ids[_distinct_sorted_rows(rng, 1, ks, pops)[0, :k]].tolist()), by_reference
     invitations = Invitations(flat_topology([pop]), fraction_of(pop, k), rng)
-    return (lambda: list(invitations.draw([0]))[0],
-            by_choice if invitations._by_choice else by_blocks)
-
-
-def stalls(pop, k):
-    return pop > 0 and rejection_stalls(k, pop)
+    return (lambda: invitations.draw([0])[0]), by_reference
 
 
 def assert_like_choice(got, ids, k):
@@ -144,11 +147,6 @@ def assert_like_choice(got, ids, k):
 
 @pytest.mark.parametrize("side,pop,k", [(side, pop, k) for side in SIDES for pop, k in SAMPLE_TABLE])
 def test_sample_matches_rng_choice_on_the_table(side, pop, k):
-    if side == "python" and stalls(pop, k):
-        # the block sampler would stall on so large a share of the list:
-        # the market never hands it one, and draws by rng.choice instead
-        assert Invitations(flat_topology([pop]), fraction_of(pop, k), None)._by_choice
-        return
     for seed in range(3):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         sample, oracle = samplers(side, rng, twin, pop, k)
@@ -166,8 +164,6 @@ def test_sample_matches_rng_choice_on_random_sizes(side):
     for _ in range(500):
         pop = sizes.randint(1, 3000)
         k = sizes.randint(0, min(80, pop))
-        if side == "python" and stalls(pop, k):
-            continue
         sample, oracle = samplers(side, rng, twin, pop, k)
         got = sample()
         assert got == oracle()
@@ -176,15 +172,12 @@ def test_sample_matches_rng_choice_on_random_sizes(side):
 
 
 def test_sample_past_32_bits_is_left_to_numpy():
-    # numpy draws 64-bit integers for positions past 2**32 - 1, by either
-    # sampler; a zero-stride array stands in for so large a population
-    ids = np.broadcast_to(np.int64(5), (2**32 + 5,))
+    # numpy draws 64-bit integers for positions past 2**32 - 1, and the
+    # sampler given per-row bounds hands them to it as they are
+    pops, ks = np.array([2**32 + 5] * 3), np.array([2] * 3)
     rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-    assert _choice(rng, ids, 2) == [5, 5]
-    twin.choice(len(ids), size=2, replace=False)
-    assert_same_state(rng, twin)
-    got = _block_positions(rng, np.array([len(ids)] * 3), np.array([2] * 3))
-    assert got.tolist() == scalar_positions(twin, [len(ids)] * 3, [2] * 3)
+    got = _distinct_sorted_rows(rng, 3, ks, pops)
+    assert got.tolist() == scalar_positions(twin, pops.tolist(), ks.tolist())
     assert_same_state(rng, twin)
 
 
@@ -198,7 +191,7 @@ def test_bounded_matches_rng_integers(hi):
     want = [int(entry_rng.integers(hi + 1)) for _ in range(2000)]
     assert [r.entry_periphery for r in generate_stream(config, hi + 1, 3)] == want
     rng, twin = np.random.default_rng(hi), np.random.default_rng(hi)
-    got = _block_positions(rng, np.array([hi + 1] * 2000), np.array([1] * 2000))[:, 0]
+    got = _distinct_sorted_rows(rng, 2000, np.array([1] * 2000), np.array([hi + 1] * 2000))[:, 0]
     assert got.tolist() == [int(twin.integers(hi + 1)) for _ in range(2000)]
     assert_same_state(rng, twin)
     assert drew_exactly(rng, hi, 0 if hi == 0 else 2000) == (hi != 2**31 + 1)
@@ -208,7 +201,7 @@ def test_bounded_zero_takes_no_draw():
     # samples of nothing and of 1 of 1 draw nothing, and take no word
     rng = np.random.default_rng(3)
     start = rng.bit_generator.state
-    got = _block_positions(rng, np.array([1, 0, 7, 1]), np.array([1, 0, 0, 1]))
+    got = _distinct_sorted_rows(rng, 4, np.array([1, 0, 0, 1]), np.array([1, 0, 7, 1]))
     assert got[[0, 3], 0].tolist() == [0, 0]
     assert rng.bit_generator.state == start
     invitations = Invitations(flat_topology([0, 1, 4]), 0.0, rng)
@@ -309,7 +302,7 @@ def test_lemire_redraws_a_biased_low_word(draw):
                                       (7, 2), (2, 1), (0, 0)])
                        for _ in range(shapes.randint(1, 30))]
             pops, ks = map(np.array, zip(*samples))
-            rows = _block_positions(rng, pops, ks).tolist()
+            rows = _distinct_sorted_rows(rng, len(ks), ks, pops).tolist()
             want = scalar_positions(counted, pops.tolist(), ks.tolist())
             assert [row[:k] for row, k in zip(rows, ks)] == want
         assert_same_state(rng, twin)
@@ -449,7 +442,8 @@ def in_blocks(items, lengths):
 def invitation_runs(draw):
     """(list sizes, fraction, entry peripheries, block lengths) of a run;
     lists of up to ~12 / fraction cores keep invitations small, and a
-    fraction near 1 takes the run to rng.choice."""
+    fraction over 1/2 draws every invitation of a list of two or more as
+    the complement of the cores it leaves out."""
     fraction = draw(st.one_of(st.sampled_from([1.0, 0.5, 0.03, 0.001]), st.floats(0.001, 1.0)))
     cap = min(3000, int(12 / fraction) + 1)
     sizes = draw(st.lists(st.one_of(st.sampled_from([0, 1, cap]), st.integers(0, cap)),
@@ -466,9 +460,8 @@ def invitation_runs(draw):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(run=invitation_runs(), seed=st.integers(0, 2**64), held=st.booleans())
 def test_block_invitations_match_rng_choice(run, seed, held):
-    # a run's invitations are rng.choice's own, where the market leaves the
-    # run to it, or else each block's scalar reference; either way each
-    # holds what rng.choice's does
+    # a run's invitations are each block's scalar reference, and each holds
+    # what rng.choice's does
     sizes, fraction, entries, lengths = run
     topo = flat_topology(sizes)
     lists = topo.periphery_known_cores
@@ -478,13 +471,9 @@ def test_block_invitations_match_rng_choice(run, seed, held):
     invitations = Invitations(topo, fraction, rng)
     for block in in_blocks(entries, lengths):
         ks = [math.ceil(fraction * sizes[p]) for p in block]
-        if invitations._by_choice:
-            want = [twin.choice(lists[p], size=k, replace=False).tolist()
-                    for p, k in zip(block, ks)]
-        else:
-            rows = scalar_positions(twin, [sizes[p] for p in block], ks)
-            want = [lists[p][row].tolist() for p, row in zip(block, rows)]
-        got = list(invitations.draw(block))
+        rows = scalar_positions(twin, [sizes[p] for p in block], ks)
+        want = [lists[p][row].tolist() for p, row in zip(block, rows)]
+        got = invitations.draw(block)
         assert got == want
         for p, k, invited in zip(block, ks, got):
             assert_like_choice(invited, lists[p], k)
@@ -498,33 +487,40 @@ class Planted:
     def __init__(self, rng, first):
         self.rng, self.first, self.bounds = rng, first, []
 
-    def integers(self, high):
+    def integers(self, low, high, size=None, dtype=np.int64):
         self.bounds.append(np.asarray(high).tolist())
         if len(self.bounds) == 1:
             return self.first
-        return self.rng.integers(high)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
 
 
 def plant_duplicates(rng, pops, ks, rows):
     """A first round of positions for a block of (pops, ks), drawn by
-    `rng`, in which each of `rows` repeats its first position."""
-    first = rng.integers(np.repeat(pops, ks))
-    at = np.concatenate(([0], np.cumsum(ks)))
+    `rng`, in which each of `rows` repeats its first position, and the
+    offsets of each row's draws in it. A row of k > pop / 2 draws the pop -
+    k positions it leaves out."""
+    drawn = np.where(2 * ks > pops, pops - ks, ks)
+    first = rng.integers(np.repeat(pops, drawn))
+    at = np.concatenate(([0], np.cumsum(drawn)))
     for r in rows:
-        assert ks[r] >= 2
+        assert drawn[r] >= 2
         first[at[r] + 1] = first[at[r]]
     return first, at
 
 
 def assert_redraws_exactly(planted, first, at, pops, ks, rows, drawn):
-    """The block drawn from `first` redrew exactly the rows of the first
-    round holding a duplicate, `rows` among them, and kept the others."""
-    dup = [r for r in range(len(ks)) if len(set(first[at[r]:at[r + 1]].tolist())) < ks[r]]
-    assert set(rows) <= set(dup)
-    assert planted.bounds[1] == np.repeat(pops[dup], ks[dup]).tolist()
-    for r in range(len(ks)):
-        if r not in dup:
-            assert drawn[r] == sorted(first[at[r]:at[r + 1]].tolist())
+    """The block drawn from `first` redrew exactly the surplus positions of
+    the first round, those of `rows` among them, in row order, and kept the
+    rows that held none as drawn."""
+    firsts = [sorted(first[at[r]:at[r + 1]].tolist()) for r in range(len(ks))]
+    surplus = [r for r, row in enumerate(firsts) for c in range(1, len(row))
+               if row[c] == row[c - 1]]
+    assert set(rows) <= set(surplus)
+    assert planted.bounds[1] == pops[surplus].tolist()
+    for r, row in enumerate(firsts):
+        if r not in surplus:
+            kept = sorted(set(range(pops[r])) - set(row)) if 2 * ks[r] > pops[r] else row
+            assert drawn[r] == kept
         assert len(set(drawn[r])) == ks[r]
 
 
@@ -539,7 +535,8 @@ def test_a_redraw_sends_exactly_its_sample_through_draws(spot):
     pops, ks = map(np.array, zip(*[SPOT_SAMPLES[r % len(SPOT_SAMPLES)] for r in range(27)]))
     first, at = plant_duplicates(np.random.default_rng(31), pops, ks, SPOTS[spot])
     planted = Planted(np.random.default_rng(32), first)
-    drawn = [row[:k] for row, k in zip(_block_positions(planted, pops, ks).tolist(), ks)]
+    rows = _distinct_sorted_rows(planted, len(ks), ks, pops).tolist()
+    drawn = [row[:k] for row, k in zip(rows, ks)]
     assert_redraws_exactly(planted, first, at, pops, ks, SPOTS[spot], drawn)
 
 

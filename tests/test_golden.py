@@ -21,7 +21,8 @@ little-endian double, in arrival order. No report file carries a price.
 The desk presets are cut from 10^5 to 10^4 requests to keep the run fast.
 exp5 and exp6 run at their published 10^3 requests. `scale` is exp3 at
 N=200,000, cut to 2,000 requests: the only pin whose leaders scan 500-wide
-primary rows, and whose contacts come from the rejection sampler.
+primary rows. exp5 and exp6 each draw their 2 of 2 periphery servers as
+the complement of nothing left out; every other list is drawn directly.
 
 No preset reaches the secondary-contact fallback: with 100 primary contacts
 per core a leader never exhausts its primary list. One more pin covers it:
@@ -66,32 +67,32 @@ GOLDEN = {
     "exp1-desk": (
         "ad5e0d44628fa1ab9cb42e8b63764dcf",
         "34d7c8a7f6b5d47a55d7179abf0ebf6a3a704185955e4ac37d4eec511e1b3876",
-        "d5fc52f34ec7ece2641f3273fbed0c9e358170a809692138fa665e907c390d19",
-        "03a876f7f1fbe49a147fd70a91356a6dfb96210e6db5a6e7ab55678bd506893f",
+        "912442f45630f305bbb1861b1dcd991184f794b90bdb0d702f385280aaf3f750",
+        "4bc45ad571406e2cab2e8b2d9df0d3005fe40f3380dce3261b3641b4ffcf280f",
     ),
     "exp2-desk": (
         "ad5e0d44628fa1ab9cb42e8b63764dcf",
         "34d7c8a7f6b5d47a55d7179abf0ebf6a3a704185955e4ac37d4eec511e1b3876",
-        "e537ac4f385360d7b8432a8b6132506099fbae31f0529e353452769966a00513",
-        "855e0eb8de6685dd9e402bb6037404e7908aca0fe5f608c85d94fb3e65fc06bf",
+        "b7abd5fbf45c3e7318ae0d72d2eae42bf4f21f9119dca3116719b90835490d96",
+        "fb2d5f1e5d1878309dd8760d9a57d9da533e266c162dd172695f76a8ad7d7d53",
     ),
     "exp3-desk": (
-        "3982877b39ee10c8efc1bb30c8fef2b7",
-        "9576accd19c0abda78bbd17423a8f6b8c3655405a76d1e5e0fb5e497ff4faf68",
-        "9d506d8f5f603e1fb08d69964e1f6d6c57abd4aac5dea6a0d54fe7861feaf292",
-        "745deed79cbfe940406274c841292f66efb8cd232eee51e994ca0b5df8fec488",
+        "6fd1e8f832f76ead2ef86e4505324800",
+        "3b5aacb9d2520dc64f9a38aff2780eb3d2d342ffa8f05f56ed6b19de09ccfc07",
+        "a4454da7a9e2b4f3e2dd16ccd1c8a4077f55ffa62e0eafab0b85ac000b292dde",
+        "7403b6c72da7ac813b14e5c12c631649e0f40c74f944689522bec1d1f9bc246d",
     ),
     "exp4-desk": (
-        "59a339363cc0e05b6e28a9de9f38638e",
-        "f7244ece1894afa6a343ef175e6b81fcaf67c5cd8403eb124fab56ca250d5f43",
-        "cecbabde0696614901a60f28fcbda8747e8b0a6b6ce304eb1de39788eed4a7d9",
-        "4b0e9ab8997d9f048fef15456d701a93ff8e75fdce935e4d7843a14e0d9dbcf5",
+        "a39792a4255686d9a994edd5004311c8",
+        "06a39bde95e93342ea477bf0a8d4057e8196604abe9b2e6fb2056b2f29214925",
+        "b3ca2de6fc2a9aaf87bed4d5f429b4be6ad8b8adcad6276e25aabfc08444d46b",
+        "ea1a78e0497aaf62c79fade266d3247bae391042d1167358761227c83a331e06",
     ),
     "scale": (
-        "f4a1d27d8f2fd230c4140222410c5be6",
-        "d43c9a7a176f59fbaa8619a60a840643ff930f8ae63a23e09f75205db1270f0b",
-        "6b5d093dcaa015cbbe6b6b63b520a81a1ae911bfe4d2071fb19f5cf8dacb81bc",
-        "164c25ccf0a5b06515836b312945c72ba040dd5b8c338e5b94ce206be8d8c3d7",
+        "38b87f74e75ceb8126757e6a55d2515d",
+        "65d5af0901582762b0dfe2d02d29a53d2f5e694d2cc82c2eef143a3788ddee10",
+        "0e77dd2d461b44957230566721fb0a11b136489f3e9015aeea1acdb5e48be836",
+        "c2bde221ee761dba9803ec11ed1055ba73a3bb47dfd9d60c7396a7f407241c26",
     ),
 }
 
@@ -99,22 +100,22 @@ GOLDEN = {
 SUMMARY = {
     "exp5": "378c836edc87dfd06da45149f866409b94e3e9989bf4af9d0a1a702785e86ccb",
     "exp6": "79b2273e742811947ea9e2fbca0fe2c510cc811b9a8db90fe51674d0243a6506",
-    "exp1-desk": "d5b724a29db8c66badbb3aaea2f630680684b09bdfb2584660df31d4c2170b4f",
-    "exp2-desk": "d6e6bf5310b04e7598070c964f1eee980350034a8726111916ecb09ad2c9ee29",
-    "exp3-desk": "15ff04c122eeab4313c3b66bdea9bd0e142d14ab17cf9ffa2ab93067b113fbad",
-    "exp4-desk": "c02d7470ab1f2adeccdc217610119f3d9814426eaa8e6db321a786f0191269ef",
-    "scale": "66df20e0175d89b23b033bf1a654839b574e500758643fd97d090c2a6d439dbe",
+    "exp1-desk": "5102f248b9c81486ce8730dcc6c01f950e52a21b8bec6c7c9a3c43d508d302fe",
+    "exp2-desk": "55ecce338e50de720627e7d9bdb6841e09f0875896320f43b32517e07a808b32",
+    "exp3-desk": "2b0cfaf43c08d29546fcd9918b268da069ede783e7fa38f42b32a60cfa349524",
+    "exp4-desk": "810faf06c242af8ed137da6b7d646ffe7538ad64640545c34b5988040fc49826",
+    "scale": "b9ab272d9aaf535e6d51f348fac9dbb93988899ebf3e7203128e9f944def37c0",
 }
 
 # preset -> sha256 of the "<d" bytes of every won bid's price, in arrival order
 PRICES = {
     "exp5": "404fa6a030d7266be8bfdc410386f920ca452e4185bce849b114381a6c534c1d",
     "exp6": "5a89a808d9102cca04baccf570704fba503fad064132652381f49eb747bf3bea",
-    "exp1-desk": "5fcbf08f6ab1c3533836a01a151eef691c47cdb9835526707419080f51ebb8a4",
-    "exp2-desk": "3b45b0900223471a24a284cd55e5da93b0bc8422212313cd43e5c30d0a9b3024",
-    "exp3-desk": "997e6a000422fd4750a030422646d88400ace1b18a759a807970444daa8d3d8c",
-    "exp4-desk": "dcd19d76864c2ebdbc73de55f9410a2f10354e96eb65256b2810930261186276",
-    "scale": "df248d1c92a26b56d21fc9457b6f0891565ee549dde1a9a68b5cfd326a19eadf",
+    "exp1-desk": "5d0b4c86656b67e7152c99cda2fdb56136e47d968b5f4a2137cade1623a31ea3",
+    "exp2-desk": "3d61dc85b845edad81863a65c54e06051b9834aaf2173e8c2df5fe307432e79a",
+    "exp3-desk": "e36954b887bf8fb0e3599bac544f2c4b75bf2e66f667f00ec072a14fe6c07293",
+    "exp4-desk": "751b0ebbcae3b6b8dda6ce0ef6d79ff6e144fd3ce0b5a38d5899a25363560ff6",
+    "scale": "89b052cc4386c32ee21b9cbe44881e519b08f0baf515597ec0a6794cce17ac56",
 }
 
 
@@ -123,11 +124,11 @@ PRICES = {
 FALLBACK = (
     "8f158d3cecd0c21708c95f45e26a9b9b",
     "5d241d93e5dc8f5441e87dbfd3854efb27f1e3d4f857acfba5ff9b1f29ec26a6",
-    "5ba3dfe87d637f11237c45c6cf0e5e645b34c83d3bec5f4bdff052a8cb1d0317",
-    "6b16646630666eaf9e4f8c055f1e5531a8c7c4427e499883e6098819603d22db",
+    "015fd7163d69f2d25bedd3efb496c83af9ca45085d518e477656dc22175a0022",
+    "9e1c52b7955ca17cef77099652c13321301c1e374f1a5577f1ed58857b427564",
 )
-FALLBACK_SECONDARY_CALLS = 707
-FALLBACK_SUMMARY = "695e55352ac79c477c1eafb1c233eddeb1dabb17db18ba6ef7510bdb6fae8257"
+FALLBACK_SECONDARY_CALLS = 667
+FALLBACK_SUMMARY = "0b680e502db8114ba8753819c5340afb52bcd9cb042330d30c9b7fa0fa8288d7"
 
 
 def golden_preset(name):

@@ -4,7 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +23,6 @@ from sococ.market import (
     Invitations,
     Market,
     MarketConfig,
-    _choice,
     _eligible,
     _fill,
     assemble_coalition,
@@ -32,7 +31,7 @@ from sococ.market import (
     price_bid,
 )
 from sococ.metrics import MetricsConfig, MetricsSink
-from sococ.topology import ContactTopology, TopologyConfig, organize, rejection_stalls
+from sococ.topology import ContactTopology, TopologyConfig, organize
 from sococ.workload import BLOCK_REQUESTS, Mode, ServiceRequest, generate_stream
 
 
@@ -176,10 +175,16 @@ def test_eligibility_scan_stops_converting_when_it_stops():
 
 # -- leader invitation ---------------------------------------------------------
 
+def choice_sampler(rng):
+    """A `Sampler` drawing k of a list by rng.choice, for calling
+    `invite_leader_candidates` directly."""
+    return lambda pcs, k: pcs[rng.choice(len(pcs), size=k, replace=False)].tolist()
+
+
 def test_invite_count_is_ceiling_of_fraction():
     topo = star_topology(2000, [1])
     config = MarketConfig("C2", invited_fraction=0.001)
-    got = invite_leader_candidates(0, topo, config, partial(_choice, np.random.default_rng(0)))
+    got = invite_leader_candidates(0, topo, config, choice_sampler(np.random.default_rng(0)))
     assert len(got) == 2  # ceil(0.001 * 2000)
     assert len(set(got)) == 2 and set(got) <= set(range(2000))
     # at the published scale a periphery knows ~83,593 cores and the same
@@ -190,17 +195,17 @@ def test_invite_count_is_ceiling_of_fraction():
 def test_invite_single_known_core():
     topo = star_topology(1, [])
     config = MarketConfig("C2", invited_fraction=0.001)
-    got = invite_leader_candidates(0, topo, config, partial(_choice, np.random.default_rng(0)))
+    got = invite_leader_candidates(0, topo, config, choice_sampler(np.random.default_rng(0)))
     assert got == [0]
 
 
 def test_invite_is_reproducible_per_seed():
-    # and draw for draw what rng.choice over the known cores picks, so the
-    # invitations of a run match those of numpy's own call
+    # and draw for draw what its sampler picks from the known cores
     topo = star_topology(2000, [1])
     topo.periphery_known_cores[0] = np.arange(0, 4000, 2, dtype=np.int32)
     config = MarketConfig("C2", invited_fraction=0.03)
-    a, b = partial(_choice, np.random.default_rng(5)), partial(_choice, np.random.default_rng(5))
+    a = choice_sampler(np.random.default_rng(5))
+    b = choice_sampler(np.random.default_rng(5))
     reference = np.random.default_rng(5)
     for _ in range(20):
         got = invite_leader_candidates(0, topo, config, a)
@@ -210,9 +215,9 @@ def test_invite_is_reproducible_per_seed():
 
 
 def test_invite_empty_pcs_yields_no_candidates(monkeypatch):
-    # in runs drawn in blocks (a 100-core list) and by rng.choice (all of a
-    # 50-core list): an empty list takes no draw, and its C2 auction fails
-    # with no leader, before any assembly
+    # beside a list invited in part (3 of 100) and in full (all of 50): an
+    # empty list takes no draw, and its C2 auction fails with no leader,
+    # before any assembly
     monkeypatch.setattr(market, "assemble_coalition",
                         lambda *args: pytest.fail("assembled with no leader"))
     for pop, fraction in ((100, 0.03), (50, 1.0)):
@@ -221,7 +226,6 @@ def test_invite_empty_pcs_yields_no_candidates(monkeypatch):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         mkt = Market(topo, make_fleet([Mode.M1] * pop), MarketConfig("C2", fraction), rng)
-        assert mkt.invitations._by_choice == (fraction == 1.0)
         assert list(mkt.invitations.draw([0, 0])) == [[], []]
         assert rng.bit_generator.state == state
         outcome = mkt.run_auction(make_request(entry=0))
@@ -229,39 +233,51 @@ def test_invite_empty_pcs_yields_no_candidates(monkeypatch):
         assert rng.bit_generator.state == state
 
 
-def test_inviting_every_known_core_draws_by_rng_choice():
-    # k = pop = 50 would stall the block sampler: rng.choice draws every
-    # invitation, a shuffle of the whole list
+def test_inviting_every_known_core_takes_no_draw():
+    # k = pop = 50 leaves no core out: every invitation is the whole list,
+    # in list order, and the generator reads nothing
     pcs = np.arange(0, 100, 2, dtype=np.int32)
     topo = replace(star_topology(100, [1]), periphery_known_cores=[pcs])
-    invitations = Invitations(topo, 1.0, np.random.default_rng(3))
-    twin = np.random.default_rng(3)
-    for invited in invitations.draw([0, 0, 0]):
-        assert invited == twin.choice(pcs, size=50, replace=False).tolist()
-        assert sorted(invited) == pcs.tolist()
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    invitations = Invitations(topo, 1.0, rng)
+    assert invitations.draw([0, 0, 0]) == [pcs.tolist()] * 3
+    assert rng.bit_generator.state == state
 
 
-# (pop, k) cases of the block sampler's uniformity test: a block interleaves
-# them, so rows of different widths share each draw and redraw
-SUBSET_CASES = [(5, 2), (6, 3), (10, 9)]
-SUBSET_ROWS = 3_000  # per case
-# a chi-square p-value below this fails one case; 3e-4 for the three cases
+# (fraction, list sizes) of the invitation uniformity test: at 0.3 every
+# list's invitation is drawn directly, 2 of 5 and of 6 and 3 of 10; at 0.55
+# each is the complement of the cores it leaves out: 2 of 3 (k = pop - 1),
+# 2 of 2 (k = pop), 6 of 10 (k = pop / 2 + 1), 4 of 6 and 3 of 5. A block
+# interleaves a fraction's lists, so rows of different widths share each
+# draw and redraw
+SUBSET_CASES = [(0.3, [5, 6, 10]), (0.55, [3, 2, 10, 6, 5])]
+SUBSET_ROWS = 3_000  # per list
+# a chi-square p-value below this fails one list; 8e-4 for the eight lists
 SUBSET_LEVEL = 1e-4
 
 
 def test_block_sampler_is_uniform_over_k_subsets():
-    pops = np.array([pop for pop, _ in SUBSET_CASES] * SUBSET_ROWS)
-    ks = np.array([k for _, k in SUBSET_CASES] * SUBSET_ROWS)
-    drawn = market._block_positions(np.random.default_rng(9), pops, ks)
-    for case, (pop, k) in enumerate(SUBSET_CASES):
-        rows = drawn[case::len(SUBSET_CASES), :k]
+    for fraction, sizes in SUBSET_CASES:
+        assert_uniform_invitations(fraction, sizes)
+
+
+def assert_uniform_invitations(fraction, sizes):
+    lists = [np.arange(pop, dtype=np.int32) for pop in sizes]
+    topo = replace(star_topology(10, [1]), n_periphery=len(sizes), periphery_known_cores=lists)
+    invitations = Invitations(topo, fraction, np.random.default_rng(9))
+    drawn = invitations.draw(list(range(len(sizes))) * SUBSET_ROWS)
+    for p, pop in enumerate(sizes):
+        k = math.ceil(fraction * pop)
+        assert (2 * k > pop) == (fraction > 0.5)
+        rows = drawn[p::len(sizes)]
+        assert all(len(row) == k for row in rows)
         assert (np.diff(rows, axis=1) > 0).all()  # ascending and distinct
-        assert rows.min() >= 0 and rows.max() < pop
-        counts = Counter(map(tuple, rows.tolist()))
+        counts = Counter(map(tuple, rows))
         subsets = list(combinations(range(pop), k))
         assert set(counts) <= set(subsets)
         observed = [counts[s] for s in subsets]
-        assert chisquare(observed).pvalue > SUBSET_LEVEL, (pop, k)
+        assert len(subsets) == 1 or chisquare(observed).pvalue > SUBSET_LEVEL, (pop, k)
 
 
 def test_block_invitations_are_deterministic_per_block():
@@ -305,13 +321,14 @@ RUN_PRESETS = ("exp1-desk", "exp2-desk", "exp3-desk", "exp4-desk", "exp5", "exp6
 
 @pytest.mark.parametrize("name", RUN_PRESETS)
 def test_each_preset_market_picks_its_sampler(name):
-    # no preset's list is large enough a share of its invitation to stall
-    # the block sampler
+    # no preset invites more than half of any list, so every invitation is
+    # drawn directly, none as the complement of the cores it leaves out:
+    # the golden runs pin only the direct draw
     p = preset("exp3" if name == "scale" else name)
     for seed in (1, 3, 11):
-        rng = np.random.default_rng(derive_seeds(seed)[3])
-        invitations = Invitations(preset_topology(name, seed), p.market.invited_fraction, rng)
-        assert not invitations._by_choice
+        pops = preset_topology(name, seed).pcs_sizes()
+        ks = np.ceil(p.market.invited_fraction * pops)
+        assert (2 * ks <= pops).all()
 
 
 def preset_stream(name, seed, n_requests):
@@ -331,13 +348,13 @@ def test_a_replayed_preset_run_decodes_every_invitation_in_blocks(monkeypatch, n
     p = preset("exp3" if name == "scale" else name)
     topo, fleet = preset_fleet(name, 1)
     blocks = []
-    block_positions = market._block_positions
+    distinct_sorted_rows = market._distinct_sorted_rows
 
-    def counted(rng, pops, ks):
-        blocks.append(len(ks))
-        return block_positions(rng, pops, ks)
+    def counted(gen, n_rows, k, pop):
+        blocks.append(n_rows)
+        return distinct_sorted_rows(gen, n_rows, k, pop)
 
-    monkeypatch.setattr(market, "_block_positions", counted)
+    monkeypatch.setattr(market, "_distinct_sorted_rows", counted)
     sink = MetricsSink(MetricsConfig(bin_size=500, n_subsets=10))
     # with no primary contacts drawn, secondary fallbacks would scan the
     # whole fleet; they read no invitation
@@ -349,26 +366,27 @@ def test_a_replayed_preset_run_decodes_every_invitation_in_blocks(monkeypatch, n
         PRESET_RUN_REQUESTS - BLOCK_REQUESTS * (n_blocks - 1)]
 
 
-def test_published_scale_invitations_are_drawn_in_blocks():
+def test_published_scale_invitations_are_drawn_in_blocks(monkeypatch):
     # a periphery of the published exp1-exp4 knows ~83,886 cores and invites
-    # 84 of them, which hold a duplicate in ~4% of rows
-    assert not rejection_stalls(math.ceil(0.001 * 83_886), 83_886)
-    assert rejection_stalls(84, 84)
+    # 84 of them, which hold a duplicate in ~4% of rows: a block of such
+    # invitations is one call of the sampler, each 84 distinct cores of the
+    # list, ascending
+    pcs = np.arange(0, 2 * 83_886, 2, dtype=np.int32)
+    topo = replace(star_topology(10, [1]), periphery_known_cores=[pcs])
+    calls = []
+    distinct_sorted_rows = market._distinct_sorted_rows
 
+    def counted(gen, n_rows, k, pop):
+        calls.append(n_rows)
+        return distinct_sorted_rows(gen, n_rows, k, pop)
 
-def test_a_run_straddling_the_threshold_leaves_every_invitation_to_rng_choice():
-    # at 50%, the 2,000-core list invites 1,000, which stalls the block
-    # sampler, and the 10-core list 5, which does not: the worst list
-    # decides for the whole run
-    lists = [np.arange(0, 30, 3, dtype=np.int32), np.arange(2000, dtype=np.int32)]
-    topo = replace(star_topology(2000, [1]), n_periphery=2, periphery_known_cores=lists)
-    config = MarketConfig("C2", invited_fraction=0.5)
-    mkt = Market(topo, make_fleet([Mode.M1] * 2000), config, np.random.default_rng(4))
-    twin = np.random.default_rng(4)
-    entries = [0, 1, 0, 0, 1, 1, 0] * 5
-    want = [twin.choice(lists[p], size=len(lists[p]) // 2, replace=False).tolist()
-            for p in entries]
-    assert list(mkt.invitations.draw(entries)) == want
+    monkeypatch.setattr(market, "_distinct_sorted_rows", counted)
+    invited = Invitations(topo, 0.001, np.random.default_rng(6)).draw([0] * BLOCK_REQUESTS)
+    assert calls == [BLOCK_REQUESTS]
+    listed = set(pcs.tolist())
+    for cores in invited:
+        assert len(cores) == 84 and set(cores) <= listed
+        assert all(a < b for a, b in zip(cores, cores[1:]))
 
 
 # -- the invitation queue ------------------------------------------------------

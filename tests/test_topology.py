@@ -23,9 +23,8 @@ from sococ.topology import (
     TopologyConfig,
     _invert_selection,
     _sample_rows,
-    _sample_rows_fisher_yates,
-    _sample_rows_rejection,
     compute_stats,
+    row_chunks,
     equal_width_histogram,
     expected_pcs_size,
     expected_secondary_fraction,
@@ -112,9 +111,11 @@ def argsort_inverse(known_periphery):
     (6_000, 10, 65_537),      # uint32
     (3_000, 30, 1_000_000),   # uint32, most lists empty
 ])
-def test_counting_sort_inversion_matches_a_stable_argsort(n_core, m, n_periphery):
+def test_counting_sort_inversion_matches_a_stable_argsort(monkeypatch, n_core, m, n_periphery):
     # 60,000 cells or more, so the counting sort's lists span several
-    # chunks; rows drawn with replacement may name a server twice
+    # chunks, and its counts six or more chunks of 10,000 cells; rows drawn
+    # with replacement may name a server twice
+    monkeypatch.setattr(topology, "CHUNK_CELLS", 10_000)
     known = np.random.default_rng(n_periphery).integers(
         0, n_periphery, size=(n_core, m), dtype=np.int32)
     owners, starts = _invert_selection(known, n_periphery)
@@ -133,13 +134,26 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+# What `_invert_selection` may hold beside its result: a placing chunk's
+# temporaries (~0.25 MiB at _INVERT_CELLS) and the counts and cursors (8
+# bytes a list each). A counting chunk's int64 copy (8 bytes a cell, 2 MiB
+# at CHUNK_CELLS) is freed before the result is made; the whole matrix's
+# copy, 15.3 MiB at N*m = 2*10^6, would break the bound.
+INVERT_ALLOWANCE = 1 << 20
+
+
 @pytest.mark.parametrize("n_core", [10_000, 200_000])
 def test_counting_sort_inversion_peaks_no_higher_than_the_argsort(n_core):
     # m=10 of M=1000 at N*m = 10^5 (perfbench c1-pool) and 2*10^6 (scale);
-    # both peaks include the int32 result (tracemalloc sees numpy buffers)
+    # both peaks include the int32 result (tracemalloc sees numpy buffers),
+    # and at scale the counting sort holds no more than its result and one
+    # chunk's allowance
     known = np.random.default_rng(3).integers(0, 1000, size=(n_core, 10), dtype=np.int32)
     counting = traced_peak(lambda: _invert_selection(known, 1000))
     assert counting <= traced_peak(lambda: argsort_inverse(known))
+    if n_core == 200_000:
+        owners, starts = _invert_selection(known, 1000)
+        assert counting <= owners.nbytes + starts.nbytes + INVERT_ALLOWANCE
 
 
 def test_pcs_sizes_sum_is_exactly_n_times_m():
@@ -173,7 +187,7 @@ def test_pcs_mean_exact_across_many_seeds():
 
 
 def test_large_population_contact_sampler_stays_uniform():
-    # contacts drawn from ~100k cores exercise the rejection sampler; the
+    # contacts drawn from 20,000 cores through the block sampler; the
     # selection frequency of any single core should be ~ N*n/(N-1)
     topo = make(20_000, 10, 2, 40, seed=2)
     freq = np.bincount(topo.core_primary_contacts.ravel(), minlength=20_000)
@@ -186,24 +200,29 @@ def test_large_population_contact_sampler_stays_uniform():
 
 
 def reference_rejection(rng, n_rows, k, pop, block_rows):
-    """The rejection sampler stated serially: each block of `block_rows`
-    rows draws from its own child generator, in turn. A block draws every
-    row, then round after round sorts its rows and redraws each cell that
-    repeats the cell before it, in row order, until no row holds one."""
+    """The block sampler stated serially: each block of `block_rows` rows
+    draws from its own child generator, in turn. A block draws every row,
+    then round after round sorts its rows and redraws each cell that
+    repeats the cell before it, in row order, until no row holds one. Where
+    k > pop / 2 the rows draw the pop - k values they leave out."""
+    flip = 2 * k > pop
+    drawn = pop - k if flip else k
     starts = range(0, n_rows, block_rows)
     out = []
     for lo, gen in zip(starts, rng.spawn(len(starts))):
-        rows = gen.integers(0, pop, size=(min(block_rows, n_rows - lo), k),
+        rows = gen.integers(0, pop, size=(min(block_rows, n_rows - lo), drawn),
                             dtype=np.int32).tolist()
         while True:
             for row in rows:
                 row.sort()
-            repeats = [(row, c) for row in rows for c in range(1, k) if row[c] == row[c - 1]]
+            repeats = [(row, c) for row in rows for c in range(1, drawn) if row[c] == row[c - 1]]
             if not repeats:
                 break
             redrawn = gen.integers(0, pop, size=len(repeats), dtype=np.int32).tolist()
             for (row, c), value in zip(repeats, redrawn):
                 row[c] = value
+        if flip:
+            rows = [sorted(set(range(pop)) - set(row)) for row in rows]
         out += rows
     return np.array(out, dtype=np.int32).reshape(n_rows, k)
 
@@ -211,22 +230,23 @@ def reference_rejection(rng, n_rows, k, pop, block_rows):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("chunk_rows", [3, None])
 @pytest.mark.parametrize("block_rows", [1, 7, None])
-@pytest.mark.parametrize("k, pop", [(49, 2000), (4, 9)])
+@pytest.mark.parametrize("k, pop", [(49, 2000), (4, 9), (6, 9)])
 def test_rejection_sampler_matches_its_serial_reference(
         monkeypatch, cpus, chunk_rows, block_rows, k, pop):
     # 49 draws from 2000 repeat a value in ~45% of rows, forcing several
     # redraw rounds; 4 of 9 puts equal values at the ends of adjacent rows,
-    # which are not duplicates. Blocks of 1 or 7 rows, or of the default
-    # size (every row), run in chunks of 3 blocks or of the default size.
+    # which are not duplicates; 6 of 9 draws the 3 values it leaves out.
+    # Blocks of 1 or 7 rows, or of the default size (every row), run in
+    # chunks of 3 blocks or of the default size.
     report_cpus(monkeypatch, cpus)
     if block_rows is None:
-        block_rows = topology._REJECTION_BLOCK_CELLS // k
+        block_rows = topology._BLOCK_CELLS // k
     else:
-        monkeypatch.setattr(topology, "_REJECTION_BLOCK_CELLS", block_rows * k)
+        monkeypatch.setattr(topology, "_BLOCK_CELLS", block_rows * k)
     if chunk_rows is not None:
         monkeypatch.setattr(topology, "CHUNK_CELLS", chunk_rows * block_rows * k)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    got = _sample_rows_rejection(rng, 1000, k, pop)
+    got = _sample_rows(rng, 1000, k, pop)
     assert got.dtype == np.int32
     assert np.array_equal(got, reference_rejection(ref_rng, 1000, k, pop, block_rows))
     # each block draws from its own child: the parent draws nothing
@@ -234,24 +254,26 @@ def test_rejection_sampler_matches_its_serial_reference(
         np.random.default_rng(11).bit_generator.state
 
 
-@pytest.mark.parametrize("k, pop", [(3, 7), (4, 9)])
-def test_rejection_sampler_is_uniform_over_k_subsets(monkeypatch, k, pop):
-    # a population over _FY_POP_LIMIT takes the rejection sampler; rows of
-    # 3 of 7 and 4 of 9 hold a duplicate ~30% and ~45% of the time, and the
-    # ends of adjacent rows are often equal
-    monkeypatch.setattr(topology, "_FY_POP_LIMIT", pop - 1)
+@pytest.mark.parametrize("k, pop", [(3, 7), (4, 9), (7, 7), (6, 7), (5, 8)])
+def test_rejection_sampler_is_uniform_over_k_subsets(k, pop):
+    # rows of 3 of 7 and 4 of 9 hold a duplicate ~30% and ~45% of the time,
+    # and the ends of adjacent rows are often equal; 7 of 7, 6 of 7 and 5
+    # of 8 (k = pop, pop - 1, pop / 2 + 1) are complements of the 0, 1 and
+    # 3 values left out
     subsets = list(combinations(range(pop), k))
     rows = _sample_rows(np.random.default_rng(8), 1000 * len(subsets), k, pop)
     assert (np.diff(rows, axis=1) > 0).all()  # ascending and distinct
     assert rows.min() >= 0 and rows.max() < pop
     counts = Counter(map(tuple, rows.tolist()))
-    assert chisquare([counts[s] for s in subsets]).pvalue > 1e-4
+    if len(subsets) == 1:
+        assert counts == {subsets[0]: len(rows)}
+    else:
+        assert chisquare([counts[s] for s in subsets]).pvalue > 1e-4
 
 
 @pytest.mark.parametrize("n_core", [300, 5000])
 def test_contact_rows_are_ascending_distinct_and_skip_their_owner(n_core):
-    # N - 1 = 299 takes the Fisher-Yates sampler, 4999 the rejection
-    # sampler; 60 of 4999 repeat a value in ~30% of rows
+    # 60 of 299 repeat a value in ~99.7% of rows, 60 of 4999 in ~30%
     contacts = make(n_core, 20, 3, 60, seed=7).core_primary_contacts
     assert contacts.shape == (n_core, 60)
     assert (np.diff(contacts, axis=1) > 0).all()
@@ -259,48 +281,42 @@ def test_contact_rows_are_ascending_distinct_and_skip_their_owner(n_core):
     assert not (contacts == np.arange(n_core)[:, None]).any()
 
 
-def reference_fisher_yates(rng, n_rows, k, pop, draw_rows):
-    """The partial Fisher-Yates shuffle on one full scratch matrix per block
-    of `draw_rows` rows, drawing each step's swap targets as it goes."""
-    out = np.empty((n_rows, k), dtype=np.int32)
-    for lo in range(0, n_rows, draw_rows):
-        c = min(draw_rows, n_rows - lo)
-        base = np.tile(np.arange(pop), (c, 1))
-        ridx = np.arange(c)
-        for s in range(k):
-            j = rng.integers(s, pop, size=c)
-            picked = base[ridx, j].copy()
-            base[ridx, j] = base[:, s]
-            base[:, s] = picked
-        out[lo : lo + c] = base[:, :k]
-    return out
+@pytest.mark.parametrize("n_core, n_contacts", [(5000, 60), (40, 30), (12, 11)])
+def test_the_fused_owner_shift_is_the_separate_shift_of_the_same_draws(
+        monkeypatch, n_core, n_contacts):
+    # blocks of 7 rows, so a row's owner is not its place in its block;
+    # 30 of 39 and 11 of 11 are drawn as complements
+    monkeypatch.setattr(topology, "_BLOCK_CELLS", 7 * n_contacts)
+    config = TopologyConfig(n_core=n_core, n_periphery=20,
+                            primary_contacts_per_core=n_contacts, periphery_per_core=3)
+    rng = np.random.default_rng(5)
+    _sample_rows(rng, n_core, 3, 20)  # the periphery lists come first
+    drawn = _sample_rows(rng, n_core, n_contacts, n_core - 1)
+    drawn += drawn >= np.arange(n_core, dtype=np.int32)[:, None]
+    assert np.array_equal(organize(config, 5).core_primary_contacts, drawn)
 
 
-@pytest.mark.parametrize("k", [20, 50])
-@pytest.mark.parametrize("draw_rows", [None, 7])
-def test_fisher_yates_sampler_is_unchanged_across_scratch_blocks(monkeypatch, k, draw_rows):
-    # 3-row scratch blocks, against draw blocks of all rows (the default
-    # at this size) or of 7 rows, so the two never line up; k == pop is a
-    # full permutation of each row
-    pop = 50
-    monkeypatch.setattr(topology, "CHUNK_CELLS", 3 * pop)
-    if draw_rows is None:
-        draw_rows = topology._FY_DRAW_CELLS // pop
-    else:
-        monkeypatch.setattr(topology, "_FY_DRAW_CELLS", draw_rows * pop)
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = _sample_rows_fisher_yates(rng, 1000, k, pop)
-    assert got.dtype == np.int32
-    assert np.array_equal(got, reference_fisher_yates(ref_rng, 1000, k, pop, draw_rows))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+@pytest.mark.parametrize("m", [200, 600])
+def test_organize_is_unchanged_across_cpus_and_chunk_sizes(monkeypatch, m):
+    # 3,000 cores knowing 200 or 600 of 1,000 periphery servers, the second
+    # as complements: either periphery draw spans three or more blocks
+    n = 3000
+    assert len(list(row_chunks(n, m, topology._BLOCK_CELLS))) >= 3
+    config = TopologyConfig(n_core=n, n_periphery=1000,
+                            primary_contacts_per_core=100, periphery_per_core=m)
 
+    def arrays():
+        topo = organize(config, 12)
+        return (topo.core_known_periphery, topo.core_primary_contacts,
+                topo.known_cores, topo.known_core_starts)
 
-def test_rows_likely_to_repeat_a_value_take_the_fisher_yates_path():
-    # 180 of 5,000 is past _FY_POP_LIMIT, but a row of rejection's draws
-    # repeats a value with probability ~0.96, past the 0.9 line
-    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    got = _sample_rows(rng, 50, 180, 5000)
-    assert np.array_equal(got, _sample_rows_fisher_yates(ref_rng, 50, 180, 5000))
+    report_cpus(monkeypatch, 1)
+    want = arrays()
+    report_cpus(monkeypatch, 2)
+    two = arrays()
+    monkeypatch.setattr(topology, "CHUNK_CELLS", 5000)
+    for got in (two, arrays()):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # -- chunks on several threads ----------------------------------------------
@@ -339,11 +355,11 @@ def threads_per_call(monkeypatch):
 
 
 def test_set_up_is_unchanged_on_two_threads(monkeypatch):
-    # N - 1 > _FY_POP_LIMIT sends the contacts through the rejection
-    # sampler; 4 rows to a block and to a chunk gives its block loop, the
-    # contact shift and the cost ordering hundreds of chunks each
+    # 4 rows of contacts to a block and to a chunk gives the contact draw
+    # and the cost ordering hundreds of chunks each, and the periphery
+    # draw 12 rows to a block
     monkeypatch.setattr(topology, "CHUNK_CELLS", 4 * 9)
-    monkeypatch.setattr(topology, "_REJECTION_BLOCK_CELLS", 4 * 9)
+    monkeypatch.setattr(topology, "_BLOCK_CELLS", 4 * 9)
     n = 5000
     config = TopologyConfig(n_core=n, n_periphery=20,
                             primary_contacts_per_core=9, periphery_per_core=3)
@@ -356,7 +372,7 @@ def test_set_up_is_unchanged_on_two_threads(monkeypatch):
         drawn = topo.core_primary_contacts.copy()
         order = ContactOrder(topo, fleet)
         rng = np.random.default_rng(6)
-        rows = _sample_rows_rejection(rng, 1000, 50, 2000)
+        rows = _sample_rows(rng, 1000, 50, 2000)
         return drawn, order.primary_sorted, rows, rng.bit_generator.state
 
     drawn, ordered, rows, state = set_up(1)
@@ -366,8 +382,8 @@ def test_set_up_is_unchanged_on_two_threads(monkeypatch):
     assert np.array_equal(two[1], ordered)
     assert np.array_equal(two[2], rows)
     assert two[3] == state
-    # at least organize's block loop, its shift, the ordering and the
-    # sampler's block loop above (1,000 blocks of one row)
+    # at least organize's two block loops, the ordering and the sampler's
+    # block loop above (1,000 blocks of one row)
     assert sum(1 for chunks, _ in calls if chunks > 100) >= 4
     assert all(ran == min(2, chunks) for chunks, ran in calls)
 
