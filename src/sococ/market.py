@@ -88,9 +88,11 @@ def _eligible(fleet, ids: Iterable[int], mode: Mode) -> Iterator[tuple[int, floa
     coalition for `mode`, lazily and in input order: those running `mode` or
     asleep, with at least MIN_ALLOCATION free.
 
-    `ids` is a list or a memoryview of an id array: either yields Python
-    ints one at a time, so a scan that stops early reads nothing past its
-    stop."""
+    `ids` is a list or a memoryview of an id array, or a chain of those
+    that ends in a contact row's tail (`ContactOrder.primary`): each yields
+    Python ints one at a time, so a scan that stops early reads nothing past
+    its stop, and a scan that stops inside a row's kept contacts draws no
+    tail."""
     mode_of, committed = fleet.modes_view, fleet.committed_view
     capacity, wanted = fleet.capacity, int(mode)
     for i in ids:
@@ -115,7 +117,7 @@ class ContactOrder:
 
     The order owns the topology's primary-contact matrix: it puts every
     row in order in place, and `primary_sorted` is that same array, so
-    set-up holds one N x n matrix. On a numbered fleet a chunk sorts only
+    set-up holds one contact matrix. On a numbered fleet a chunk sorts only
     the rows not ascending by id: `organize` leaves none, and a topology
     that an earlier fleet left in another order comes back in id order. For
     any other fleet it gathers each row's ranks, sorts them and gathers the
@@ -123,7 +125,15 @@ class ContactOrder:
     The rows are ordered in chunks on the process's CPUs
     (`topology.for_row_chunks`); a chunk draws nothing and writes only its
     own rows, so the result cannot depend on how the chunks were shared.
-    Assembly reads a row through a memoryview, one Python int at a time.
+
+    Where `organize` cut the rows to their first _KEPT_CONTACTS ids
+    (`ContactTopology.contact_blocks`), the order checks and holds only
+    those columns. Putting a cut row in (unit cost, id) order needs the
+    whole row, so such a topology needs a numbered fleet, on which the
+    kept ids are the cheapest and the tail, ascending, follows them in
+    order; another fleet raises ConfigurationError. Assembly reads a row
+    through `primary`, one Python int at a time.
+
     Secondary contacts are recomputed from the topology on every call
     (`topology.secondary_mask`); the order keeps no per-core state.
     """
@@ -146,6 +156,10 @@ class ContactOrder:
                 # every row is ascending now, so its ends bound it
                 if block.size and (block[:, 0].min() < 0 or block[:, -1].max() >= n):
                     raise IndexError(f"a primary contact lies outside the fleet of {n} cores")
+        elif topology.contact_blocks is not None:
+            raise ConfigurationError(
+                "the topology keeps only the first contacts of each row, which "
+                "is the cheapest only on a fleet numbered cheapest first")
         else:
             self.by_rank = np.argsort(cost, kind="stable").astype(np.int32)
             self.rank = np.empty(n, dtype=np.int32)
@@ -161,6 +175,21 @@ class ContactOrder:
 
         for_row_chunks(order, n, contacts.shape[1])
         self.primary_sorted = contacts
+        # rows as slices of one flat memoryview: cheaper per assembly than
+        # a numpy row view wrapped in a memoryview of its own
+        self._width = contacts.shape[1]
+        self._rows = memoryview(contacts.reshape(-1))
+
+    def primary(self, core: int) -> Iterable[int]:
+        """Core's primary contacts in (unit cost, id) order: its kept row
+        through a memoryview, then, where the row was cut, the rest of it,
+        drawn only when a scan runs past the kept columns
+        (`ContactTopology.contact_tail`)."""
+        lo = core * self._width
+        row = self._rows[lo:lo + self._width]
+        if self.topology.contact_blocks is None:
+            return row
+        return chain(row, _drawn_tail(self.topology, core))
 
     def sort_ids(self, ids: list[int]) -> list[int]:
         """`ids` in (unit cost, id) order. Ranks are unique, so this is the
@@ -176,6 +205,12 @@ class ContactOrder:
         if self._rank_of is None:
             return np.flatnonzero(mask)
         return self.by_rank[mask[self.by_rank]]
+
+
+def _drawn_tail(topology: ContactTopology, core: int) -> Iterator[int]:
+    """The rest of core's primary row; a generator, so nothing is drawn
+    until the first value is asked for."""
+    yield from topology.contact_tail(core).tolist()
 
 
 class Invitations:
@@ -277,10 +312,10 @@ def assemble_coalition(
 
     ids, allocs = [leader], [leader_free]
     remaining = need - leader_free
-    row = memoryview(order.primary_sorted[leader])
-    covered = _fill(_eligible(fleet, row, request.mode), remaining, ids, allocs)
+    covered = _fill(_eligible(fleet, order.primary(leader), request.mode),
+                    remaining, ids, allocs)
     if not covered and use_secondary:
-        # all eligible primaries joined in full; the tail comes from
+        # all eligible primaries joined in full; the rest comes from
         # secondary contacts not already recruited
         remaining -= float(np.sum(allocs[1:]))
         taken = set(ids)

@@ -15,6 +15,17 @@ the rows out of cost order) run their chunks on the process's CPUs
 only its own rows, and draws, if at all, only from generators of its own.
 The counting sort that inverts the periphery lists (`_invert_selection`)
 runs on the calling thread, in row order.
+
+The contact draw keeps only the first _KEPT_CONTACTS columns of each row,
+the cheapest contacts of a fleet numbered cheapest first: assembly scans a
+leader's row in that order and stops at cover. At `scale` (N=200,000,
+n=500, 2x10^4 requests) 1 to 4 of ~11,500 scans read past 64 contacts at
+seeds 3, 71 and 83, the deepest 65 to 76. So set-up holds an N x 64
+matrix, not N x n: 49 MiB, not 381 MiB, at `scale`; 2 GiB, not 15.6 GiB,
+at the published N. A scan that runs past the kept columns reads the rest
+of the row from `contact_tail`, which draws the row's block again from its
+child generator: one block of _BLOCK_CELLS cells, ~2-3 ms at n=500 on a
+2-CPU host.
 """
 
 from __future__ import annotations
@@ -30,6 +41,10 @@ from .errors import ConfigurationError
 # from its own child generator. The block size fixes the draws, so changing
 # it changes every topology.
 _BLOCK_CELLS = 1 << 18
+# Columns of each primary-contact row the topology keeps: the first, so the
+# lowest ids. Memory only: the rest of a row is drawn again when read
+# (`ContactTopology.contact_tail`), so no output depends on it.
+_KEPT_CONTACTS = 64
 # Bound on the cells of any per-chunk temporary built over N-row matrices.
 # It has no effect on any output, nor has the number of threads that work
 # through the chunks of one loop (`for_row_chunks`): each holds one chunk's
@@ -40,10 +55,16 @@ CHUNK_CELLS = 1 << 18
 _INVERT_CELLS = 1 << 13
 
 
+def _chunk_rows(row_cells: int, cells: int) -> int:
+    """Rows of a chunk of at most `cells` cells of rows `row_cells` wide
+    (at least one)."""
+    return max(1, cells // max(row_cells, 1))
+
+
 def row_chunks(n_rows: int, row_cells: int, cells: int | None = None):
     """Consecutive slices of range(n_rows), each covering at most `cells`
     (default CHUNK_CELLS) cells of rows `row_cells` wide (at least one row)."""
-    step = max(1, (CHUNK_CELLS if cells is None else cells) // max(row_cells, 1))
+    step = _chunk_rows(row_cells, CHUNK_CELLS if cells is None else cells)
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
 
@@ -128,13 +149,31 @@ class TopologyConfig:
             )
 
 
+@dataclass(frozen=True)
+class ContactBlocks:
+    """How `organize` drew the primary contacts, kept so that one block of
+    rows can be drawn again (`ContactTopology.contact_tail`).
+
+    Block b holds rows [b * rows, (b + 1) * rows), `width` contacts each,
+    and drew them from child `first + b` of `seeds`, the SeedSequence of
+    `organize`'s generator, in `rng.spawn`'s numbering: one parent and an
+    index, not one seed per block (~16,000 blocks at the published N).
+    """
+
+    seeds: np.random.SeedSequence
+    first: int
+    width: int
+    rows: int
+
+
 @dataclass
 class ContactTopology:
     """The bootstrapped contact lists.
 
     core_known_periphery[c] holds the m periphery ids core c selected;
-    core_primary_contacts[c] holds its n primary core contacts; and
-    periphery_known_cores[p] is the exact inverse of the first relation.
+    core_primary_contacts[c] holds the first min(n, _KEPT_CONTACTS) of its
+    n primary core contacts; and periphery_known_cores[p] is the exact
+    inverse of the first relation.
     `organize` builds those M lists as views of one int32 array, kept as
     `known_cores` with the M + 1 offsets `known_core_starts`: list p is
     known_cores[known_core_starts[p]:known_core_starts[p + 1]]. A topology
@@ -149,6 +188,12 @@ class ContactTopology:
     on that numbering but its law does not. `market.ContactOrder` takes
     the matrix over and puts every row in (unit cost, id) order in place;
     for such a fleet `organize`'s rows already are.
+
+    Where n > _KEPT_CONTACTS, `organize` keeps each row's first
+    _KEPT_CONTACTS contacts, its lowest ids, and records in
+    `contact_blocks` how it drew them; `contact_tail` returns the rest of
+    a row. Rows whole (n <= _KEPT_CONTACTS, or built by hand) have no
+    `contact_blocks` and no tail.
     """
 
     n_core: int
@@ -159,6 +204,27 @@ class ContactTopology:
     aux_roster: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
     known_cores: np.ndarray | None = None        # shape (N * m,), int32
     known_core_starts: np.ndarray | None = None  # shape (M + 1,), int64
+    contact_blocks: ContactBlocks | None = None  # None when rows are whole
+
+    def contact_tail(self, core: int) -> np.ndarray:
+        """Core's primary contacts past the kept columns, ascending: those
+        `organize` drew and dropped, drawn again, byte for byte. The row's
+        whole block is drawn from a fresh generator in its child's initial
+        state, as `_sample_rows` drew it, and shifted past its owners: up
+        to _BLOCK_CELLS cells, ~2-3 ms at n=500. Empty when rows are
+        whole."""
+        blocks = self.contact_blocks
+        if blocks is None:
+            return np.empty(0, np.int32)
+        b, seeds = core // blocks.rows, blocks.seeds
+        child = np.random.SeedSequence(
+            seeds.entropy, spawn_key=(*seeds.spawn_key, blocks.first + b),
+            pool_size=seeds.pool_size)
+        lo = b * blocks.rows
+        rows = slice(lo, min(lo + blocks.rows, self.n_core))
+        block = _draw_block(np.random.default_rng(child), rows, blocks.width,
+                            self.n_core - 1, skip_own=True)
+        return block[core - lo, self.core_primary_contacts.shape[1]:]
 
     def pcs_sizes(self) -> np.ndarray:
         """The length of each known-core list: the differences of
@@ -195,13 +261,16 @@ class TopologyStats:
 
 
 def _sample_rows(
-    rng: np.random.Generator, n_rows: int, k: int, pop: int, skip_own: bool = False
+    rng: np.random.Generator, n_rows: int, k: int, pop: int, skip_own: bool = False,
+    kept: int | None = None,
 ) -> np.ndarray:
     """n_rows rows of k distinct values from range(pop), each row ascending
     and uniform over k-subsets (`_distinct_sorted_rows`). With `skip_own`,
     row r holds k values of range(pop) other than r: drawn from range(pop -
     1), then each value from r up shifted by one, in the block that draws
     them, so the matrix is written once and every row stays ascending.
+    With `kept`, each block writes only the first `kept` values of its
+    rows, so the matrix is min(k, kept) wide.
 
     The rows are drawn in fixed blocks of _BLOCK_CELLS cells (at least one
     row), each from its own child generator (`rng.spawn`), and the blocks
@@ -209,25 +278,34 @@ def _sample_rows(
     own generator and writes only its own rows, so no output depends on
     CHUNK_CELLS or on the number of threads; `rng` itself draws nothing.
     """
+    width = k if kept is None else min(k, kept)
     if k == 0:
         return np.empty((n_rows, 0), dtype=np.int32)
     pop -= skip_own
     if k > pop:
         raise ConfigurationError(f"cannot draw {k} distinct values from {pop}")
-    out = np.empty((n_rows, k), dtype=np.int32)
+    out = np.empty((n_rows, width), dtype=np.int32)
     blocks = list(row_chunks(n_rows, k, _BLOCK_CELLS))
     gens = rng.spawn(len(blocks))
 
     def draw(which: slice) -> None:
         for b in range(which.start, which.stop):
-            rows = blocks[b]
-            block = _distinct_sorted_rows(gens[b], rows.stop - rows.start, k, pop)
-            if skip_own:
-                block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
-            out[rows] = block
+            out[blocks[b]] = _draw_block(gens[b], blocks[b], k, pop, skip_own)[:, :width]
 
     for_row_chunks(draw, len(blocks), _BLOCK_CELLS)
     return out
+
+
+def _draw_block(
+    gen: np.random.Generator, rows: slice, k: int, pop: int, skip_own: bool
+) -> np.ndarray:
+    """One block of `_sample_rows`: rows `rows` of k distinct values of
+    range(pop), ascending, each value from the row's owner up shifted by
+    one with `skip_own`."""
+    block = _distinct_sorted_rows(gen, rows.stop - rows.start, k, pop)
+    if skip_own:
+        block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
+    return block
 
 
 def _distinct_sorted_rows(gen: np.random.Generator, n_rows: int, k, pop) -> np.ndarray:
@@ -307,8 +385,10 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
 
     The periphery "broadcast" is modeled as instantaneous global knowledge:
     each core directly draws m distinct periphery servers, then n distinct
-    primary contacts excluding itself. The draws come from a generator
-    seeded with `seed`, so equal configs and seeds yield equal topologies.
+    primary contacts excluding itself, of which it keeps the first
+    _KEPT_CONTACTS (`ContactTopology.contact_tail` draws the rest again).
+    The draws come from a generator seeded with `seed`, so equal configs
+    and seeds yield equal topologies.
     """
     rng = np.random.default_rng(seed)
     n, m = config.n_core, config.periphery_per_core
@@ -316,13 +396,17 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
 
     known_periphery = _sample_rows(rng, n, m, config.n_periphery)
     # Inverted before the contact draw (no rng involved), so the inversion's
-    # temporaries are freed before the N x n contact matrix exists.
+    # temporaries are freed before the contact matrix exists.
     known_cores, starts = _invert_selection(known_periphery, config.n_periphery)
     periphery_known = np.split(known_cores, starts[1:-1])
 
     # a core's contacts are drawn from the other N - 1 cores, so the owner
-    # can never appear in its own list
-    contacts = _sample_rows(rng, n, n_contacts, n, skip_own=True)
+    # can never appear in its own list; `rng.spawn` numbers the blocks'
+    # children from the parent's count of children so far
+    seeds = rng.bit_generator.seed_seq
+    blocks = ContactBlocks(seeds, seeds.n_children_spawned, n_contacts,
+                           _chunk_rows(n_contacts, _BLOCK_CELLS))
+    contacts = _sample_rows(rng, n, n_contacts, n, skip_own=True, kept=_KEPT_CONTACTS)
 
     return ContactTopology(
         n_core=n,
@@ -333,6 +417,7 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
         aux_roster=np.arange(config.n_aux, dtype=np.int32),
         known_cores=known_cores,
         known_core_starts=starts,
+        contact_blocks=blocks if n_contacts > _KEPT_CONTACTS else None,
     )
 
 

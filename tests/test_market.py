@@ -13,8 +13,8 @@ from scipy.stats import chisquare
 
 from sococ import engine, market, topology
 from sococ.engine import Fleet, init_servers
-from sococ.errors import InternalConsistencyError
-from sococ.harness import derive_seeds, preset
+from sococ.errors import ConfigurationError, InternalConsistencyError
+from sococ.harness import derive_seeds, preset, run_experiment
 from sococ.market import (
     MIN_ALLOCATION,
     _TRIM_EPS,
@@ -955,24 +955,136 @@ def test_contact_order_reuses_the_topology_matrix():
     assert np.array_equal(order.primary_sorted, drawn)
 
 
-def test_setup_peak_memory_stays_near_one_contact_matrix():
-    # set-up holds one N x n contact matrix: organize may add a quarter of
-    # it at its peak and ContactOrder, which sorts it in place, a quarter
-    # (tracemalloc sees numpy buffers); a second matrix would not fit
+# -- contact tails -----------------------------------------------------------------
+
+def cut_and_whole(monkeypatch, config, seed):
+    """organize's topology, its rows cut to _KEPT_CONTACTS, and the same
+    topology with every column kept."""
+    cut = organize(config, seed)
+    with monkeypatch.context() as whole:
+        whole.setattr(topology, "_KEPT_CONTACTS", config.primary_contacts_per_core)
+        return cut, organize(config, seed)
+
+
+def count_tails(monkeypatch):
+    """Spy on ContactTopology.contact_tail: one entry per call, the core."""
+    calls, real = [], topology.ContactTopology.contact_tail
+
+    def spy(topo, core):
+        calls.append(core)
+        return real(topo, core)
+
+    monkeypatch.setattr(topology.ContactTopology, "contact_tail", spy)
+    return calls
+
+
+def test_a_scan_past_the_kept_contacts_draws_the_tail_once(monkeypatch):
+    # the leader sleeps, so it is eligible for any mode; its 64 kept
+    # contacts run M2, every other core M1 or sleeps: an M1 request the
+    # leader cannot cover scans into the tail, and an M2 request that the
+    # kept contacts cover never draws it
+    config = TopologyConfig(n_core=3000, n_periphery=20, primary_contacts_per_core=200,
+                            periphery_per_core=2)
+    cut, whole = cut_and_whole(monkeypatch, config, 9)
+    leader = 1234
+    rng = np.random.default_rng(9)
+    modes = rng.choice([Mode.SLEEP, Mode.M1], size=3000)
+    modes[cut.core_primary_contacts[leader]] = Mode.M2
+    modes[leader] = Mode.SLEEP
+    committed = np.where(modes == Mode.SLEEP, 0.0, rng.uniform(0, 9, size=3000))
+    costs = np.sort(rng.uniform(1, 10, size=3000))  # numbered cheapest first
+    calls = count_tails(monkeypatch)
+    for mode, workload, use_secondary, tails in [
+            (Mode.M1, 30.0, False, 1),     # covered inside the tail
+            (Mode.M1, 2000.0, True, 1),    # the row falls short: secondaries
+            (Mode.M1, 10**5, True, 1),     # nothing covers it
+            (Mode.M2, 15.0, False, 0)]:    # covered inside the kept columns
+        request = make_request(mode, workload=workload)
+        fleet = make_fleet(modes, costs, committed)
+        got = assemble(leader, request, cut, fleet, use_secondary)
+        assert len(calls) == tails and set(calls) <= {leader}
+        calls.clear()
+        want = assemble(leader, request, whole, fleet, use_secondary)
+        assert not calls
+        assert (got is None) == (want is None) == (workload == 10**5)
+        if got is not None:
+            assert got.member_ids.tolist() == want.member_ids.tolist()
+            assert got.allocations.tobytes() == want.allocations.tobytes()
+        if mode == Mode.M1 and not use_secondary:
+            # the whole-row reference: the eligible contacts' free capacity,
+            # filled by cumsum and searchsorted
+            pool = vectorized_eligible(fleet, whole.core_primary_contacts[leader], mode)
+            leader_free = fleet.capacity - fleet.committed[leader]
+            filled = vectorized_fill(pool, fleet.capacity - fleet.committed[pool],
+                                     workload - leader_free)
+            assert got.member_ids.tolist() == [leader, *filled[0].tolist()]
+            assert np.setdiff1d(filled[0], cut.core_primary_contacts[leader]).size
+
+
+def test_cut_rows_need_a_fleet_numbered_cheapest_first(monkeypatch):
+    # a cut row's tail may hold cheaper cores than its kept columns, so it
+    # cannot be put in cost order; whole rows still take the rank path
+    config = TopologyConfig(n_core=300, n_periphery=5, primary_contacts_per_core=65,
+                            periphery_per_core=2)
+    cut, whole = cut_and_whole(monkeypatch, config, 3)
+    costs = np.random.default_rng(3).uniform(1, 10, size=300)
+    with pytest.raises(ConfigurationError):
+        ContactOrder(cut, make_fleet([Mode.M1] * 300, costs=costs))
+    with pytest.raises(ConfigurationError):
+        Market(cut, make_fleet([Mode.M1] * 300, costs=costs), MarketConfig(),
+               np.random.default_rng(3))
+    order = ContactOrder(whole, make_fleet([Mode.M1] * 300, costs=costs))
+    assert order.primary_sorted[0].tolist() == sorted(
+        order.primary_sorted[0].tolist(), key=lambda i: (costs[i], i))
+    ContactOrder(cut, make_fleet([Mode.M1] * 300, costs=np.sort(costs)))
+
+
+@pytest.mark.parametrize("kept", [8, 100])
+def test_the_kept_width_changes_no_output(monkeypatch, tmp_path, kept):
+    # exp3-desk draws 100 contacts a row; keeping 8 of them, its leaders
+    # scan past the kept columns, and keeping all 100 they never draw a
+    # tail: the report files are the same bytes either way, and the same
+    # as at the default width
+    p = preset("exp3-desk")
+    p = replace(p, workload=replace(p.workload, n_requests=2000))
+    default = run_experiment(p, 5, tmp_path / "default")
+    monkeypatch.setattr(topology, "_KEPT_CONTACTS", kept)
+    calls = count_tails(monkeypatch)
+    report = run_experiment(p, 5, tmp_path / "kept")
+    assert (len(calls) > 0) == (kept < p.topology.primary_contacts_per_core)
+    assert report.event_digest == default.event_digest
+    for name in ("bins.csv", "coalitions.csv", "summary.json"):
+        assert (tmp_path / "kept" / name).read_bytes() == \
+            (tmp_path / "default" / name).read_bytes()
+
+
+def test_setup_peak_memory_stays_near_the_kept_contact_matrix(monkeypatch):
+    # organize holds the N x 64 kept matrix, the periphery lists and their
+    # inverse, plus, while it draws, one block of contacts on each CPU: the
+    # block's int32 cells and their sort, compare and shift temporaries, at
+    # most 8 bytes a cell (~6 measured: 1.5 MiB a block), and 1 MiB for the
+    # Python objects of the draw (the thread pool, the child generators,
+    # the M list views); an N x n matrix, even a moment's, would not fit.
+    # ContactOrder on a numbered fleet only checks the rows it holds
+    # (tracemalloc sees numpy buffers)
+    monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: {0, 1})
+    n_core, m = 100_000, 10
     tracemalloc.start()
     try:
-        topo = organize(TopologyConfig(n_core=100_000, n_periphery=1000,
+        topo = organize(TopologyConfig(n_core=n_core, n_periphery=1000,
                                        primary_contacts_per_core=200,
-                                       periphery_per_core=10), 1)
+                                       periphery_per_core=m), 1)
         organize_peak = tracemalloc.get_traced_memory()[1]
-        fleet = make_fleet(np.ones(100_000, dtype=np.int8),
-                           costs=np.random.default_rng(1).uniform(1, 10, 100_000))
+        fleet = make_fleet(np.ones(n_core, dtype=np.int8),
+                           costs=np.sort(np.random.default_rng(1).uniform(1, 10, n_core)))
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         ContactOrder(topo, fleet)
         order_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    matrix = topo.core_primary_contacts.nbytes
-    assert organize_peak <= 1.25 * matrix
-    assert order_peak <= 0.25 * matrix
+    kept = n_core * topology._KEPT_CONTACTS * 4
+    assert topo.core_primary_contacts.nbytes == kept
+    periphery = 2 * n_core * m * 4  # the lists and their inverse
+    assert organize_peak <= kept + periphery + 2 * 8 * topology._BLOCK_CELLS + 2**20
+    assert order_peak <= 0.25 * kept

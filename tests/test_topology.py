@@ -296,6 +296,51 @@ def test_the_fused_owner_shift_is_the_separate_shift_of_the_same_draws(
     assert np.array_equal(organize(config, 5).core_primary_contacts, drawn)
 
 
+def organize_whole_rows(monkeypatch, config, seed):
+    """organize with every contact column kept, as it drew rows before it
+    kept only _KEPT_CONTACTS of them."""
+    with monkeypatch.context() as whole:
+        whole.setattr(topology, "_KEPT_CONTACTS", config.primary_contacts_per_core)
+        return organize(config, seed)
+
+
+@pytest.mark.parametrize("n_contacts", [65, 200])
+@pytest.mark.parametrize("block_rows", [7, None])
+def test_kept_columns_and_the_tail_are_the_whole_draw(monkeypatch, n_contacts, block_rows):
+    # blocks of 7 rows (43 blocks), every row checked; or of the default
+    # 2^18 cells (two whole blocks and one of 17 rows), the rows at each
+    # block's edges
+    n_core = 300 if block_rows else 2 * (topology._BLOCK_CELLS // n_contacts) + 17
+    if block_rows:
+        monkeypatch.setattr(topology, "_BLOCK_CELLS", block_rows * n_contacts)
+    config = TopologyConfig(n_core=n_core, n_periphery=20,
+                            primary_contacts_per_core=n_contacts, periphery_per_core=3)
+    whole = organize_whole_rows(monkeypatch, config, 4)
+    cut = organize(config, 4)
+    assert whole.contact_blocks is None
+    assert cut.core_primary_contacts.shape == (n_core, topology._KEPT_CONTACTS)
+    assert np.array_equal(cut.core_known_periphery, whole.core_known_periphery)
+    blocks = list(row_chunks(n_core, n_contacts, topology._BLOCK_CELLS))
+    assert len(blocks) >= 3
+    if block_rows:
+        rows = range(n_core)
+    else:
+        rows = sorted({r for b in blocks for r in (b.start, b.start + 1, b.stop - 1)})
+    for c in rows:
+        tail = cut.contact_tail(c)
+        assert tail.dtype == np.int32
+        assert np.array_equal(np.concatenate((cut.core_primary_contacts[c], tail)),
+                              whole.core_primary_contacts[c]), c
+
+
+@pytest.mark.parametrize("n_contacts", [0, 9, 64])
+def test_whole_rows_keep_no_tail_state(n_contacts):
+    topo = make(500, 20, 3, n_contacts, seed=2)
+    assert topo.core_primary_contacts.shape == (500, n_contacts)
+    assert topo.contact_blocks is None
+    assert topo.contact_tail(17).size == 0
+
+
 @pytest.mark.parametrize("m", [200, 600])
 def test_organize_is_unchanged_across_cpus_and_chunk_sizes(monkeypatch, m):
     # 3,000 cores knowing 200 or 600 of 1,000 periphery servers, the second
