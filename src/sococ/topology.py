@@ -24,8 +24,15 @@ seeds 3, 71 and 83, the deepest 65 to 76. So set-up holds an N x 64
 matrix, not N x n: 49 MiB, not 381 MiB, at `scale`; 2 GiB, not 15.6 GiB,
 at the published N. A scan that runs past the kept columns reads the rest
 of the row from `contact_tail`, which draws the row's block again from its
-child generator: one block of _BLOCK_CELLS cells, ~2-3 ms at n=500 on a
-2-CPU host.
+child generator: ~2-3 ms at n=500 on a 2-CPU host.
+
+Set-up does not draw the columns it drops. A row of n > _PREFIX_CONTACTS
+is drawn in two strata (`_draw_block`): its count of values below a split
+point, one hypergeometric draw, then those values, about _PREFIX_CONTACTS
+of them; the values above the split point are drawn only by
+`contact_tail`, or at set-up for a block holding a row with fewer than
+_KEPT_CONTACTS values below it. At `scale` the contact draw takes about
+half its whole-row time (0.24-0.28 s against 0.53-0.57 s, 2-CPU host).
 """
 
 from __future__ import annotations
@@ -45,6 +52,13 @@ _BLOCK_CELLS = 1 << 18
 # lowest ids. Memory only: the rest of a row is drawn again when read
 # (`ContactTopology.contact_tail`), so no output depends on it.
 _KEPT_CONTACTS = 64
+# A primary-contact row of more values than this is drawn in two strata
+# (`_draw_block`), so that set-up draws about this many values a row, not
+# all of them. It fixes the draws of such rows, so changing it changes
+# their topologies; it must stay above _KEPT_CONTACTS by enough margin
+# that a row rarely holds fewer than _KEPT_CONTACTS values in the first
+# stratum, or set-up draws that row's block whole.
+_PREFIX_CONTACTS = 112
 # Bound on the cells of any per-chunk temporary built over N-row matrices.
 # It has no effect on any output, nor has the number of threads that work
 # through the chunks of one loop (`for_row_chunks`): each holds one chunk's
@@ -157,7 +171,9 @@ class ContactBlocks:
     Block b holds rows [b * rows, (b + 1) * rows), `width` contacts each,
     and drew them from child `first + b` of `seeds`, the SeedSequence of
     `organize`'s generator, in `rng.spawn`'s numbering: one parent and an
-    index, not one seed per block (~16,000 blocks at the published N).
+    index, not one seed per block (~16,000 blocks at the published N). A
+    block drawn in two strata draws the second from that child's own
+    first child (`_tail_rng`).
     """
 
     seeds: np.random.SeedSequence
@@ -208,22 +224,20 @@ class ContactTopology:
 
     def contact_tail(self, core: int) -> np.ndarray:
         """Core's primary contacts past the kept columns, ascending: those
-        `organize` drew and dropped, drawn again, byte for byte. The row's
-        whole block is drawn from a fresh generator in its child's initial
-        state, as `_sample_rows` drew it, and shifted past its owners: up
-        to _BLOCK_CELLS cells, ~2-3 ms at n=500. Empty when rows are
-        whole."""
+        `organize` drew and dropped, or never drew, byte for byte. The
+        row's whole block is drawn from fresh generators in its child's
+        initial state, as `_sample_rows` drew it, both strata where it was
+        split, and shifted past its owners: ~2-3 ms at n=500. Empty when
+        rows are whole."""
         blocks = self.contact_blocks
         if blocks is None:
             return np.empty(0, np.int32)
-        b, seeds = core // blocks.rows, blocks.seeds
-        child = np.random.SeedSequence(
-            seeds.entropy, spawn_key=(*seeds.spawn_key, blocks.first + b),
-            pool_size=seeds.pool_size)
+        b = core // blocks.rows
+        gen = np.random.default_rng(_child_seeds(blocks.seeds, blocks.first + b))
         lo = b * blocks.rows
         rows = slice(lo, min(lo + blocks.rows, self.n_core))
-        block = _draw_block(np.random.default_rng(child), rows, blocks.width,
-                            self.n_core - 1, skip_own=True)
+        block = _draw_block(gen, rows, blocks.width, self.n_core - 1,
+                            skip_own=True, kept=blocks.width)
         return block[core - lo, self.core_primary_contacts.shape[1]:]
 
     def pcs_sizes(self) -> np.ndarray:
@@ -270,7 +284,8 @@ def _sample_rows(
     1), then each value from r up shifted by one, in the block that draws
     them, so the matrix is written once and every row stays ascending.
     With `kept`, each block writes only the first `kept` values of its
-    rows, so the matrix is min(k, kept) wide.
+    rows, so the matrix is min(k, kept) wide, and rows of k >
+    _PREFIX_CONTACTS are drawn in two strata (`_draw_block`).
 
     The rows are drawn in fixed blocks of _BLOCK_CELLS cells (at least one
     row), each from its own child generator (`rng.spawn`), and the blocks
@@ -279,6 +294,7 @@ def _sample_rows(
     CHUNK_CELLS or on the number of threads; `rng` itself draws nothing.
     """
     width = k if kept is None else min(k, kept)
+    split = None if kept is None else width
     if k == 0:
         return np.empty((n_rows, 0), dtype=np.int32)
     pop -= skip_own
@@ -290,31 +306,76 @@ def _sample_rows(
 
     def draw(which: slice) -> None:
         for b in range(which.start, which.stop):
-            out[blocks[b]] = _draw_block(gens[b], blocks[b], k, pop, skip_own)[:, :width]
+            out[blocks[b]] = _draw_block(gens[b], blocks[b], k, pop, skip_own, split)
 
     for_row_chunks(draw, len(blocks), _BLOCK_CELLS)
     return out
 
 
 def _draw_block(
-    gen: np.random.Generator, rows: slice, k: int, pop: int, skip_own: bool
+    gen: np.random.Generator, rows: slice, k: int, pop: int, skip_own: bool,
+    kept: int | None = None,
 ) -> np.ndarray:
     """One block of `_sample_rows`: rows `rows` of k distinct values of
     range(pop), ascending, each value from the row's owner up shifted by
-    one with `skip_own`."""
-    block = _distinct_sorted_rows(gen, rows.stop - rows.start, k, pop)
+    one with `skip_own`.
+
+    With `kept`, only the first `kept` columns of each row are returned,
+    and rows of k > _PREFIX_CONTACTS are drawn in two strata: each row's
+    count c of values below T = ceil(pop * _PREFIX_CONTACTS / k), one
+    hypergeometric draw, then a uniform c-subset of range(T) from `gen`
+    and a uniform (k - c)-subset of range(T, pop) from `_tail_rng(gen)`.
+    That is the law of a uniform k-subset (the count of a uniform subset
+    in a part is hypergeometric and, given it, the subset's two parts are
+    uniform and independent), and c is about _PREFIX_CONTACTS, so the
+    second stratum is drawn only where a row holds fewer than `kept`
+    values below T: a row stays the same whatever `kept` is.
+    """
+    n_rows = rows.stop - rows.start
+    if kept is None or k <= _PREFIX_CONTACTS:
+        block = _distinct_sorted_rows(gen, n_rows, k, pop)[:, :kept]
+    else:
+        split = -(-pop * _PREFIX_CONTACTS // k)
+        low = gen.hypergeometric(split, pop - split, k, size=n_rows)
+        head = _distinct_sorted_rows(gen, n_rows, low, split)
+        if low.min() >= kept:
+            block = head[:, :kept]
+        else:
+            rest = _distinct_sorted_rows(_tail_rng(gen), n_rows, k - low, pop - split)
+            rest += split
+            # row r: its first min(c, kept) head values, then rest values
+            # up to `kept`, both matrices read in row-major order
+            first = np.minimum(low, kept)[:, None]
+            cols = np.arange(kept)
+            from_head = cols < first
+            block = np.empty((n_rows, kept), dtype=np.int32)
+            block[from_head] = head[np.arange(head.shape[1]) < first]
+            block[~from_head] = rest[np.arange(rest.shape[1]) < kept - first]
     if skip_own:
         block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
     return block
+
+
+def _child_seeds(seeds: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
+    """Child i of `seeds`, as `seeds.spawn` numbers them, without counting
+    it as spawned."""
+    return np.random.SeedSequence(seeds.entropy, spawn_key=(*seeds.spawn_key, i),
+                                  pool_size=seeds.pool_size)
+
+
+def _tail_rng(gen: np.random.Generator) -> np.random.Generator:
+    """The generator a split block draws its second stratum from: a fresh
+    one from the first child of the block generator's seeds."""
+    return np.random.default_rng(_child_seeds(gen.bit_generator.seed_seq, 0))
 
 
 def _distinct_sorted_rows(gen: np.random.Generator, n_rows: int, k, pop) -> np.ndarray:
     """n_rows rows, row r beginning with k[r] distinct values from
     range(pop[r]), ascending: a uniform random k[r]-subset, all drawn from
     `gen`. k and pop are ints, alike for every row, giving an int32
-    (n_rows, k) matrix; or int64 arrays of one entry per row, giving an
-    int64 (n_rows, max(k)) matrix whose cells past a row's k hold no value
-    of use.
+    (n_rows, k) matrix; or k is an array of one entry per row, giving an
+    (n_rows, max(k)) matrix whose cells past a row's k hold no value of
+    use: int32 for an int pop, int64 for a pop array of one entry per row.
 
     A row of k > pop / 2 draws the pop - k values it leaves out, and returns
     the others. Every row draws its values with replacement and sorts them.
@@ -331,21 +392,24 @@ def _distinct_sorted_rows(gen: np.random.Generator, n_rows: int, k, pop) -> np.n
 
     Each round compares the pending rows as one flat array, with the pairs
     that straddle two rows masked off, and redraws its surplus cells in
-    flat order, in one `gen.integers` call: with a scalar bound for int
-    arguments, with each cell's row bound for arrays.
+    flat order, in one `gen.integers` call: with a scalar bound for an int
+    pop, with each cell's row bound for a pop array (~4x slower a draw).
     """
     k, pop = np.asarray(k), np.asarray(pop)
     flip = 2 * k > pop
     drawn = np.where(flip, pop - k, k)  # values each row draws
     width = int(drawn.max(initial=0))
-    if pop.ndim:
+    dtype = np.int64 if pop.ndim else np.int32
+    if k.ndim:
         # a cell past a row's draws holds a value of its own above every
         # position: it neither matches one nor sorts before one
-        taken = np.arange(width) < drawn[:, None]
-        block = np.broadcast_to(pop.max(initial=0) + np.arange(width), taken.shape).copy()
-        block[taken] = gen.integers(0, np.repeat(pop, drawn), dtype=block.dtype)
+        taken = np.arange(width, dtype=dtype) < drawn.astype(dtype)[:, None]
+        top = int(pop.max(initial=0))
+        block = np.broadcast_to(np.arange(top, top + width, dtype=dtype), taken.shape).copy()
+        high = np.repeat(pop, drawn) if pop.ndim else pop
+        block[taken] = gen.integers(0, high, size=int(drawn.sum()), dtype=dtype)
     else:
-        block = gen.integers(0, pop, size=(n_rows, width), dtype=np.int32)
+        block = gen.integers(0, pop, size=(n_rows, width), dtype=dtype)
     block.sort(axis=1)
     pending, rows = block, np.arange(n_rows)  # `pending` holds block[rows]
     while width > 1:
@@ -386,7 +450,9 @@ def organize(config: TopologyConfig, seed: int) -> ContactTopology:
     The periphery "broadcast" is modeled as instantaneous global knowledge:
     each core directly draws m distinct periphery servers, then n distinct
     primary contacts excluding itself, of which it keeps the first
-    _KEPT_CONTACTS (`ContactTopology.contact_tail` draws the rest again).
+    _KEPT_CONTACTS (`ContactTopology.contact_tail` draws the rest again);
+    a row of more than _PREFIX_CONTACTS is drawn in two strata, and set-up
+    draws only the first (`_draw_block`).
     The draws come from a generator seeded with `seed`, so equal configs
     and seeds yield equal topologies.
     """

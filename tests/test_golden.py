@@ -21,7 +21,8 @@ little-endian double, in arrival order. No report file carries a price.
 The desk presets are cut from 10^5 to 10^4 requests to keep the run fast.
 exp5 and exp6 run at their published 10^3 requests. `scale` is exp3 at
 N=200,000, cut to 2,000 requests: the only pin whose leaders scan 500-wide
-primary rows. exp5 and exp6 each draw their 2 of 2 periphery servers as
+primary rows, and the only one whose rows are drawn in two strata, the
+values below a split point first (`topology._PREFIX_CONTACTS`). exp5 and exp6 each draw their 2 of 2 periphery servers as
 the complement of nothing left out; every other list is drawn directly.
 
 No preset reaches the secondary-contact fallback: with 100 primary contacts
@@ -91,8 +92,8 @@ GOLDEN = {
     "scale": (
         "38b87f74e75ceb8126757e6a55d2515d",
         "65d5af0901582762b0dfe2d02d29a53d2f5e694d2cc82c2eef143a3788ddee10",
-        "0e77dd2d461b44957230566721fb0a11b136489f3e9015aeea1acdb5e48be836",
-        "c2bde221ee761dba9803ec11ed1055ba73a3bb47dfd9d60c7396a7f407241c26",
+        "510f47a8effce7523c86e831211afbb75285b92f8971fcf4bb66afedf778be93",
+        "14a4bb8e1453071e64671a5e89abcbde0673f8dcc64deab9bc1f913f90773ffd",
     ),
 }
 
@@ -104,7 +105,7 @@ SUMMARY = {
     "exp2-desk": "55ecce338e50de720627e7d9bdb6841e09f0875896320f43b32517e07a808b32",
     "exp3-desk": "2b0cfaf43c08d29546fcd9918b268da069ede783e7fa38f42b32a60cfa349524",
     "exp4-desk": "810faf06c242af8ed137da6b7d646ffe7538ad64640545c34b5988040fc49826",
-    "scale": "b9ab272d9aaf535e6d51f348fac9dbb93988899ebf3e7203128e9f944def37c0",
+    "scale": "8b39bb21a2473776e72f214a962d949de67f677ab30a9522c4956742bff78714",
 }
 
 # preset -> sha256 of the "<d" bytes of every won bid's price, in arrival order
@@ -115,7 +116,7 @@ PRICES = {
     "exp2-desk": "3d61dc85b845edad81863a65c54e06051b9834aaf2173e8c2df5fe307432e79a",
     "exp3-desk": "e36954b887bf8fb0e3599bac544f2c4b75bf2e66f667f00ec072a14fe6c07293",
     "exp4-desk": "751b0ebbcae3b6b8dda6ce0ef6d79ff6e144fd3ce0b5a38d5899a25363560ff6",
-    "scale": "89b052cc4386c32ee21b9cbe44881e519b08f0baf515597ec0a6794cce17ac56",
+    "scale": "b6622468e586866ef64b064f715c6781471118b6ae50243e48202993eac3f92d",
 }
 
 

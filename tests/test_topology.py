@@ -271,6 +271,40 @@ def test_rejection_sampler_is_uniform_over_k_subsets(k, pop):
         assert chisquare([counts[s] for s in subsets]).pvalue > 1e-4
 
 
+@pytest.mark.parametrize("skip_own", [False, True])
+@pytest.mark.parametrize("prefix", [2, 3])
+def test_split_rows_are_uniform_over_k_subsets(monkeypatch, prefix, skip_own):
+    # 5 of 12 splits range(12) at T = 5 (prefix 2) or 8 (prefix 3): a row's
+    # count c below T is hypergeometric, and each stratum is drawn directly
+    # or as the complement of what it leaves out. Every row with c < 5
+    # makes its block draw the second stratum; kept to 3 columns, a row is
+    # its 3 lowest values, whether c < 3 or not. With skip_own, 13-row
+    # blocks owned by cores 0..12, each from a fresh generator: row r
+    # leaves out r, and taking each value above r down one maps it onto
+    # range(12).
+    monkeypatch.setattr(topology, "_PREFIX_CONTACTS", prefix)
+    k, pop = 5, 12
+    subsets = list(combinations(range(pop), k))
+    if skip_own:
+        block = slice(0, 13)
+        seeds = np.random.SeedSequence(8).spawn(20 * len(subsets) // block.stop)
+        rows = np.concatenate([
+            topology._draw_block(np.random.default_rng(s), block, k, pop, True, kept=k)
+            for s in seeds])
+        owners = np.tile(np.arange(block.stop), len(seeds))[:, None]
+        assert not (rows == owners).any()
+        rows -= rows > owners
+    else:
+        n_rows = 100 * len(subsets)
+        rows = _sample_rows(np.random.default_rng(8), n_rows, k, pop, kept=k)
+        cut = _sample_rows(np.random.default_rng(8), n_rows, k, pop, kept=3)
+        assert np.array_equal(cut, rows[:, :3])
+    assert (np.diff(rows, axis=1) > 0).all()  # ascending and distinct
+    assert rows.min() >= 0 and rows.max() < pop
+    counts = Counter(map(tuple, rows.tolist()))
+    assert chisquare([counts[s] for s in subsets]).pvalue > 1e-4
+
+
 @pytest.mark.parametrize("n_core", [300, 5000])
 def test_contact_rows_are_ascending_distinct_and_skip_their_owner(n_core):
     # 60 of 299 repeat a value in ~99.7% of rows, 60 of 4999 in ~30%
@@ -341,19 +375,22 @@ def test_whole_rows_keep_no_tail_state(n_contacts):
     assert topo.contact_tail(17).size == 0
 
 
-@pytest.mark.parametrize("m", [200, 600])
-def test_organize_is_unchanged_across_cpus_and_chunk_sizes(monkeypatch, m):
+@pytest.mark.parametrize("m, n_contacts", [(200, 100), (600, 100), (10, 500)])
+def test_organize_is_unchanged_across_cpus_and_chunk_sizes(monkeypatch, m, n_contacts):
     # 3,000 cores knowing 200 or 600 of 1,000 periphery servers, the second
-    # as complements: either periphery draw spans three or more blocks
+    # as complements: either periphery draw spans three or more blocks. Or
+    # 500 contacts a row, drawn in two strata over six blocks: the rows
+    # kept whole check the second stratum, which the cut rows never draw
     n = 3000
-    assert len(list(row_chunks(n, m, topology._BLOCK_CELLS))) >= 3
+    assert len(list(row_chunks(n, max(m, n_contacts), topology._BLOCK_CELLS))) >= 3
     config = TopologyConfig(n_core=n, n_periphery=1000,
-                            primary_contacts_per_core=100, periphery_per_core=m)
+                            primary_contacts_per_core=n_contacts, periphery_per_core=m)
 
     def arrays():
         topo = organize(config, 12)
         return (topo.core_known_periphery, topo.core_primary_contacts,
-                topo.known_cores, topo.known_core_starts)
+                topo.known_cores, topo.known_core_starts,
+                organize_whole_rows(monkeypatch, config, 12).core_primary_contacts)
 
     report_cpus(monkeypatch, 1)
     want = arrays()
@@ -362,6 +399,25 @@ def test_organize_is_unchanged_across_cpus_and_chunk_sizes(monkeypatch, m):
     monkeypatch.setattr(topology, "CHUNK_CELLS", 5000)
     for got in (two, arrays()):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_set_up_draws_only_the_first_stratum_of_each_contact_row(monkeypatch):
+    # 20,000 rows of 500 contacts: a whole draw takes 500 values a row, the
+    # first stratum about _PREFIX_CONTACTS; the 10 periphery values a row
+    # are counted too. No row holds fewer than the kept 64 values in its
+    # first stratum here, so no block draws its second
+    drawn, real = [], topology._distinct_sorted_rows
+
+    def counted(gen, n_rows, k, pop):
+        drawn.append(int(np.broadcast_to(k, n_rows).sum()))
+        return real(gen, n_rows, k, pop)
+
+    monkeypatch.setattr(topology, "_distinct_sorted_rows", counted)
+    n = 20_000
+    topo = organize(TopologyConfig(n_core=n, n_periphery=1000,
+                                   primary_contacts_per_core=500, periphery_per_core=10), 1)
+    assert topo.core_primary_contacts.shape == (n, topology._KEPT_CONTACTS)
+    assert topology._PREFIX_CONTACTS * n <= sum(drawn) <= 1.5 * topology._PREFIX_CONTACTS * n
 
 
 # -- chunks on several threads ----------------------------------------------
