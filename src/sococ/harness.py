@@ -4,8 +4,8 @@ Presets exp1..exp6 reproduce the published experiment parameters at full
 scale; exp1..exp4 are guarded because they need hours. The C2 presets
 exp1..exp3 keep the first 64 of each core's 500 primary contacts, a 2 GiB
 int32 matrix in place of the whole 15.6 GiB one (`topology._KEPT_CONTACTS`):
-exp3 cut to 2x10^4 requests peaked at 3.1 GiB on a 2-CPU host, 18 s of
-its ~22-26 s in set-up. C1 presets draw no primary contacts: exp4 cut to
+exp3 cut to 2x10^4 requests peaked at 3.1 GiB on a 2-CPU host, 11.8 s of
+its 15.7 s in `organize`. C1 presets draw no primary contacts: exp4 cut to
 10^4 requests peaked at 1.1 GiB. The -desk variants reproduce the same
 regimes at workstation scale, with every deviation recorded in the
 preset's scale_note.

@@ -294,7 +294,7 @@ def _sample_rows(
     CHUNK_CELLS or on the number of threads; `rng` itself draws nothing.
     """
     width = k if kept is None else min(k, kept)
-    split = None if kept is None else width
+    kept_width = None if kept is None else width
     if k == 0:
         return np.empty((n_rows, 0), dtype=np.int32)
     pop -= skip_own
@@ -306,7 +306,7 @@ def _sample_rows(
 
     def draw(which: slice) -> None:
         for b in range(which.start, which.stop):
-            out[blocks[b]] = _draw_block(gens[b], blocks[b], k, pop, skip_own, split)
+            out[blocks[b]] = _draw_block(gens[b], blocks[b], k, pop, skip_own, kept_width)
 
     for_row_chunks(draw, len(blocks), _BLOCK_CELLS)
     return out
@@ -346,8 +346,7 @@ def _draw_block(
             # row r: its first min(c, kept) head values, then rest values
             # up to `kept`, both matrices read in row-major order
             first = np.minimum(low, kept)[:, None]
-            cols = np.arange(kept)
-            from_head = cols < first
+            from_head = np.arange(kept) < first
             block = np.empty((n_rows, kept), dtype=np.int32)
             block[from_head] = head[np.arange(head.shape[1]) < first]
             block[~from_head] = rest[np.arange(rest.shape[1]) < kept - first]

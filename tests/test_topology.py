@@ -375,7 +375,8 @@ def test_whole_rows_keep_no_tail_state(n_contacts):
     assert topo.contact_tail(17).size == 0
 
 
-@pytest.mark.parametrize("m, n_contacts", [(200, 100), (600, 100), (10, 500)])
+@pytest.mark.parametrize("m, n_contacts", [(200, 100), (600, 100), (10, 500)],
+                         ids=["200", "600", "split"])
 def test_organize_is_unchanged_across_cpus_and_chunk_sizes(monkeypatch, m, n_contacts):
     # 3,000 cores knowing 200 or 600 of 1,000 periphery servers, the second
     # as complements: either periphery draw spans three or more blocks. Or
