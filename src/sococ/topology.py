@@ -31,8 +31,9 @@ is drawn in two strata (`_draw_block`): its count of values below a split
 point, one hypergeometric draw, then those values, about _PREFIX_CONTACTS
 of them; the values above the split point are drawn only by
 `contact_tail`, or at set-up for a block holding a row with fewer than
-_KEPT_CONTACTS values below it. At `scale` the contact draw takes about
-half its whole-row time (0.24-0.28 s against 0.53-0.57 s, 2-CPU host).
+_KEPT_CONTACTS values below it. At `scale` set-up takes 0.28-0.31 s
+against 0.51-0.54 s for the whole-row draw (perfbench `setup_s` medians
+of 10 alternated runs each at seeds 3 and 47, 2-CPU host).
 """
 
 from __future__ import annotations
