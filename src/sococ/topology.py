@@ -24,7 +24,7 @@ seeds 3, 71 and 83, the deepest 65 to 76. So set-up holds an N x 64
 matrix, not N x n: 49 MiB, not 381 MiB, at `scale`; 2 GiB, not 15.6 GiB,
 at the published N. A scan that runs past the kept columns reads the rest
 of the row from `contact_tail`, which draws the row's block again from its
-child generator: ~2-3 ms at n=500 on a 2-CPU host.
+child generators: ~6 ms at n=500 on a 2-CPU host.
 
 Set-up does not draw the columns it drops. A row of n > _PREFIX_CONTACTS
 is drawn in two strata (`_draw_block`): its count of values below a split
@@ -228,7 +228,7 @@ class ContactTopology:
         `organize` drew and dropped, or never drew, byte for byte. The
         row's whole block is drawn from fresh generators in its child's
         initial state, as `_sample_rows` drew it, both strata where it was
-        split, and shifted past its owners: ~2-3 ms at n=500. Empty when
+        split, and shifted past its owners: ~6 ms at n=500. Empty when
         rows are whole."""
         blocks = self.contact_blocks
         if blocks is None:
