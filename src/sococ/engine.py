@@ -189,9 +189,13 @@ def init_servers(topology: ContactTopology, config: EngineConfig, seed: int) -> 
     costs = rng.uniform(config.cost_range[0], config.cost_range[1], size=n)
     lo, hi = config.initial_load_range
     loads = rng.uniform(lo, hi, size=n) * config.capacity_scu
-    cheapest_first = np.argsort(costs, kind="stable")
+    cheapest_first = np.argsort(costs)
     modes, costs = modes[cheapest_first], costs[cheapest_first]
     background = np.where(modes == _SLEEP, 0.0, loads[cheapest_first])
+    if not (costs[1:] > costs[:-1]).all():  # runs of equal costs in drawn order
+        runs = np.cumsum(np.concatenate(([True], costs[1:] > costs[:-1])))
+        tied = np.argsort(runs * n + cheapest_first)
+        modes, background = modes[tied], background[tied]
     return Fleet(modes=modes, capacity=config.capacity_scu,
                  background=background, unit_cost=costs)
 

@@ -143,6 +143,7 @@ class ContactOrder:
         n = topology.n_core
         cost = fleet.unit_cost
         contacts = topology.core_primary_contacts
+        width = self._width = contacts.shape[1]
 
         if (cost[1:] >= cost[:-1]).all():
             self.by_rank = self.rank = np.arange(n, dtype=np.int32)
@@ -150,11 +151,15 @@ class ContactOrder:
 
             def order(rows: slice) -> None:
                 block = contacts[rows]
-                unsorted = np.flatnonzero((block[:, 1:] < block[:, :-1]).any(axis=1))
-                if unsorted.size:
+                flat = block.reshape(-1)
+                descents = flat[1:] < flat[:-1]
+                descents[width - 1::width] = False  # pairs across two rows
+                if descents.any():  # not np.unique, which imports numpy.ma
+                    at = np.flatnonzero(descents) // width
+                    unsorted = at[np.diff(at, prepend=-1) > 0]
                     block[unsorted] = np.sort(block[unsorted], axis=1)
                 # every row is ascending now, so its ends bound it
-                if block.size and (block[:, 0].min() < 0 or block[:, -1].max() >= n):
+                if block[:, 0].min() < 0 or block[:, -1].max() >= n:
                     raise IndexError(f"a primary contact lies outside the fleet of {n} cores")
         elif topology.contact_blocks is not None:
             raise ConfigurationError(
@@ -173,11 +178,11 @@ class ContactOrder:
                 ranks.sort(axis=1)
                 contacts[rows] = np.take(self.by_rank, ranks)
 
-        for_row_chunks(order, n, contacts.shape[1])
+        if width:  # a row of no contacts is in every order
+            for_row_chunks(order, n, width)
         self.primary_sorted = contacts
         # rows as slices of one flat memoryview: cheaper per assembly than
         # a numpy row view wrapped in a memoryview of its own
-        self._width = contacts.shape[1]
         self._rows = memoryview(contacts.reshape(-1))
 
     def primary(self, core: int) -> Iterable[int]:

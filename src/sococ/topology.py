@@ -13,27 +13,21 @@ draw the known-periphery lists and the primary contacts, and
 the rows out of cost order) run their chunks on the process's CPUs
 (`for_row_chunks`). Their outputs cannot depend on that: each chunk writes
 only its own rows, and draws, if at all, only from generators of its own.
-The counting sort that inverts the periphery lists (`_invert_selection`)
-runs on the calling thread, in row order.
+The periphery lists are inverted on the calling thread, by one in-place
+sort of packed words (`_invert_selection`).
 
 The contact draw keeps only the first _KEPT_CONTACTS columns of each row,
-the cheapest contacts of a fleet numbered cheapest first: assembly scans a
-leader's row in that order and stops at cover. At `scale` (N=200,000,
-n=500, 2x10^4 requests) 1 to 4 of ~11,500 scans read past 64 contacts at
-seeds 3, 71 and 83, the deepest 65 to 76. So set-up holds an N x 64
-matrix, not N x n: 49 MiB, not 381 MiB, at `scale`; 2 GiB, not 15.6 GiB,
-at the published N. A scan that runs past the kept columns reads the rest
-of the row from `contact_tail`, which draws the row's block again from its
-child generators: ~6 ms at n=500 on a 2-CPU host.
-
-Set-up does not draw the columns it drops. A row of n > _PREFIX_CONTACTS
-is drawn in two strata (`_draw_block`): its count of values below a split
-point, one hypergeometric draw, then those values, about _PREFIX_CONTACTS
-of them; the values above the split point are drawn only by
-`contact_tail`, or at set-up for a block holding a row with fewer than
-_KEPT_CONTACTS values below it. At `scale` set-up takes 0.28-0.31 s
-against 0.51-0.54 s for the whole-row draw (perfbench `setup_s` medians
-of 10 alternated runs each at seeds 3 and 47, 2-CPU host).
+the cheapest contacts of a fleet numbered cheapest first, and draws little
+more: a row of n > _PREFIX_CONTACTS is drawn in two strata (`_draw_block`),
+the upper one only by `contact_tail`, or at set-up for a block with a row
+of fewer than _KEPT_CONTACTS values in the lower. Assembly scans a leader's
+row in that order and stops at cover: at `scale` (N=200,000, n=500, 2x10^4
+requests) 1 to 4 of ~11,500 scans read past 64 contacts at seeds 3, 71
+and 83, the deepest 65 to 76, and such a scan reads the rest of the row
+from `contact_tail` (~3 ms at n=500 on a 2-CPU host). So set-up holds an
+N x 64 matrix, not N x n: 49 MiB, not 381 MiB, at `scale`; 2 GiB, not
+15.6 GiB, at the published N. At `scale` set-up takes 0.29-0.30 s
+(perfbench `setup_s` medians of 8 alternated runs each at seeds 3 and 47).
 """
 
 from __future__ import annotations
@@ -65,9 +59,6 @@ _PREFIX_CONTACTS = 112
 # through the chunks of one loop (`for_row_chunks`): each holds one chunk's
 # temporaries at a time.
 CHUNK_CELLS = 1 << 18
-# Cells of the periphery lists that `_invert_selection` places at a time:
-# small, so its per-cell int64 temporaries stay small.
-_INVERT_CELLS = 1 << 13
 
 
 def _chunk_rows(row_cells: int, cells: int) -> int:
@@ -197,14 +188,11 @@ class ContactTopology:
     built by hand leaves both None.
 
     A row of core_primary_contacts is a set, and `organize` returns each row
-    ascending by id, as it returns each known-core list. Core ids are fleet
-    positions, and `engine.init_servers` numbers the fleet cheapest first,
-    so for its fleets id order is (unit cost, id) order. The topology is
-    drawn without the fleet, from its own sub-seed, and its law does not
-    change when cores are renumbered, so which cores a list holds depends
-    on that numbering but its law does not. `market.ContactOrder` takes
-    the matrix over and puts every row in (unit cost, id) order in place;
-    for such a fleet `organize`'s rows already are.
+    ascending by id, as it returns each known-core list: in (unit cost, id)
+    order on a fleet `engine.init_servers` numbered cheapest first. The
+    topology is drawn without the fleet, from its own sub-seed, and its law
+    does not change when cores are renumbered. `market.ContactOrder` takes
+    the matrix over and puts every row in (unit cost, id) order in place.
 
     Where n > _KEPT_CONTACTS, `organize` keeps each row's first
     _KEPT_CONTACTS contacts, its lowest ids, and records in
@@ -228,18 +216,17 @@ class ContactTopology:
         `organize` drew and dropped, or never drew, byte for byte. The
         row's whole block is drawn from fresh generators in its child's
         initial state, as `_sample_rows` drew it, both strata where it was
-        split, and shifted past its owners: ~6 ms at n=500. Empty when
-        rows are whole."""
+        split, and only this row's strata are merged and shifted past its
+        owner: ~3 ms at n=500. Empty when rows are whole."""
         blocks = self.contact_blocks
         if blocks is None:
             return np.empty(0, np.int32)
-        b = core // blocks.rows
+        b, r = divmod(core, blocks.rows)
         gen = np.random.default_rng(_child_seeds(blocks.seeds, blocks.first + b))
-        lo = b * blocks.rows
-        rows = slice(lo, min(lo + blocks.rows, self.n_core))
-        block = _draw_block(gen, rows, blocks.width, self.n_core - 1,
-                            skip_own=True, kept=blocks.width)
-        return block[core - lo, self.core_primary_contacts.shape[1]:]
+        rows = slice(b * blocks.rows, min((b + 1) * blocks.rows, self.n_core))
+        row = _draw_block(gen, rows, blocks.width, self.n_core - 1,
+                          skip_own=True, kept=blocks.width, only=r)
+        return row[0, self.core_primary_contacts.shape[1]:]
 
     def pcs_sizes(self) -> np.ndarray:
         """The length of each known-core list: the differences of
@@ -315,11 +302,12 @@ def _sample_rows(
 
 def _draw_block(
     gen: np.random.Generator, rows: slice, k: int, pop: int, skip_own: bool,
-    kept: int | None = None,
+    kept: int | None = None, only: int | None = None,
 ) -> np.ndarray:
     """One block of `_sample_rows`: rows `rows` of k distinct values of
     range(pop), ascending, each value from the row's owner up shifted by
-    one with `skip_own`.
+    one with `skip_own`; with `only`, just row `only` of the block, drawn
+    alike but merged and shifted alone.
 
     With `kept`, only the first `kept` columns of each row are returned,
     and rows of k > _PREFIX_CONTACTS are drawn in two strata: each row's
@@ -333,26 +321,27 @@ def _draw_block(
     values below T: a row stays the same whatever `kept` is.
     """
     n_rows = rows.stop - rows.start
+    mine = slice(None) if only is None else slice(only, only + 1)
     if kept is None or k <= _PREFIX_CONTACTS:
-        block = _distinct_sorted_rows(gen, n_rows, k, pop)[:, :kept]
+        block = _distinct_sorted_rows(gen, n_rows, k, pop)[mine, :kept]
     else:
         split = -(-pop * _PREFIX_CONTACTS // k)
         low = gen.hypergeometric(split, pop - split, k, size=n_rows)
-        head = _distinct_sorted_rows(gen, n_rows, low, split)
+        head = _distinct_sorted_rows(gen, n_rows, low, split)[mine]
         if low.min() >= kept:
             block = head[:, :kept]
         else:
-            rest = _distinct_sorted_rows(_tail_rng(gen), n_rows, k - low, pop - split)
+            rest = _distinct_sorted_rows(_tail_rng(gen), n_rows, k - low, pop - split)[mine]
             rest += split
             # row r: its first min(c, kept) head values, then rest values
             # up to `kept`, both matrices read in row-major order
-            first = np.minimum(low, kept)[:, None]
+            first = np.minimum(low[mine], kept)[:, None]
             from_head = np.arange(kept) < first
-            block = np.empty((n_rows, kept), dtype=np.int32)
+            block = np.empty(from_head.shape, dtype=np.int32)
             block[from_head] = head[np.arange(head.shape[1]) < first]
             block[~from_head] = rest[np.arange(rest.shape[1]) < kept - first]
     if skip_own:
-        block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
+        block += block >= np.arange(rows.start, rows.stop, dtype=np.int32)[mine, None]
     return block
 
 
@@ -493,42 +482,44 @@ def _invert_selection(
     """The exact inverse relation: the cores knowing each periphery server,
     all in one array, and the M + 1 offsets of each server's list in it.
 
-    A distribution counting sort (Knuth, TAOCP vol. 3, section 5.2): each
-    list's cursor starts at its offset, and the cores are placed a chunk of
-    _INVERT_CELLS cells at a time, in core order, so every list comes out
-    ascending, as a stable argsort of the whole matrix would leave it. A
-    chunk sorts its keys stably in their smallest dtype (numpy radix-sorts
-    keys of 16 bits or less), and writes each
-    owner at its list's cursor plus its place among the chunk's cells of
-    that list. Chunks, not one argsort of the whole matrix: that held an
-    int64 per cell beside the result, and where those landed moved
-    perfbench `scale`'s peak RSS between 451 and 455 MB. The list sizes
-    are counted a CHUNK_CELLS chunk at a time too, since `np.bincount`
-    copies its input to int64. A chunk's temporaries take a few hundred kB,
-    and a counting chunk's up to 8 bytes a cell plus 8 a list.
+    Cell (core c, server p) is packed as the word p << b | c, b = bits(N -
+    1), in core order into the int32 result's own buffer viewed as uint32,
+    and one in-place sort (numpy's default, a vectorized quicksort) puts
+    the words in (p, c) order: masked back to c, every list is ascending,
+    as a stable argsort of the matrix would leave it. Equal words are equal
+    cells, so the sort's instability cannot show. Where bits(M - 1) + b >
+    32 (10 + 23 at the published N), the servers are split into groups of
+    2^(32 - b), each a stretch of the result that the offsets bound, packed
+    relative to its first server and sorted alone. The list sizes are
+    counted a CHUNK_CELLS chunk at a time before the result exists, since
+    `np.bincount` copies its input to int64; the words are packed straight
+    into the result, so beside it only a chunk's temporaries are held.
     """
     n, m = known_periphery.shape
     counts = np.zeros(n_periphery, dtype=np.int64)
     for rows in row_chunks(n, m):
         counts += np.bincount(known_periphery[rows].ravel(), minlength=n_periphery)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    cursor = starts[:-1].copy()
     owners = np.empty(n * m, dtype=np.int32)
-    key_type = np.min_scalar_type(n_periphery - 1)
-    for rows in row_chunks(n, m, _INVERT_CELLS):
-        keys = known_periphery[rows].astype(key_type).ravel()
-        cells = np.argsort(keys, kind="stable")
-        keys = keys[cells]
-        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        lists = keys[heads]
-        sizes = np.diff(heads, append=keys.size)
-        # sorted cell i goes to its list's cursor plus i minus its run's head
-        at = np.repeat(cursor[lists] - heads, sizes)
-        at += np.arange(keys.size)
-        cells //= m  # cell j of the chunk belongs to its core j // m
-        cells += rows.start
-        owners[at] = cells
-        cursor[lists] += sizes
+    core_bits = (n - 1).bit_length()
+    span = 1 << (32 - core_bits)  # servers a group's words tell apart
+    for first in range(0, n_periphery, span):
+        last = min(first + span, n_periphery)
+        group = owners[starts[first]:starts[last]].view(np.uint32)
+        at = 0
+        for rows in row_chunks(n, m):
+            keys = known_periphery[rows]
+            cores = np.arange(rows.start, rows.stop, dtype=np.uint32)[:, None]
+            if span < n_periphery:  # the group's cells; a bool index costs ~5x more
+                cells = np.flatnonzero((keys >= first) & (keys < last))
+                keys, cores = keys.ravel().take(cells), cores.ravel().take(cells // m)
+            words = group[at:at + keys.size].reshape(keys.shape)
+            np.subtract(keys, first, out=words, casting="unsafe")
+            words <<= core_bits
+            words |= cores
+            at += keys.size
+        group.sort()
+        group &= (1 << core_bits) - 1
     return owners, starts
 
 

@@ -137,6 +137,34 @@ def test_init_servers_numbers_the_drawn_servers_cheapest_first(name):
     assert (fleet.committed == fleet.background).all()
 
 
+def five_ulps_above(c):
+    for _ in range(5):
+        c = np.nextafter(c, np.inf)
+    return float(c)
+
+
+@pytest.mark.parametrize("cost_range", [
+    (3.0, 3.0),                    # every cost tied: one run spans the fleet
+    (3.0, five_ulps_above(3.0)),   # six costs, thousands of servers each
+])
+def test_init_servers_keeps_tied_servers_in_drawn_order(cost_range):
+    # the stable order of the costs, ties in drawn order; numpy's default
+    # argsort leaves the partly tied draw's runs in another order
+    config = EngineConfig(cost_range=cost_range)
+    n = 20_000
+    fleet = init_servers(SimpleNamespace(n_core=n), config, 7)
+
+    rng = np.random.default_rng(7)
+    modes = rng.choice(4, size=n, p=list(config.initial_state_mix))
+    costs = rng.uniform(*config.cost_range, size=n)
+    loads = rng.uniform(*config.initial_load_range, size=n) * config.capacity_scu
+    stable = np.argsort(costs, kind="stable")
+    assert np.array_equal(fleet.unit_cost, costs[stable])
+    assert np.array_equal(fleet.modes, modes[stable])
+    assert np.array_equal(fleet.background,
+                          np.where(modes == Mode.SLEEP, 0.0, loads)[stable])
+
+
 # -- commit / release accounting ---------------------------------------------------
 
 def test_commit_and_release_roundtrip():

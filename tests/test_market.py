@@ -935,6 +935,36 @@ def test_contact_order_rejects_a_contact_outside_the_fleet(bad_id):
             ContactOrder(topo, make_fleet([Mode.M1] * 5, costs=costs))
 
 
+def test_the_numbered_row_pass_re_sorts_only_rows_with_a_descent():
+    # every row ends above the next row's first id, a descent that only a
+    # compare across two rows sees: on a read-only matrix of ascending rows
+    # the pass must write nothing; rows 4 and 9 (the last) hold a descent
+    # of their own, and only they come back re-sorted
+    ascending = np.array([[c % 3, 5 + c % 2, 9] for c in range(10)], dtype=np.int32)
+
+    def topo_of(contacts):
+        return ContactTopology(
+            n_core=10, n_periphery=1,
+            core_known_periphery=np.zeros((10, 1), dtype=np.int32),
+            core_primary_contacts=contacts,
+            periphery_known_cores=[np.arange(10, dtype=np.int32)],
+        )
+
+    fleet = make_fleet([Mode.M1] * 10)
+    frozen = ascending.copy()
+    frozen.flags.writeable = False
+    assert np.array_equal(ContactOrder(topo_of(frozen), fleet).primary_sorted, ascending)
+
+    contacts = ascending.copy()
+    contacts[4] = [9, 1, 5]
+    contacts[9] = [1, 9, 6]
+    order = ContactOrder(topo_of(contacts), fleet)
+    expected = ascending.copy()
+    expected[4] = [1, 5, 9]
+    expected[9] = [1, 6, 9]
+    assert np.array_equal(order.primary_sorted, expected)
+
+
 def test_contact_order_reuses_the_topology_matrix():
     # three fleets in turn on one topology: each order sorts the rows of the
     # topology's own matrix, whatever order the previous fleet left them in;

@@ -104,17 +104,20 @@ def argsort_inverse(known_periphery):
 
 
 @pytest.mark.parametrize("n_core, m, n_periphery", [
-    (20_000, 3, 5),           # uint8 keys; every list in every chunk
-    (9_000, 7, 256),          # uint8, the largest M
-    (9_000, 7, 257),          # uint16
-    (6_000, 10, 65_536),      # uint16, the largest M
-    (6_000, 10, 65_537),      # uint32
-    (3_000, 30, 1_000_000),   # uint32, most lists empty
+    # bits(N - 1) + bits(M - 1): the packed word's width
+    (20_000, 3, 5),           # 15 + 3; every list in every chunk
+    (9_000, 7, 256),          # 14 + 8
+    (9_000, 7, 257),          # 14 + 9
+    (6_000, 10, 65_536),      # 13 + 16
+    (6_000, 10, 65_537),      # 13 + 17
+    (3_000, 30, 1_000_000),   # 12 + 20 = 32, one group; most lists empty
+    (4_097, 15, 1 << 20),     # 13 + 20 = 33: two groups
+    (5_000, 12, (1 << 21) + 1),  # 13 + 22 = 35: five groups, the last of one server
 ])
 def test_counting_sort_inversion_matches_a_stable_argsort(monkeypatch, n_core, m, n_periphery):
-    # 60,000 cells or more, so the counting sort's lists span several
-    # chunks, and its counts six or more chunks of 10,000 cells; rows drawn
-    # with replacement may name a server twice
+    # 60,000 cells or more, so the lists are counted and packed in six or
+    # more chunks of 10,000 cells; rows drawn with replacement may name a
+    # server twice
     monkeypatch.setattr(topology, "CHUNK_CELLS", 10_000)
     known = np.random.default_rng(n_periphery).integers(
         0, n_periphery, size=(n_core, m), dtype=np.int32)
@@ -134,11 +137,11 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-# What `_invert_selection` may hold beside its result: a placing chunk's
-# temporaries (~0.25 MiB at _INVERT_CELLS) and the counts and cursors (8
-# bytes a list each). A counting chunk's int64 copy (8 bytes a cell, 2 MiB
-# at CHUNK_CELLS) is freed before the result is made; the whole matrix's
-# copy, 15.3 MiB at N*m = 2*10^6, would break the bound.
+# What `_invert_selection` may hold beside its result: a packing chunk's
+# core ids (4 bytes a row) and the counts (8 bytes a list). A counting
+# chunk's int64 copy (8 bytes a cell, 2 MiB at CHUNK_CELLS) is freed
+# before the result is made; the whole matrix's copy, 15.3 MiB at
+# N*m = 2*10^6, would break the bound.
 INVERT_ALLOWANCE = 1 << 20
 
 
@@ -146,7 +149,7 @@ INVERT_ALLOWANCE = 1 << 20
 def test_counting_sort_inversion_peaks_no_higher_than_the_argsort(n_core):
     # m=10 of M=1000 at N*m = 10^5 (perfbench c1-pool) and 2*10^6 (scale);
     # both peaks include the int32 result (tracemalloc sees numpy buffers),
-    # and at scale the counting sort holds no more than its result and one
+    # and at scale the inversion holds no more than its result and one
     # chunk's allowance
     known = np.random.default_rng(3).integers(0, 1000, size=(n_core, 10), dtype=np.int32)
     counting = traced_peak(lambda: _invert_selection(known, 1000))
@@ -534,6 +537,30 @@ p = replace(p, workload=replace(p.workload, n_requests=300))
 report = run_experiment(p, 1, {str(tmp_path)!r})
 assert report.n_requests == 300, report.n_requests
 assert "concurrent.futures" not in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(topology.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_c2_set_up_that_re_sorts_imports_no_masked_arrays():
+    # the first np.unique call imports numpy.ma (~1.5 MB of RSS); a set-up
+    # that re-sorts tied costs and rows out of id order must not make one
+    script = """
+import sys
+import numpy as np
+from sococ.engine import EngineConfig, init_servers
+from sococ.market import ContactOrder
+from sococ.topology import TopologyConfig, organize
+topo = organize(TopologyConfig(n_core=3000, n_periphery=40, primary_contacts_per_core=30,
+                               periphery_per_core=3), 1)
+rows = topo.core_primary_contacts
+rows[::7] = rows[::7, ::-1].copy()  # every seventh row descending
+fleet = init_servers(topo, EngineConfig(cost_range=(2.0, 2.0)), 1)
+order = ContactOrder(topo, fleet)
+assert (np.diff(order.primary_sorted, axis=1) > 0).all()
+assert "numpy.ma" not in sys.modules
 """
     env = {**os.environ, "PYTHONPATH": str(Path(topology.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
